@@ -12,8 +12,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.fft as _fft
 
-from .multipliers import apply_multiplier, is_dyadic, lp_project, mtilde, tgamma_symbol
+from .multipliers import is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
     FOUR_PI_SQ,
     grad_u_sup,
@@ -22,7 +23,14 @@ from .norms import (
     sobolev_norm,
     sup_p_ratio,
 )
-from .spectral import Grid, SpectralField, dft_inverse, hermitian_part
+from .spectral import (
+    Grid,
+    RealField,
+    SpectralField,
+    dft_inverse,
+    half_spectrum_weights,
+    hermitian_part,
+)
 
 __all__ = [
     "CorpusSpec",
@@ -238,16 +246,55 @@ def check_log_interpolation(
     return InequalityReport("log_interpolation", params, tuple(rows))
 
 
-def _block_norm(f: SpectralField, q) -> float:
-    # corpus fields are Hermitian by construction, so the sup norm can use
-    # the cheaper half-spectrum inverse transform
-    n = f.grid.n
-    if np.isinf(float(q)):
-        phys = np.fft.irfft2(f.coeffs[:, : n // 2 + 1], s=(n, n)) * n**2
-        return float(np.max(np.abs(phys)))
+def _annuli(grid: Grid, N_set: Sequence[float]) -> list[tuple[float, np.ndarray]]:
+    """Dyadic annulus weights phi(|k|/N) - phi(2|k|/N) on the half spectrum.
+
+    The weight is supported in |k| <= 2N, so each table keeps only the rfft
+    columns 0 .. floor(2N) it can reach (all n//2 + 1 once 2N >= n/2, which
+    spares the inverse transform a zero-padded copy).
+    """
+    out = []
+    for N in N_set:
+        N = float(N)
+        cols = min(math.floor(2.0 * N) + 1, grid.n // 2 + 1)
+        r = grid.kmod[:, :cols] / N
+        out.append((N, phi_eval(r) - phi_eval(2.0 * r)))
+    return out
+
+
+def _multiplier_tables(grid: Grid, N_set: Sequence[float], gamma: float):
+    """Per dyadic N: N, the cropped annulus weight, the symbol T_gamma(|k|)
+    on the same columns (views of one table), and mtilde(N)."""
+    annuli = _annuli(grid, N_set)
+    widest = max((w.shape[1] for _, w in annuli), default=0)
+    symbol = tgamma_eval(grid.kmod[:, :widest], gamma)
+    return [
+        (N, w, symbol[:, : w.shape[1]], mtilde(N, gamma)) for N, w in annuli
+    ]
+
+
+def _block_inverse(half: np.ndarray, n: int) -> np.ndarray:
+    """Physical samples sum_k c(k) exp(i k.x) of a real field given by its
+    first K rfft-layout columns (the rest zero).
+
+    Equal bit for bit to ``scipy.fft.irfft2(half, s=(n, n), norm="forward")``:
+    below half the columns, the column transforms run on the K occupied
+    columns only and the row transforms zero-pad the rest.
+    """
+    if half.shape[1] >= (n // 2 + 1) // 2:
+        return _fft.irfft2(half, s=(n, n), norm="forward")
+    cols = _fft.ifft(half, axis=0, norm="forward")
+    return _fft.irfft(cols, n=n, axis=1, norm="forward")
+
+
+def _block_norm(grid: Grid, half: np.ndarray, q) -> float:
+    """L^q norm of the real field whose leading rfft-layout columns are
+    ``half``: weighted Plancherel at q = 2, the inverse transform otherwise."""
     if float(q) == 2.0:
-        return math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(f.coeffs) ** 2)))
-    return lp_norm(dft_inverse(f), q)
+        weights = half_spectrum_weights(grid.n)[: half.shape[1]]
+        power = half.real**2 + half.imag**2
+        return math.sqrt(FOUR_PI_SQ * float(np.sum(power @ weights)))
+    return lp_norm(RealField(grid, _block_inverse(half, grid.n)), q)
 
 
 def check_multiplier_bound(
@@ -262,24 +309,30 @@ def check_multiplier_bound(
     sup over the dyadic annulus below mtilde(N)).  Pairs with an empty
     frequency block are skipped.
     """
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     for N in N_set:
         if not is_dyadic(N):
             raise ValueError(f"N_set must be dyadic, got {N!r}")
-    symbol = tgamma_symbol(gamma)
+    fields = build_corpus(corpus)
+    # tables built once, from the grid every corpus field shares
+    tables = _multiplier_tables(fields[0][1].grid, N_set, gamma) if fields else []
     rows = []
-    for fid, f in build_corpus(corpus):
-        for N in N_set:
-            block = lp_project(f, N, "at")
-            for q_val in q:
-                denom = _block_norm(block, q_val)
+    for fid, f in fields:
+        for N, weight, symbol, bound in tables:
+            block = f.coeffs[:, : weight.shape[1]] * weight
+            if not block.any():  # an empty block has zero norm at every q
+                continue
+            denoms = [_block_norm(f.grid, block, q_val) for q_val in q]
+            block *= symbol  # now T_gamma P_N f; in place keeps peak memory down
+            for q_val, denom in zip(q, denoms):
                 if denom == 0.0:
                     continue
-                num = _block_norm(apply_multiplier(block, symbol), q_val)
                 rows.append(
                     ReportRow(
                         fid,
-                        (("N", float(N)), ("q", float(q_val))),
-                        num / (mtilde(N, gamma) * denom),
+                        (("N", N), ("q", float(q_val))),
+                        _block_norm(f.grid, block, q_val) / (bound * denom),
                     )
                 )
     params = {"gamma": gamma, "N_set": tuple(float(N) for N in N_set),
@@ -300,23 +353,26 @@ def check_bernstein(
     for p, q_val in pq_pairs:
         if not (2.0 <= float(p) <= float(q_val)):
             raise ValueError(f"need 2 <= p <= q, got ({p}, {q_val})")
+    fields = build_corpus(corpus)
+    annuli = _annuli(fields[0][1].grid, N_set) if fields else []
     rows = []
-    for fid, f in build_corpus(corpus):
+    for fid, f in fields:
         phys = dft_inverse(f)
         base = {p: lp_norm(phys, p) for p in {pair[0] for pair in pq_pairs}}
-        for N in N_set:
-            block = lp_project(f, N, "at")
+        for N, weight in annuli:
+            block = f.coeffs[:, : weight.shape[1]] * weight
+            norms = {q_val: _block_norm(f.grid, block, q_val) for _, q_val in pq_pairs}
             for p, q_val in pq_pairs:
                 if base[p] == 0.0:
                     continue
                 inv_p = 0.0 if np.isinf(float(p)) else 1.0 / float(p)
                 inv_q = 0.0 if np.isinf(float(q_val)) else 1.0 / float(q_val)
-                scale = float(N) ** (2.0 * (inv_p - inv_q))
+                scale = N ** (2.0 * (inv_p - inv_q))
                 rows.append(
                     ReportRow(
                         fid,
-                        (("N", float(N)), ("p", float(p)), ("q", float(q_val))),
-                        _block_norm(block, q_val) / (scale * base[p]),
+                        (("N", N), ("p", float(p)), ("q", float(q_val))),
+                        norms[q_val] / (scale * base[p]),
                     )
                 )
     params = {"N_set": tuple(float(N) for N in N_set),

@@ -148,18 +148,16 @@ def parse_config(
         values[key] = _parse_value(key, str(val)) if isinstance(val, str) else val
 
     mode = tuple(int(p) for p in str(values["ic_mode"]).split(","))
-    ic = InitialConditionSpec(
-        kind=str(values["ic"]),
-        mode=(mode[0], mode[1]),
-        band=int(values["ic_band"]),
-        seed=int(values["seed"]),
-        amplitude=float(values["ic_amplitude"]),
-        width=float(values["ic_width"]),
-        separation=float(values["ic_separation"]),
-    )
-    if ic.kind not in ("single_mode", "shell", "random_band", "vortex_pair"):
-        raise ConfigError(f"config key 'ic': unknown kind {ic.kind!r}")
     try:
+        ic = InitialConditionSpec(
+            kind=str(values["ic"]),
+            mode=(mode[0], mode[1]),
+            band=int(values["ic_band"]),
+            seed=int(values["seed"]),
+            amplitude=float(values["ic_amplitude"]),
+            width=float(values["ic_width"]),
+            separation=float(values["ic_separation"]),
+        )
         solver = SolverConfig(
             n=int(values["n"]),
             gamma=float(values["gamma"]),

@@ -15,6 +15,7 @@ the public API exchanges full-lattice ``SpectralField`` values.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .spectral import (
     RealField,
     SpectralField,
     dealias,
+    half_spectrum_weights,
     hermitian_part,
     project_zero_mean,
 )
@@ -81,6 +83,19 @@ class InitialConditionSpec:
     amplitude: float = 1.0
     width: float = 0.4
     separation: float = math.pi / 2
+
+    def __post_init__(self) -> None:
+        if self.kind not in IC_KINDS:
+            raise ValueError(
+                f"unknown ic kind {self.kind!r} (expected one of "
+                f"{', '.join(IC_KINDS)})"
+            )
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"ic amplitude must be finite, got {self.amplitude}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"ic width must be finite and > 0, got {self.width}")
+        if not math.isfinite(self.separation):
+            raise ValueError(f"ic separation must be finite, got {self.separation}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +223,7 @@ def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
         coeffs = hermitian_part(np.where(mask, z, 0.0))
         l2 = math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(coeffs) ** 2)))
         coeffs *= spec.amplitude / l2
-    elif spec.kind == "vortex_pair":
+    else:  # vortex_pair
         x1, x2 = grid.mesh()
         half = 0.5 * spec.separation
         values = np.zeros((n, n))
@@ -219,11 +234,6 @@ def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
                     values += sign * np.exp(-d2 / (2.0 * spec.width**2))
         coeffs = np.fft.fft2(spec.amplitude * values) / n**2
         coeffs = hermitian_part(coeffs)
-    else:
-        raise ValueError(
-            f"unknown initial condition kind {spec.kind!r} (expected one of "
-            f"{', '.join(IC_KINDS)})"
-        )
     coeffs[0, 0] = 0.0
     return SpectralField(grid, coeffs)
 
@@ -238,7 +248,6 @@ class _Workspace:
     def __init__(self, grid: Grid, gamma: float, mollify_n: int | None):
         n = grid.n
         nh = n // 2 + 1
-        self.grid = grid
         self.n = n
         self.nh = nh
         kx = grid.kx[:, :nh]
@@ -268,25 +277,25 @@ class _Workspace:
         # normalization and the minus sign of the advection term
         self.neg_chi_scaled = -self.chi_outer * self.inv_n2
 
-        # Plancherel column weights on the half spectrum (interior columns
-        # represent a +/-k pair)
-        w = np.full(nh, 2.0)
-        w[0] = 1.0
-        if n % 2 == 0:
-            w[-1] = 1.0
-        self.col_weight = w
+        self.col_weight = half_spectrum_weights(n)
         self.rows_reflect = (-np.arange(n)) % n
 
 
-_WORKSPACES: dict[tuple[int, float, int | None], _Workspace] = {}
+# least-recently-used workspaces; one takes about 76 MB at n = 1024, so a
+# sweep over many (n, gamma, mollify) keeps at most this many alive
+WORKSPACE_CACHE_SIZE = 4
+_WORKSPACES: OrderedDict[tuple[int, float, int | None], _Workspace] = OrderedDict()
 
 
 def _workspace(grid: Grid, gamma: float, mollify_n: int | None) -> _Workspace:
     key = (grid.n, float(gamma), mollify_n)
     ws = _WORKSPACES.get(key)
     if ws is None:
-        ws = _Workspace(grid, gamma, mollify_n)
-        _WORKSPACES[key] = ws
+        ws = _WORKSPACES[key] = _Workspace(grid, gamma, mollify_n)
+        if len(_WORKSPACES) > WORKSPACE_CACHE_SIZE:
+            _WORKSPACES.popitem(last=False)
+    else:
+        _WORKSPACES.move_to_end(key)
     return ws
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "project_zero_mean",
     "reflect",
     "hermitian_part",
+    "half_spectrum_weights",
     "ZERO_MEAN_TOL",
     "SYMMETRY_RTOL",
 ]
@@ -115,6 +116,20 @@ def reflect(coeffs: np.ndarray) -> np.ndarray:
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric coefficients (real-field part)."""
     return 0.5 * (coeffs + np.conj(reflect(coeffs)))
+
+
+def half_spectrum_weights(n: int) -> np.ndarray:
+    """Plancherel column weights of the rfft layout (n // 2 + 1 columns).
+
+    Columns 0 and n/2 hold frequencies of their own; every other column
+    stands for a +/-k pair, so sum_k |c(k)|^2 over the full lattice equals
+    sum_j w[j] * sum_i |c_half[i, j]|^2 for Hermitian coefficients.
+    """
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return w
 
 
 def dft_forward(f: RealField) -> SpectralField:

@@ -36,6 +36,23 @@ def test_simulate_bad_gamma_exits_nonzero(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [("ic_amplitude = nan\n", []), ("ic_width = 0\n", ["--ic", "vortex_pair"])],
+)
+def test_simulate_bad_ic_parameters_are_config_errors(tmp_path, capsys, config, flags):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    rc = run_cli(
+        ["simulate", "--config", str(cfg), *flags, "--n", "32", "--tmax", "0.01",
+         "--out", str(out)]
+    )
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "blowup.txt").exists()
+
+
 def test_identical_config_gives_bit_identical_outputs(tmp_path):
     args = [
         "simulate", "--ic", "random_band", "--seed", "9", "--n", "64",

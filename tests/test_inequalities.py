@@ -2,16 +2,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from logeuler.inequalities import (
     CorpusSpec,
+    _annuli,
+    _block_inverse,
     build_corpus,
     check_bernstein,
     check_embedding,
     check_log_interpolation,
     check_multiplier_bound,
 )
-from logeuler.multipliers import lp_project, mtilde, tgamma_eval
+from logeuler.multipliers import (
+    apply_multiplier,
+    lp_project,
+    mtilde,
+    tgamma_eval,
+    tgamma_symbol,
+)
+from logeuler.norms import lp_norm
+from logeuler.spectral import dft_inverse
 
 # closed-form single-mode values, frozen from 40-digit evaluation
 EMBED_SINGLE_MODE = 0.3535533905932737622004221810524245196424  # 1/(2 sqrt 2)
@@ -160,3 +171,76 @@ class TestBernstein:
         first = check_bernstein(spec, (4.0, 8.0), ((2.0, 4.0),))
         second = check_bernstein(spec, (4.0, 8.0), ((2.0, 4.0),))
         assert first.rows == second.rows
+
+
+# ---------------------------------------------------------------------------
+# the cropped half-spectrum block path against the full-lattice computation
+# ---------------------------------------------------------------------------
+
+def _reference_rows_multiplier(gamma, N_set, q, spec):
+    """Full-lattice blocks (lp_project, apply_multiplier) and physical-space
+    norms of dft_inverse, as the check computed them before it was cropped."""
+    symbol = tgamma_symbol(gamma)
+    rows = []
+    for fid, f in build_corpus(spec):
+        for N in N_set:
+            block = lp_project(f, N, "at")
+            image = apply_multiplier(block, symbol)
+            for q_val in q:
+                denom = lp_norm(dft_inverse(block), q_val)
+                if denom == 0.0:
+                    continue
+                ratio = lp_norm(dft_inverse(image), q_val) / (mtilde(N, gamma) * denom)
+                rows.append((fid, (("N", N), ("q", q_val)), ratio))
+    return rows
+
+
+def _reference_rows_bernstein(spec, N_set, pq_pairs):
+    rows = []
+    for fid, f in build_corpus(spec):
+        phys = dft_inverse(f)
+        for N in N_set:
+            block = dft_inverse(lp_project(f, N, "at"))
+            for p, q_val in pq_pairs:
+                inv_q = 0.0 if math.isinf(q_val) else 1.0 / q_val
+                scale = N ** (2.0 * (1.0 / p - inv_q))
+                ratio = lp_norm(block, q_val) / (scale * lp_norm(phys, p))
+                rows.append((fid, (("N", N), ("p", p), ("q", q_val)), ratio))
+    return rows
+
+
+def _assert_rows_match(report, reference):
+    assert [(r.function_id, r.params) for r in report.rows] == [
+        (fid, params) for fid, params, _ in reference
+    ]
+    for row, (_, _, ratio) in zip(report.rows, reference):
+        assert row.ratio == pytest.approx(ratio, rel=1e-13, abs=1e-300)
+
+
+class TestHalfSpectrumBlocks:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("N", [2.0, 8.0, 32.0])
+    def test_pruned_inverse_is_irfft2(self, n, N):
+        spec = CorpusSpec(kind="random_band", n=n, size=2, band=n // 2, seed=4)
+        for _, f in build_corpus(spec):
+            ((_, weight),) = _annuli(f.grid, (N,))
+            block = f.coeffs[:, : weight.shape[1]] * weight
+            full = scipy.fft.irfft2(block, s=(n, n), norm="forward")
+            assert np.array_equal(_block_inverse(block, n), full)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_multiplier_bound_matches_full_lattice(self, n):
+        # band n/2 reaches the Nyquist column; N = n/2 spans the half spectrum
+        spec = CorpusSpec(n=n, size=24, band=n // 2, seed=6)
+        N_set = tuple(2.0**j for j in range(0, int(math.log2(n))))
+        q = (2.0, 4.0, float("inf"))
+        report = check_multiplier_bound(1.5, N_set, q, spec)
+        _assert_rows_match(report, _reference_rows_multiplier(1.5, N_set, q, spec))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_bernstein_matches_full_lattice(self, n):
+        spec = CorpusSpec(n=n, size=24, band=n // 2, seed=6)
+        N_set = tuple(2.0**j for j in range(0, int(math.log2(n))))
+        pairs = ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf")))
+        report = check_bernstein(spec, N_set, pairs)
+        _assert_rows_match(report, _reference_rows_bernstein(spec, N_set, pairs))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from logeuler import solver
 from logeuler.norms import FOUR_PI_SQ
 from logeuler.solver import (
     BlowUpError,
@@ -75,6 +76,15 @@ class TestMakeIC:
         with pytest.raises(ValueError):
             make_ic(InitialConditionSpec(kind="spiral"), Grid(16))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"amplitude": math.nan}, {"amplitude": math.inf}, {"width": 0.0},
+         {"width": -0.4}, {"width": math.nan}, {"separation": math.inf}],
+    )
+    def test_rejects_nonfinite_or_degenerate_parameters(self, bad):
+        with pytest.raises(ValueError):
+            InitialConditionSpec(kind="vortex_pair", **bad)
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -135,6 +145,17 @@ class TestRhs:
         b = rhs(f, 1.5, 32)
         sel = g.kmod <= 8
         assert np.max(np.abs(a.coeffs[sel] - b.coeffs[sel])) < 1e-15
+
+    def test_workspace_cache_stays_bounded(self):
+        f = make_ic(InitialConditionSpec(kind="random_band", band=4, seed=2), Grid(32))
+        first = rhs(f, 0.0, "dealias")
+        for gamma in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            rhs(f, gamma, "dealias")
+        assert len(solver._WORKSPACES) <= solver.WORKSPACE_CACHE_SIZE
+        assert (32, 3.0, None) in solver._WORKSPACES
+        # the evicted gamma = 0 workspace is rebuilt with identical arrays
+        assert (32, 0.0, None) not in solver._WORKSPACES
+        assert np.array_equal(rhs(f, 0.0, "dealias").coeffs, first.coeffs)
 
 
 class TestCflDt:
