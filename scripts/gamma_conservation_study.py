@@ -56,14 +56,17 @@ def main() -> None:
             continue
         l2s = [r.norms.l2 for r in records]
         energies = [r.norms.energy_gamma for r in records]
-        env = gronwall_envelope(records, records[0].norms)
-        print(
+        row = (
             f"{gamma:6.2f} {len(records) - 1:6d} "
             f"{(max(l2s) - min(l2s)) / l2s[0]:12.3e} "
             f"{(max(energies) - min(energies)) / energies[0]:13.3e} "
-            f"{records[-1].norms.grad_u_sup:11.4f} "
-            f"{env.c_a:10.3e} {env.c_b:10.3e}"
+            f"{records[-1].norms.grad_u_sup:11.4f}"
         )
+        if len(records) < 3:
+            print(f"{row}  envelope fits: need at least 3 records")
+            continue
+        env = gronwall_envelope(records, records[0].norms)
+        print(f"{row} {env.c_a:10.3e} {env.c_b:10.3e}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ norm of the velocity gradient, and the conserved generalized energy.
 Quadrature convention: integrals over the torus use the uniform rectangle
 rule, which is spectrally accurate for band-limited integrands, and
 Plancherel reads sum_j |f_j|^2 dx^2 = 4 pi^2 sum_k |coeff(k)|^2.
+
+Spectral functionals read only the rfft half of the coefficients (columns
+0..n/2), which holds all the data of a real (Hermitian) field: Plancherel
+sums weight columns 0 and n/2 by 1 and the others by 2, and the physical
+fields (the vorticity, three components of grad u) come from ``irfft2``.
 """
 
 from __future__ import annotations
@@ -13,14 +18,15 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import scipy.fft as _fft
 
-from .multipliers import tgamma_eval, velocity_spectral
+from .multipliers import tgamma_eval
 from .spectral import (
     ZERO_MEAN_TOL,
+    Grid,
     RealField,
     SpectralField,
-    dft_inverse,
-    gradient,
+    half_spectrum_weights,
 )
 
 __all__ = [
@@ -31,7 +37,6 @@ __all__ = [
     "sup_p_ratio",
     "grad_u_sup",
     "generalized_energy",
-    "h1_norm",
     "compute_norm_bundle",
 ]
 
@@ -44,6 +49,30 @@ def _check_zero_mean(s: SpectralField, what: str) -> None:
         raise ValueError(f"{what} needs a zero-mean field, |coeff(0,0)| = {mean:.3e}")
 
 
+def _sup_abs(values: np.ndarray) -> float:
+    """max |values| without an abs copy of the array."""
+    return max(float(values.max()), -float(values.min()))
+
+
+def _half(a: np.ndarray) -> np.ndarray:
+    """The rfft half (columns 0..n/2) of an n x n lattice array, as a view."""
+    return a[:, : a.shape[0] // 2 + 1]
+
+
+def _half_sum(density: np.ndarray) -> float:
+    """Full-lattice sum of a density even in k, from its rfft half."""
+    return float(np.sum(half_spectrum_weights(density.shape[0]) * density))
+
+
+def _smoothed_inverse_k2(g: Grid, gamma: float) -> np.ndarray:
+    """T_gamma(|k|) / |k|^2 on the rfft half, 0 at the origin."""
+    k2 = _half(g.k2).copy()
+    k2[0, 0] = 1.0
+    out = tgamma_eval(_half(g.kmod), gamma) / k2
+    out[0, 0] = 0.0
+    return out
+
+
 def lp_norm(f: RealField, p) -> float:
     """Lebesgue norm (sum_j |f|^p dx^2)^(1/p); p = inf gives the grid max.
 
@@ -53,11 +82,13 @@ def lp_norm(f: RealField, p) -> float:
     p = float(p)
     if not p >= 2.0:
         raise ValueError(f"p must be >= 2 (or inf), got {p}")
-    m = float(np.max(np.abs(f.values)))
+    m = _sup_abs(f.values)
     if np.isinf(p) or m == 0.0:
         return m
-    scaled = np.abs(f.values) / m
-    total = float(np.sum(scaled**p)) * f.grid.dx**2
+    scaled = np.abs(f.values)
+    scaled /= m
+    scaled **= p
+    total = float(np.sum(scaled)) * f.grid.dx**2
     return m * total ** (1.0 / p)
 
 
@@ -67,16 +98,17 @@ def lp_norm_map(f: RealField, p_values) -> dict[int, float]:
     if ps and ps[0] < 2:
         raise ValueError(f"p must be >= 2, got {ps[0]}")
     out: dict[int, float] = {}
-    m = float(np.max(np.abs(f.values)))
+    m = _sup_abs(f.values)
     if m == 0.0:
         return {p: 0.0 for p in ps}
-    base = np.abs(f.values) / m
+    base = np.abs(f.values)
+    base /= m
     dx2 = f.grid.dx**2
     acc = base * base
     power = 2
     for p in ps:
         while power < p:
-            acc = acc * base
+            np.multiply(acc, base, out=acc)
             power += 1
         out[p] = m * (float(np.sum(acc)) * dx2) ** (1.0 / p)
     return out
@@ -89,16 +121,11 @@ def sobolev_norm(s: SpectralField, order: float) -> float:
     """
     if order < 0:
         _check_zero_mean(s, f"Sobolev norm of order {order}")
-    kmod = s.grid.kmod.copy()
+    kmod = _half(s.grid.kmod).copy()
     kmod[0, 0] = 1.0  # origin excluded from the sum below
-    power = np.abs(s.coeffs) ** 2 * kmod ** (2.0 * order)
+    power = np.abs(_half(s.coeffs)) ** 2 * kmod ** (2.0 * order)
     power[0, 0] = 0.0
-    return float(np.sqrt(FOUR_PI_SQ * np.sum(power)))
-
-
-def h1_norm(s: SpectralField) -> float:
-    """Inhomogeneous H^1 norm in the completion convention: ||f||_2 + ||f||_H1dot."""
-    return sobolev_norm(s, 0.0) + sobolev_norm(s, 1.0)
+    return float(np.sqrt(FOUR_PI_SQ * _half_sum(power)))
 
 
 def sup_p_ratio(f: RealField, p_max: int) -> float:
@@ -110,13 +137,20 @@ def sup_p_ratio(f: RealField, p_max: int) -> float:
 
 
 def grad_u_sup(omega: SpectralField, gamma: float) -> float:
-    """Sup norm over all four components of grad u, u the smoothed velocity."""
+    """Sup norm over all four components of grad u, u the smoothed velocity.
+
+    With psi = T_gamma omega / |k|^2 the velocity is u = (i k2, -i k1) psi,
+    so d1 u1 = -k1 k2 psi, d2 u1 = -k2^2 psi, d1 u2 = k1^2 psi and
+    d2 u2 = -d1 u1: three inverse transforms cover all four components.
+    """
     _check_zero_mean(omega, "velocity-gradient sup")
-    u1, u2 = velocity_spectral(omega, gamma)
+    g = omega.grid
+    psi = _half(omega.coeffs) * _smoothed_inverse_k2(g, gamma)
+    kx, ky = _half(g.kx), _half(g.ky)
     worst = 0.0
-    for comp in (u1, u2):
-        for deriv in gradient(comp):
-            worst = max(worst, float(np.max(np.abs(dft_inverse(deriv).values))))
+    for symbol in (-kx * ky, -ky * ky, kx * kx):
+        d = _fft.irfft2(symbol * psi, s=(g.n, g.n), norm="forward")
+        worst = max(worst, _sup_abs(d))
     return worst
 
 
@@ -127,12 +161,8 @@ def generalized_energy(omega: SpectralField, gamma: float) -> float:
     ||u||_2^2 of the classical flow.
     """
     _check_zero_mean(omega, "generalized energy")
-    g = omega.grid
-    k2 = g.k2.copy()
-    k2[0, 0] = 1.0
-    dens = tgamma_eval(g.kmod, gamma) * np.abs(omega.coeffs) ** 2 / k2
-    dens[0, 0] = 0.0
-    return float(FOUR_PI_SQ * np.sum(dens))
+    dens = _smoothed_inverse_k2(omega.grid, gamma) * np.abs(_half(omega.coeffs)) ** 2
+    return FOUR_PI_SQ * _half_sum(dens)
 
 
 @dataclass(frozen=True)
@@ -152,7 +182,10 @@ def compute_norm_bundle(
     omega: SpectralField, gamma: float, p_max: int = 64
 ) -> NormBundle:
     """Evaluate the full norm bundle of a zero-mean vorticity field."""
-    phys = dft_inverse(omega)
+    n = omega.grid.n
+    phys = RealField(
+        omega.grid, _fft.irfft2(_half(omega.coeffs), s=(n, n), norm="forward")
+    )
     p_grid = range(2, max(p_max, 8) + 1)  # always include p = 4, 8 for reports
     lp = lp_norm_map(phys, p_grid)
     ratio = max(lp[p] / np.sqrt(p) for p in range(2, p_max + 1))

@@ -368,8 +368,12 @@ def cfl_dt(omega: SpectralField, gamma: float, cfl: float, grid: Grid) -> float:
     return cfl * grid.dx / max(umax, VELOCITY_FLOOR)
 
 
-def _rk4_half(h: np.ndarray, dt: float, ws: _Workspace, uv=None) -> np.ndarray:
-    k1, _ = _rhs_half(h, ws, uv=uv)
+def _rk4_half(
+    h: np.ndarray, dt: float, ws: _Workspace, uv=None, k1=None
+) -> np.ndarray:
+    """One RK4 step; ``k1``, when given, is ``_rhs_half(h, ws)[0]``."""
+    if k1 is None:
+        k1, _ = _rhs_half(h, ws, uv=uv)
     k2, _ = _rhs_half(h + (0.5 * dt) * k1, ws)
     k3, _ = _rhs_half(h + (0.5 * dt) * k2, ws)
     k4, _ = _rhs_half(h + dt * k3, ws)
@@ -432,9 +436,11 @@ def run(config: SolverConfig) -> RunResult:
     snapped_at = -1
 
     def record(h, t, step, dt_used):
+        """Append a record; return the velocity and the RHS of ``h`` it used."""
         nonlocal recorded_at
         full = SpectralField(grid, _to_full(h, ws))
-        _, discarded = _rhs_half(h, ws, want_diag=True)
+        uv = _velocity_phys(h, ws)
+        k1, discarded = _rhs_half(h, ws, uv=uv, want_diag=True)
         records.append(
             DiagnosticsRecord(
                 t, compute_norm_bundle(full, config.gamma, config.p_max),
@@ -442,6 +448,7 @@ def run(config: SolverConfig) -> RunResult:
             )
         )
         recorded_at = step
+        return uv, k1
 
     def snap(h, t, step):
         nonlocal snapped_at
@@ -449,20 +456,23 @@ def run(config: SolverConfig) -> RunResult:
         snapshots.append(FieldSnapshot(t, step, RealField(grid, phys)))
         snapped_at = step
 
-    record(h, t, step, dt_used)
+    # the velocity and first RK4 stage of the current h, when a record
+    # has just computed them
+    reuse = record(h, t, step, dt_used)
     if config.snapshot_interval > 0:
         snap(h, t, step)
 
     blowup: BlowUpError | None = None
     t_end = config.t_max
     while t < t_end * (1.0 - 1e-14):
-        uv = _velocity_phys(h, ws)
+        uv, k1 = reuse if reuse is not None else (_velocity_phys(h, ws), None)
+        reuse = None
         umax = max(float(np.max(np.abs(uv[0]))), float(np.max(np.abs(uv[1]))))
         dt = min(config.cfl * grid.dx / max(umax, VELOCITY_FLOOR), t_end - t)
         if not (dt > 0 and math.isfinite(dt)):
             blowup = BlowUpError(t, step)
             break
-        h_next = _rk4_half(h, dt, ws, uv=uv)
+        h_next = _rk4_half(h, dt, ws, uv=uv, k1=k1)
         if not np.all(np.isfinite(h_next)):
             blowup = BlowUpError(t + dt, step + 1)
             break
@@ -471,7 +481,7 @@ def run(config: SolverConfig) -> RunResult:
         step += 1
         dt_used = dt
         if step % config.diag_interval == 0:
-            record(h, t, step, dt_used)
+            reuse = record(h, t, step, dt_used)
         if config.snapshot_interval > 0 and step % config.snapshot_interval == 0:
             snap(h, t, step)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from logeuler.multipliers import tgamma_eval
 from logeuler.norms import (
+    FOUR_PI_SQ,
     compute_norm_bundle,
     generalized_energy,
     grad_u_sup,
@@ -19,6 +20,7 @@ from logeuler.spectral import (
     RealField,
     SpectralField,
     dft_forward,
+    dft_inverse,
     gradient,
     hermitian_part,
 )
@@ -137,6 +139,17 @@ class TestGradUSup:
         s = random_zero_mean(32, 5, 1)  # all modes on |k| = 1
         assert grad_u_sup(s, 1.5) <= grad_u_sup(s, 0.0)
 
+    def test_mixed_derivative_attains_sup(self):
+        # u = perp_grad(psi) for omega = Lap psi at gamma = 0, with
+        # psi = f(x1) f(x2), f = sin x + sin(3x)/9: |d1 d2 psi| peaks at
+        # f'(0)^2 = 16/9 while |f''| max|f| < 1.4 bounds d1^2 psi and d2^2 psi
+        g = Grid(32)
+        x1, x2 = g.mesh()
+        f = lambda x: np.sin(x) + np.sin(3 * x) / 9
+        f2 = lambda x: -np.sin(x) - np.sin(3 * x)
+        omega = dft_forward(RealField(g, f2(x1) * f(x2) + f(x1) * f2(x2)))
+        assert grad_u_sup(omega, 0.0) == pytest.approx(16 / 9, rel=1e-12)
+
     def test_coefficientwise_damping(self):
         # each spectral coefficient of grad u is damped by exactly m(|k|)
         s = random_zero_mean(32, 6, 8)
@@ -189,3 +202,99 @@ class TestNormBundle:
         assert bundle.sup_p_ratio == 0.0
         assert bundle.grad_u_sup == 0.0
         assert bundle.energy_gamma == 0.0
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum path against a full-lattice reference
+# ---------------------------------------------------------------------------
+
+def _ref_grad_u_sup(s, gamma):
+    u1, u2 = velocity_spectral(s, gamma)
+    return max(
+        float(np.max(np.abs(dft_inverse(deriv).values)))
+        for comp in (u1, u2)
+        for deriv in gradient(comp)
+    )
+
+
+def _ref_spectral_sum(s, weight):
+    dens = weight * np.abs(s.coeffs) ** 2
+    dens[0, 0] = 0.0
+    return FOUR_PI_SQ * float(np.sum(dens))
+
+
+def _ref_sobolev(s, order):
+    kmod = s.grid.kmod.copy()
+    kmod[0, 0] = 1.0
+    return np.sqrt(_ref_spectral_sum(s, kmod ** (2.0 * order)))
+
+
+def _ref_energy(s, gamma):
+    k2 = s.grid.k2.copy()
+    k2[0, 0] = 1.0
+    return _ref_spectral_sum(s, tgamma_eval(s.grid.kmod, gamma) / k2)
+
+
+def _nyquist_field(n, seed, disc):
+    """Random zero-mean Hermitian field with a populated Nyquist row and column.
+
+    disc=False fills every mode.  disc=True fills |k| <= n/2 plus the corner
+    (n/2, n/2): the Nyquist entries at which every component of grad u is
+    itself a real field on the lattice, as the full-lattice reference needs.
+    """
+    g = Grid(n)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if disc:
+        mask = g.kmod <= n // 2
+        mask[n // 2, n // 2] = True
+        z = np.where(mask, z, 0.0)
+    coeffs = hermitian_part(z)
+    coeffs[0, 0] = 0.0
+    assert np.all(coeffs[n // 2, [0, n // 2]] != 0)
+    assert np.all(coeffs[[0, n // 2], n // 2] != 0)
+    return SpectralField(g, coeffs)
+
+
+HALF_CASES = [(n, gamma) for n in (16, 64) for gamma in (0.0, 1.5)]
+RTOL = 1e-13
+
+
+class TestHalfSpectrumOracle:
+    @pytest.mark.parametrize("n, gamma", HALF_CASES)
+    @pytest.mark.parametrize("disc", [False, True])
+    def test_plancherel_sums(self, n, gamma, disc):
+        s = _nyquist_field(n, 21, disc)
+        for order in (-1.0, 0.0, 1.0):
+            assert sobolev_norm(s, order) == pytest.approx(
+                _ref_sobolev(s, order), rel=RTOL
+            )
+        assert generalized_energy(s, gamma) == pytest.approx(
+            _ref_energy(s, gamma), rel=RTOL
+        )
+
+    @pytest.mark.parametrize("n, gamma", HALF_CASES)
+    def test_grad_u_sup(self, n, gamma):
+        s = _nyquist_field(n, 22, disc=True)
+        assert grad_u_sup(s, gamma) == pytest.approx(
+            _ref_grad_u_sup(s, gamma), rel=RTOL
+        )
+
+    @pytest.mark.parametrize("n, gamma", HALF_CASES)
+    def test_bundle(self, n, gamma):
+        s = _nyquist_field(n, 23, disc=True)
+        bundle = compute_norm_bundle(s, gamma, p_max=16)
+        lp = lp_norm_map(dft_inverse(s), range(2, 17))
+        assert bundle.lp.keys() == lp.keys()
+        for p in lp:
+            assert bundle.lp[p] == pytest.approx(lp[p], rel=RTOL)
+        assert bundle.l2 == pytest.approx(lp[2], rel=RTOL)
+        assert bundle.sup_p_ratio == pytest.approx(
+            max(lp[p] / np.sqrt(p) for p in lp), rel=RTOL
+        )
+        assert bundle.h1dot == pytest.approx(_ref_sobolev(s, 1.0), rel=RTOL)
+        assert bundle.hm1dot == pytest.approx(_ref_sobolev(s, -1.0), rel=RTOL)
+        assert bundle.grad_u_sup == pytest.approx(
+            _ref_grad_u_sup(s, gamma), rel=RTOL
+        )
+        assert bundle.energy_gamma == pytest.approx(_ref_energy(s, gamma), rel=RTOL)

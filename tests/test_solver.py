@@ -297,6 +297,34 @@ class TestRun:
             s % 2 == 0 or s == steps[-1] for s in steps
         )
 
+    @pytest.mark.parametrize("mollify", ["auto", "dealias"])
+    def test_diag_interval_leaves_trajectory_bitwise_unchanged(self, mollify):
+        # a record hands its velocity and RHS to the next step as RK4's first
+        # stage; recording every step or every other step must not change
+        # a single bit of the trajectory or of the records
+        runs = [
+            run(SolverConfig(
+                n=32, gamma=1.5, t_max=0.8, cfl=0.3, mollify=mollify,
+                ic=InitialConditionSpec(kind="random_band", amplitude=20.0),
+                seed=5, diag_interval=interval, snapshot_interval=3,
+            ))
+            for interval in (1, 2)
+        ]
+        every = {rec.t: rec for rec in runs[0].records}
+        assert len(runs[0].records) > 6
+        assert len(runs[1].records) > 3
+        for rec in runs[1].records:
+            ref = every[rec.t]
+            assert rec.dt_used == ref.dt_used
+            assert rec.norms == ref.norms
+            assert rec.aliasing_energy_discarded == ref.aliasing_energy_discarded
+        assert runs[0].records[-1].t == runs[1].records[-1].t
+        snaps = [r.snapshots for r in runs]
+        assert [s.step_count for s in snaps[0]] == [s.step_count for s in snaps[1]]
+        for a, b in zip(*snaps):
+            assert a.t == b.t
+            assert np.array_equal(a.omega.values, b.omega.values)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_blowup_marks_partial_result(self):
