@@ -168,8 +168,13 @@ def _cmd_simulate(args) -> int:
     return _execute_run(settings)
 
 
-def _sweep_worker(settings: RunSettings) -> int:
-    return _execute_run(settings)
+def _sweep_worker(config: str | None, overrides: dict) -> tuple[int, str]:
+    """One sweep run as (exit status, status line); an error fails only it."""
+    try:
+        code = _execute_run(parse_config(config, overrides))
+    except (ConfigError, OSError, ValueError) as exc:
+        return 1, f"error: {exc}"
+    return code, "ok" if code == 0 else f"exit {code}"
 
 
 def _cmd_sweep(args) -> int:
@@ -186,14 +191,16 @@ def _cmd_sweep(args) -> int:
             child["gamma"] = gamma
             child["n"] = n
             child["out"] = os.path.join(out_root, f"g{float(gamma):g}_n{int(n)}")
-            jobs.append(parse_config(args.config, child))
+            jobs.append(child)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_sweep_worker, jobs))
+            results = list(pool.map(_sweep_worker, [args.config] * len(jobs), jobs))
     else:
-        codes = [_execute_run(settings) for settings in jobs]
+        results = list(map(_sweep_worker, [args.config] * len(jobs), jobs))
+    for child, (_, status) in zip(jobs, results):
+        print(f"  {os.path.basename(child['out'])}: {status}")
     print(f"sweep finished: {len(jobs)} runs under {out_root}")
-    return max(codes, default=0)
+    return max((code for code, _ in results), default=0)
 
 
 # ---------------------------------------------------------------------------

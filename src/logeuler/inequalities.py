@@ -16,7 +16,6 @@ import scipy.fft as _fft
 
 from .multipliers import is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
-    FOUR_PI_SQ,
     grad_u_sup,
     lp_norm,
     lp_norm_map,
@@ -27,13 +26,14 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
-    dft_inverse,
-    half_spectrum_weights,
-    hermitian_part,
+    add_mode,
+    half_spectrum_l2,
+    random_band_half,
 )
 
 __all__ = [
     "CorpusSpec",
+    "Corpus",
     "ReportRow",
     "InequalityReport",
     "build_corpus",
@@ -87,86 +87,79 @@ class CorpusSpec:
         return self.band if self.band > 0 else self.n // 4
 
 
-def _random_band_field(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
-    z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal(
-        (grid.n, grid.n)
-    )
-    mask = (grid.kmod > 0) & (grid.kmod <= band)
-    coeffs = hermitian_part(np.where(mask, z, 0.0))
-    l2 = math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(coeffs) ** 2)))
-    return coeffs / l2
+def _single_mode_field(grid: Grid, k: tuple[int, int]) -> SpectralField:
+    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
+    add_mode(coeffs, k, -0.5j)  # sin(k . x)
+    return SpectralField(grid, coeffs)
 
 
-def _add_mode(coeffs: np.ndarray, k: tuple[int, int], amp: complex) -> None:
-    """Add amp * exp(i k.x) + conj to keep the field real."""
-    n = coeffs.shape[0]
-    coeffs[k[0] % n, k[1] % n] += amp
-    coeffs[(-k[0]) % n, (-k[1]) % n] += np.conj(amp)
-
-
-def _single_mode_field(grid: Grid, k: tuple[int, int]) -> np.ndarray:
-    coeffs = np.zeros((grid.n, grid.n), dtype=complex)
-    _add_mode(coeffs, k, -0.5j)  # sin(k . x)
-    return coeffs
-
-
-def _shell_field(grid: Grid, rsq: int, rng: np.random.Generator) -> np.ndarray:
-    coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+def _shell_field(grid: Grid, rsq: int, rng: np.random.Generator) -> SpectralField:
+    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
     limit = int(math.isqrt(rsq)) + 1
     for k1 in range(-limit, limit + 1):
         for k2 in range(0, limit + 1):
             if k1 * k1 + k2 * k2 != rsq or (k2 == 0 and k1 <= 0):
                 continue
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            _add_mode(coeffs, (k1, k2), 0.5 * np.exp(1j * phase))
-    return coeffs
+            add_mode(coeffs, (k1, k2), 0.5 * np.exp(1j * phase))
+    return SpectralField(grid, coeffs)
 
 
 def _multiscale_field(
     grid: Grid, band: int, rng: np.random.Generator
-) -> np.ndarray:
+) -> SpectralField:
     """Lacunary spectrum: one mode per dyadic shell, weights 1/(j+1)."""
-    coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
     j = 0
     while 2**j <= band:
         k = (2**j, 0) if j % 2 == 0 else (0, 2**j)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        _add_mode(coeffs, k, 0.5 * np.exp(1j * phase) / (j + 1))
+        add_mode(coeffs, k, 0.5 * np.exp(1j * phase) / (j + 1))
         j += 1
-    return coeffs
+    return SpectralField(grid, coeffs)
 
 
-def build_corpus(spec: CorpusSpec) -> list[tuple[str, SpectralField]]:
-    """Materialize a corpus; the same spec always yields identical fields."""
-    grid = Grid(spec.n)
-    band = spec.resolved_band
-    rng = np.random.default_rng(spec.seed)
-    out: list[tuple[str, SpectralField]] = []
+@dataclass(frozen=True)
+class Corpus:
+    """(id, rfft-layout ``SpectralField``) members of a spec, of which there
+    are ``spec.size``; each iteration replays the seeded stream and builds
+    them one at a time, so memory does not grow with the size."""
 
-    def emit(name, coeffs):
-        out.append((name, SpectralField(grid, coeffs)))
+    spec: CorpusSpec
 
-    kind = spec.kind
-    if kind in ("default", "random_band"):
-        count = spec.size - 16 if kind == "default" else spec.size
-        for i in range(count):
-            emit(f"random_band[{i}]", _random_band_field(grid, rng, band))
-    if kind in ("default", "single_mode"):
-        modes = _single_modes_for(grid.n)
-        count = 8 if kind == "default" else spec.size
-        for i in range(count):
-            k = modes[i % len(modes)]
-            emit(f"single_mode[{k[0]},{k[1]}]", _single_mode_field(grid, k))
-    if kind in ("default", "shell"):
-        count = 4 if kind == "default" else spec.size
-        for i in range(count):
-            rsq = _SHELL_RADII_SQ[i % len(_SHELL_RADII_SQ)]
-            emit(f"shell[{rsq}]", _shell_field(grid, rsq, rng))
-    if kind in ("default", "multiscale"):
-        count = 4 if kind == "default" else spec.size
-        for i in range(count):
-            emit(f"multiscale[{i}]", _multiscale_field(grid, band, rng))
-    return out
+    def __len__(self) -> int:
+        return self.spec.size
+
+    def __iter__(self):
+        spec, grid = self.spec, Grid(self.spec.n)
+        band = spec.resolved_band
+        rng = np.random.default_rng(spec.seed)
+        kind = spec.kind
+        if kind in ("default", "random_band"):
+            count = spec.size - 16 if kind == "default" else spec.size
+            for i in range(count):
+                coeffs = random_band_half(grid, rng, band)
+                yield f"random_band[{i}]", SpectralField(grid, coeffs)
+        if kind in ("default", "single_mode"):
+            modes = _single_modes_for(grid.n)
+            count = 8 if kind == "default" else spec.size
+            for i in range(count):
+                k = modes[i % len(modes)]
+                yield f"single_mode[{k[0]},{k[1]}]", _single_mode_field(grid, k)
+        if kind in ("default", "shell"):
+            count = 4 if kind == "default" else spec.size
+            for i in range(count):
+                rsq = _SHELL_RADII_SQ[i % len(_SHELL_RADII_SQ)]
+                yield f"shell[{rsq}]", _shell_field(grid, rsq, rng)
+        if kind in ("default", "multiscale"):
+            count = 4 if kind == "default" else spec.size
+            for i in range(count):
+                yield f"multiscale[{i}]", _multiscale_field(grid, band, rng)
+
+
+def build_corpus(spec: CorpusSpec) -> Corpus:
+    """The corpus of a spec; the same spec always yields identical fields."""
+    return Corpus(spec)
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,7 @@ def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
     """
     rows = []
     for fid, f in build_corpus(corpus):
-        phys = dft_inverse(f)
+        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
         lp = lp_norm_map(phys, range(2, p_max + 1))
         denom_base = lp[2] + sobolev_norm(f, 1.0)
         if denom_base == 0.0:
@@ -231,7 +224,7 @@ def check_log_interpolation(
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     rows = []
     for fid, f in build_corpus(corpus):
-        phys = dft_inverse(f)
+        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
         spr = sup_p_ratio(phys, p_max)
         if spr == 0.0:
             continue
@@ -291,9 +284,7 @@ def _block_norm(grid: Grid, half: np.ndarray, q) -> float:
     """L^q norm of the real field whose leading rfft-layout columns are
     ``half``: weighted Plancherel at q = 2, the inverse transform otherwise."""
     if float(q) == 2.0:
-        weights = half_spectrum_weights(grid.n)[: half.shape[1]]
-        power = half.real**2 + half.imag**2
-        return math.sqrt(FOUR_PI_SQ * float(np.sum(power @ weights)))
+        return half_spectrum_l2(half)
     return lp_norm(RealField(grid, _block_inverse(half, grid.n)), q)
 
 
@@ -314,11 +305,11 @@ def check_multiplier_bound(
     for N in N_set:
         if not is_dyadic(N):
             raise ValueError(f"N_set must be dyadic, got {N!r}")
-    fields = build_corpus(corpus)
-    # tables built once, from the grid every corpus field shares
-    tables = _multiplier_tables(fields[0][1].grid, N_set, gamma) if fields else []
     rows = []
-    for fid, f in fields:
+    tables = None
+    for fid, f in build_corpus(corpus):
+        if tables is None:  # built once, from the grid every member shares
+            tables = _multiplier_tables(f.grid, N_set, gamma)
         for N, weight, symbol, bound in tables:
             block = f.coeffs[:, : weight.shape[1]] * weight
             if not block.any():  # an empty block has zero norm at every q
@@ -353,11 +344,12 @@ def check_bernstein(
     for p, q_val in pq_pairs:
         if not (2.0 <= float(p) <= float(q_val)):
             raise ValueError(f"need 2 <= p <= q, got ({p}, {q_val})")
-    fields = build_corpus(corpus)
-    annuli = _annuli(fields[0][1].grid, N_set) if fields else []
     rows = []
-    for fid, f in fields:
-        phys = dft_inverse(f)
+    annuli = None
+    for fid, f in build_corpus(corpus):
+        if annuli is None:  # built once, from the grid every member shares
+            annuli = _annuli(f.grid, N_set)
+        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
         base = {p: lp_norm(phys, p) for p in {pair[0] for pair in pq_pairs}}
         for N, weight in annuli:
             block = f.coeffs[:, : weight.shape[1]] * weight

@@ -22,14 +22,12 @@ from .spectral import (
 
 __all__ = [
     "MultiplierSymbol",
-    "CutoffProfile",
     "BoundReport",
     "tgamma_eval",
     "tgamma_symbol",
     "identity_symbol",
     "apply_multiplier",
     "phi_eval",
-    "default_cutoff",
     "lp_project",
     "velocity_spectral",
     "biot_savart",
@@ -105,21 +103,6 @@ def phi_eval(r):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """A bump profile phi: [0,inf) -> [0,1], == 1 on [0,1], == 0 on [2,inf)."""
-
-    phi: Callable[[np.ndarray], np.ndarray]
-
-    def band(self, r):
-        """The annulus profile phi(r) - phi(2r)."""
-        return self.phi(r) - self.phi(2.0 * np.asarray(r, dtype=float))
-
-
-def default_cutoff() -> CutoffProfile:
-    return CutoffProfile(phi_eval)
 
 
 def is_dyadic(value) -> bool:

@@ -22,10 +22,11 @@ import scipy.fft as _fft
 
 from .multipliers import tgamma_eval
 from .spectral import (
-    ZERO_MEAN_TOL,
+    FOUR_PI_SQ,
     Grid,
     RealField,
     SpectralField,
+    check_zero_mean,
     half_spectrum_weights,
 )
 
@@ -39,14 +40,6 @@ __all__ = [
     "generalized_energy",
     "compute_norm_bundle",
 ]
-
-FOUR_PI_SQ = 4.0 * np.pi**2
-
-
-def _check_zero_mean(s: SpectralField, what: str) -> None:
-    mean = abs(s.coeffs[0, 0])
-    if mean > ZERO_MEAN_TOL:
-        raise ValueError(f"{what} needs a zero-mean field, |coeff(0,0)| = {mean:.3e}")
 
 
 def _sup_abs(values: np.ndarray) -> float:
@@ -120,7 +113,7 @@ def sobolev_norm(s: SpectralField, order: float) -> float:
     Negative orders require a zero-mean field.
     """
     if order < 0:
-        _check_zero_mean(s, f"Sobolev norm of order {order}")
+        check_zero_mean(s, f"Sobolev norm of order {order}")
     kmod = _half(s.grid.kmod).copy()
     kmod[0, 0] = 1.0  # origin excluded from the sum below
     power = np.abs(_half(s.coeffs)) ** 2 * kmod ** (2.0 * order)
@@ -143,7 +136,7 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
     so d1 u1 = -k1 k2 psi, d2 u1 = -k2^2 psi, d1 u2 = k1^2 psi and
     d2 u2 = -d1 u1: three inverse transforms cover all four components.
     """
-    _check_zero_mean(omega, "velocity-gradient sup")
+    check_zero_mean(omega, "velocity-gradient sup")
     g = omega.grid
     psi = _half(omega.coeffs) * _smoothed_inverse_k2(g, gamma)
     kx, ky = _half(g.kx), _half(g.ky)
@@ -160,7 +153,7 @@ def generalized_energy(omega: SpectralField, gamma: float) -> float:
     with m the log-smoothing symbol; at gamma = 0 this is the kinetic energy
     ||u||_2^2 of the classical flow.
     """
-    _check_zero_mean(omega, "generalized energy")
+    check_zero_mean(omega, "generalized energy")
     dens = _smoothed_inverse_k2(omega.grid, gamma) * np.abs(_half(omega.coeffs)) ** 2
     return FOUR_PI_SQ * _half_sum(dens)
 

@@ -24,14 +24,16 @@ import scipy.fft as _fft
 from .multipliers import is_dyadic, phi_eval, tgamma_eval
 from .norms import FOUR_PI_SQ, NormBundle, compute_norm_bundle
 from .spectral import (
-    ZERO_MEAN_TOL,
     Grid,
     RealField,
     SpectralField,
+    add_mode,
+    check_zero_mean,
     dealias,
     half_spectrum_weights,
-    hermitian_part,
+    half_to_full,
     project_zero_mean,
+    random_band_half,
 )
 
 __all__ = [
@@ -191,16 +193,10 @@ class RunResult:
 # initial data
 # ---------------------------------------------------------------------------
 
-def _add_mode(coeffs: np.ndarray, k: tuple[int, int], amp: complex) -> None:
-    n = coeffs.shape[0]
-    coeffs[k[0] % n, k[1] % n] += amp
-    coeffs[(-k[0]) % n, (-k[1]) % n] += np.conj(amp)
-
-
 def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
     """Zero-mean initial vorticity on the given grid; deterministic per spec."""
     n = grid.n
-    coeffs = np.zeros((n, n), dtype=complex)
+    coeffs = np.zeros((n, n // 2 + 1), dtype=complex)  # rfft layout
     if spec.kind == "single_mode":
         if spec.mode == (0, 0):
             raise ValueError("single_mode needs a nonzero wavevector")
@@ -208,21 +204,17 @@ def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
             raise ValueError(
                 f"single_mode wavevector {spec.mode} is not resolvable on n = {n}"
             )
-        _add_mode(coeffs, spec.mode, -0.5j * spec.amplitude)
+        add_mode(coeffs, spec.mode, -0.5j * spec.amplitude)
     elif spec.kind == "shell":
         # sin(x1) sin(x2): four modes on the |k| = sqrt(2) shell
-        _add_mode(coeffs, (1, -1), 0.25 * spec.amplitude)
-        _add_mode(coeffs, (1, 1), -0.25 * spec.amplitude)
+        add_mode(coeffs, (1, -1), 0.25 * spec.amplitude)
+        add_mode(coeffs, (1, 1), -0.25 * spec.amplitude)
     elif spec.kind == "random_band":
         band = spec.band if spec.band > 0 else max(2, n // 16)
         if band > n // 3:
             raise ValueError(f"ic band {band} exceeds the dealias band {n // 3}")
-        rng = np.random.default_rng(spec.seed)
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mask = (grid.kmod > 0) & (grid.kmod <= band)
-        coeffs = hermitian_part(np.where(mask, z, 0.0))
-        l2 = math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(coeffs) ** 2)))
-        coeffs *= spec.amplitude / l2
+        coeffs = random_band_half(grid, np.random.default_rng(spec.seed), band)
+        coeffs *= spec.amplitude
     else:  # vortex_pair
         x1, x2 = grid.mesh()
         half = 0.5 * spec.separation
@@ -232,10 +224,9 @@ def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
                 for sy in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
                     d2 = (x1 - cx - sx) ** 2 + (x2 - math.pi - sy) ** 2
                     values += sign * np.exp(-d2 / (2.0 * spec.width**2))
-        coeffs = np.fft.fft2(spec.amplitude * values) / n**2
-        coeffs = hermitian_part(coeffs)
+        coeffs = _fft.rfft2(spec.amplitude * values, norm="forward")
     coeffs[0, 0] = 0.0
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, half_to_full(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +269,6 @@ class _Workspace:
         self.neg_chi_scaled = -self.chi_outer * self.inv_n2
 
         self.col_weight = half_spectrum_weights(n)
-        self.rows_reflect = (-np.arange(n)) % n
 
 
 # least-recently-used workspaces; one takes about 76 MB at n = 1024, so a
@@ -301,14 +291,6 @@ def _workspace(grid: Grid, gamma: float, mollify_n: int | None) -> _Workspace:
 
 def _to_half(coeffs: np.ndarray, nh: int) -> np.ndarray:
     return np.ascontiguousarray(coeffs[:, :nh])
-
-
-def _to_full(h: np.ndarray, ws: _Workspace) -> np.ndarray:
-    n, nh = ws.n, ws.nh
-    full = np.empty((n, n), dtype=complex)
-    full[:, :nh] = h
-    full[:, nh:] = np.conj(h[ws.rows_reflect][:, n // 2 - 1 : 0 : -1])
-    return full
 
 
 def _velocity_phys(h: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -342,22 +324,16 @@ def _rhs_half(h: np.ndarray, ws: _Workspace, uv=None, want_diag: bool = False):
     return out, discarded
 
 
-def _check_zero_mean(omega: SpectralField) -> None:
-    mean = abs(omega.coeffs[0, 0])
-    if mean > ZERO_MEAN_TOL:
-        raise ValueError(f"vorticity must have zero mean, |coeff(0,0)| = {mean:.3e}")
-
-
 def rhs(omega: SpectralField, gamma: float, mollify="auto") -> SpectralField:
     """Tendency -P(u . grad P omega) with u = perp_grad inv_lap T_gamma omega.
 
     ``mollify`` follows SolverConfig.mollify: a dyadic cutoff for the smooth
     truncation, "dealias" for the sharp 2/3 projection, or "auto".
     """
-    _check_zero_mean(omega)
+    check_zero_mean(omega, "the advection tendency")
     ws = _workspace(omega.grid, gamma, _resolve_mollify(omega.grid.n, mollify))
     out, _ = _rhs_half(_to_half(omega.coeffs, ws.nh), ws)
-    return SpectralField(omega.grid, _to_full(out, ws))
+    return SpectralField(omega.grid, half_to_full(out))
 
 
 def cfl_dt(omega: SpectralField, gamma: float, cfl: float, grid: Grid) -> float:
@@ -392,7 +368,7 @@ def step_rk4(state: SolverState, dt: float, config: SolverConfig) -> SolverState
     if not np.all(np.isfinite(h)):
         raise BlowUpError(state.t + dt, state.step_count + 1)
     return SolverState(
-        state.t + dt, SpectralField(grid, _to_full(h, ws)), state.step_count + 1
+        state.t + dt, SpectralField(grid, half_to_full(h)), state.step_count + 1
     )
 
 
@@ -410,7 +386,7 @@ def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -
         step += 1
         if not np.all(np.isfinite(h)):
             raise BlowUpError(t, step)
-    return SolverState(t, SpectralField(grid, _to_full(h, ws)), step)
+    return SolverState(t, SpectralField(grid, half_to_full(h)), step)
 
 
 def run(config: SolverConfig) -> RunResult:
@@ -438,15 +414,10 @@ def run(config: SolverConfig) -> RunResult:
     def record(h, t, step, dt_used):
         """Append a record; return the velocity and the RHS of ``h`` it used."""
         nonlocal recorded_at
-        full = SpectralField(grid, _to_full(h, ws))
         uv = _velocity_phys(h, ws)
         k1, discarded = _rhs_half(h, ws, uv=uv, want_diag=True)
-        records.append(
-            DiagnosticsRecord(
-                t, compute_norm_bundle(full, config.gamma, config.p_max),
-                dt_used, discarded,
-            )
-        )
+        bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma, config.p_max)
+        records.append(DiagnosticsRecord(t, bundle, dt_used, discarded))
         recorded_at = step
         return uv, k1
 

@@ -1,13 +1,15 @@
 """Fourier representation of periodic scalar fields on the square torus [0, 2pi)^2.
 
-All spectral data lives on the full integer frequency lattice
-k = (k1, k2), ki in {-n/2, ..., n/2 - 1}, in numpy fft layout.  The forward
-transform is normalized so that a coefficient equals the amplitude of its
-mode: a pure mode A*exp(i k.x) transforms to the single coefficient A at k.
+Spectral data lives on the integer frequency lattice k = (k1, k2),
+ki in {-n/2, ..., n/2 - 1}, in numpy fft layout: whole, or for a real field
+its rfft half (columns k2 = 0 .. n/2).  The forward transform is normalized
+so that a coefficient equals the amplitude of its mode: a pure mode
+A*exp(i k.x) transforms to the single coefficient A at k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,13 @@ __all__ = [
     "project_zero_mean",
     "reflect",
     "hermitian_part",
+    "check_zero_mean",
     "half_spectrum_weights",
+    "half_spectrum_l2",
+    "half_to_full",
+    "add_mode",
+    "random_band_half",
+    "FOUR_PI_SQ",
     "ZERO_MEAN_TOL",
     "SYMMETRY_RTOL",
 ]
@@ -36,6 +44,7 @@ __all__ = [
 # Hermitian-symmetry check of the inverse transform.
 ZERO_MEAN_TOL = 1e-13
 SYMMETRY_RTOL = 1e-12
+FOUR_PI_SQ = 4.0 * np.pi**2
 
 
 class NonRealFieldError(ValueError):
@@ -98,13 +107,15 @@ class RealField:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Complex coefficients on the full frequency lattice in fft layout."""
+    """Complex coefficients in fft layout: the full lattice (n x n), which the
+    operators below need, or the rfft half (n x (n//2 + 1)) of a real field."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.coeffs.shape != (self.grid.n, self.grid.n):
+        n = self.grid.n
+        if self.coeffs.shape not in ((n, n), (n, n // 2 + 1)):
             raise ValueError("coeffs shape does not match grid")
 
 
@@ -116,6 +127,13 @@ def reflect(coeffs: np.ndarray) -> np.ndarray:
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric coefficients (real-field part)."""
     return 0.5 * (coeffs + np.conj(reflect(coeffs)))
+
+
+def check_zero_mean(s: SpectralField, what: str) -> None:
+    """Raise ValueError unless |coeff(0,0)| <= ZERO_MEAN_TOL."""
+    mean = abs(s.coeffs[0, 0])
+    if mean > ZERO_MEAN_TOL:
+        raise ValueError(f"{what} needs a zero-mean field, |coeff(0,0)| = {mean:.3e}")
 
 
 def half_spectrum_weights(n: int) -> np.ndarray:
@@ -130,6 +148,48 @@ def half_spectrum_weights(n: int) -> np.ndarray:
     if n % 2 == 0:
         w[-1] = 1.0
     return w
+
+
+def half_spectrum_l2(half: np.ndarray) -> float:
+    """L2 norm of a real field from its leading rfft-layout columns."""
+    weights = half_spectrum_weights(half.shape[0])[: half.shape[1]]
+    power = half.real**2 + half.imag**2
+    return math.sqrt(FOUR_PI_SQ * float(np.sum(power @ weights)))
+
+
+def half_to_full(half: np.ndarray) -> np.ndarray:
+    """Full-lattice coefficients of a real field from its rfft half."""
+    n, nh = half.shape
+    full = np.empty((n, n), dtype=complex)
+    full[:, :nh] = half
+    full[:, nh:] = np.conj(half[(-np.arange(n)) % n, n // 2 - 1 : 0 : -1])
+    return full
+
+
+def add_mode(half: np.ndarray, k: tuple[int, int], amp: complex) -> None:
+    """Add amp * exp(i k.x) + conj to rfft-layout coefficients: k and -k
+    each land in columns 0 .. n/2 or not; on columns 0 and n/2 both do."""
+    n = half.shape[0]
+    for (k1, k2), c in ((k, amp), ((-k[0], -k[1]), np.conj(amp))):
+        if k2 % n <= n // 2:
+            half[k1 % n, k2 % n] += c
+
+
+def random_band_half(grid: Grid, rng: np.random.Generator, band: float) -> np.ndarray:
+    """Seeded real field with unit L2 norm and 0 < |k| <= band, in rfft layout:
+    the Hermitian part (z(k) + conj z(-k)) / 2 of a standard normal z."""
+    n, nh = grid.n, grid.n // 2 + 1
+    x = rng.standard_normal((n, n))
+    y = rng.standard_normal((n, n))
+    mirror = np.ix_((-np.arange(n)) % n, (-np.arange(nh)) % n)
+    half = np.empty((n, nh), dtype=complex)
+    half.real = x[:, :nh] + x[mirror]
+    half.imag = y[:, :nh] - y[mirror]
+    half *= 0.5
+    kmod = grid.kmod[:, :nh]
+    half[(kmod == 0.0) | (kmod > band)] = 0.0
+    half /= half_spectrum_l2(half)
+    return half
 
 
 def dft_forward(f: RealField) -> SpectralField:
@@ -182,11 +242,7 @@ def inv_laplacian(s: SpectralField) -> SpectralField:
 
     Requires a zero-mean field (|coeff(0,0)| <= ZERO_MEAN_TOL).
     """
-    mean = abs(s.coeffs[0, 0])
-    if mean > ZERO_MEAN_TOL:
-        raise ValueError(
-            f"inverse Laplacian needs a zero-mean field, |coeff(0,0)| = {mean:.3e}"
-        )
+    check_zero_mean(s, "inverse Laplacian")
     g = s.grid
     k2 = g.k2.copy()
     k2[0, 0] = 1.0

@@ -98,6 +98,36 @@ def test_sweep_parallel_jobs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["g0.5_n32", "g1.5_n32"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_finishes_the_other_runs_after_one_fails(tmp_path, capsys, jobs):
+    # ic band 12 exceeds the dealias band of n = 32 (10) but not of n = 64
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text("ic_band = 12\n")
+    out = tmp_path / "sweep"
+    rc = run_cli(
+        ["sweep", "--config", str(cfg), "--gamma", "1.5", "--n", "32,64",
+         "--tmax", "0.02", "--jobs", jobs, "--out", str(out)]
+    )
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  g1.5_n32: error: ic band 12 exceeds the dealias band 10" in lines
+    assert "  g1.5_n64: ok" in lines
+    assert (out / "g1.5_n64" / "diagnostics.csv").exists()
+
+
+def test_sweep_runs_the_valid_resolutions_when_one_is_invalid(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = run_cli(
+        ["sweep", "--gamma", "1.5", "--n", "48,32", "--tmax", "0.02",
+         "--ic", "shell", "--out", str(out)]
+    )
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  g1.5_n48: error: n must be a power of two >= 8, got 48" in lines
+    assert "  g1.5_n32: ok" in lines
+    assert (out / "g1.5_n32" / "diagnostics.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_simulate_blowup_writes_marker(tmp_path):

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
 from logeuler.inequalities import (
+    _SHELL_RADII_SQ,
     CorpusSpec,
     _annuli,
     _block_inverse,
+    _single_modes_for,
     build_corpus,
     check_bernstein,
     check_embedding,
@@ -21,12 +24,24 @@ from logeuler.multipliers import (
     tgamma_eval,
     tgamma_symbol,
 )
-from logeuler.norms import lp_norm
-from logeuler.spectral import dft_inverse
+from logeuler.norms import FOUR_PI_SQ, lp_norm
+from logeuler.spectral import (
+    Grid,
+    SpectralField,
+    dft_inverse,
+    half_to_full,
+    hermitian_part,
+)
 
 # closed-form single-mode values, frozen from 40-digit evaluation
 EMBED_SINGLE_MODE = 0.3535533905932737622004221810524245196424  # 1/(2 sqrt 2)
 LOGINTERP_SINGLE_MODE = 0.03497025360213881640872195449763307405028
+
+
+def _full(f):
+    """A corpus member (rfft layout) on the full lattice, for the
+    full-lattice operators."""
+    return SpectralField(f.grid, half_to_full(f.coeffs))
 
 
 class TestCorpus:
@@ -45,15 +60,110 @@ class TestCorpus:
             assert np.array_equal(f_a.coeffs, f_b.coeffs)
 
     def test_all_fields_zero_mean_and_real(self):
-        from logeuler.spectral import dft_inverse
-
         for _, f in build_corpus(CorpusSpec(n=64, size=24)):
             assert f.coeffs[0, 0] == 0.0
-            dft_inverse(f)  # raises on broken Hermitian symmetry
+            dft_inverse(_full(f))  # raises on broken Hermitian symmetry
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CorpusSpec(kind="bogus")
+
+    def test_iterating_again_replays_the_stream(self):
+        corpus = build_corpus(CorpusSpec(n=32, seed=2, size=20))
+        assert len(corpus) == 20
+        first, second = list(corpus), list(corpus)
+        assert [fid for fid, _ in first] == [fid for fid, _ in second]
+        for (_, f_a), (_, f_b) in zip(first, second):
+            assert np.array_equal(f_a.coeffs, f_b.coeffs)
+
+    def test_peak_memory_does_not_grow_with_size(self):
+        def peak(size):
+            corpus = build_corpus(CorpusSpec(kind="random_band", n=128, size=size))
+            tracemalloc.start()
+            try:
+                count = sum(1 for _ in corpus)
+                return count, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (small, peak_small), (large, peak_large) = peak(40), peak(200)
+        assert (small, large) == (40, 200)
+        # one member is 128 x 65 complex (133 kB); a list of 160 more would
+        # add about 21 MB
+        assert peak_large < peak_small + 200_000
+
+
+# ---------------------------------------------------------------------------
+# the streamed rfft-layout corpus against the full-lattice builder it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_random_band(grid, rng, band):
+    z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal(
+        (grid.n, grid.n)
+    )
+    mask = (grid.kmod > 0) & (grid.kmod <= band)
+    coeffs = hermitian_part(np.where(mask, z, 0.0))
+    return coeffs / math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(coeffs) ** 2)))
+
+
+def _ref_add_mode(coeffs, k, amp):
+    n = coeffs.shape[0]
+    coeffs[k[0] % n, k[1] % n] += amp
+    coeffs[(-k[0]) % n, (-k[1]) % n] += np.conj(amp)
+
+
+def _ref_corpus(spec):
+    """Full-lattice members of a default corpus, built as a list."""
+    grid = Grid(spec.n)
+    band = spec.resolved_band
+    rng = np.random.default_rng(spec.seed)
+    out = [(f"random_band[{i}]", _ref_random_band(grid, rng, band))
+           for i in range(spec.size - 16)]
+    for k in _single_modes_for(grid.n):
+        coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+        _ref_add_mode(coeffs, k, -0.5j)
+        out.append((f"single_mode[{k[0]},{k[1]}]", coeffs))
+    for rsq in _SHELL_RADII_SQ:
+        coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+        limit = int(math.isqrt(rsq)) + 1
+        for k1 in range(-limit, limit + 1):
+            for k2 in range(0, limit + 1):
+                if k1 * k1 + k2 * k2 != rsq or (k2 == 0 and k1 <= 0):
+                    continue
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                _ref_add_mode(coeffs, (k1, k2), 0.5 * np.exp(1j * phase))
+        out.append((f"shell[{rsq}]", coeffs))
+    for i in range(4):
+        coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+        j = 0
+        while 2**j <= band:
+            k = (2**j, 0) if j % 2 == 0 else (0, 2**j)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            _ref_add_mode(coeffs, k, 0.5 * np.exp(1j * phase) / (j + 1))
+            j += 1
+        out.append((f"multiscale[{i}]", coeffs))
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_corpus_matches_full_lattice_builder(n):
+    # band n/2 puts random-band and multiscale modes on the Nyquist column
+    spec = CorpusSpec(n=n, size=24, band=n // 2, seed=9)
+    members = list(build_corpus(spec))
+    reference = _ref_corpus(spec)
+    assert [fid for fid, _ in members] == [fid for fid, _ in reference]
+    assert any(np.any(f.coeffs[:, n // 2]) for _, f in members)
+    for (fid, f), (_, ref) in zip(members, reference):
+        assert f.coeffs.shape == (n, n // 2 + 1)
+        if fid.startswith("random_band"):
+            # only the normalisation's summation order differs
+            np.testing.assert_allclose(f.coeffs, ref[:, : n // 2 + 1],
+                                       rtol=1e-15, atol=0)
+            np.testing.assert_allclose(half_to_full(f.coeffs), ref,
+                                       rtol=1e-15, atol=0)
+        else:
+            assert np.array_equal(f.coeffs, ref[:, : n // 2 + 1]), fid
+            assert np.array_equal(half_to_full(f.coeffs), ref), fid
 
 
 class TestEmbedding:
@@ -123,13 +233,18 @@ class TestMultiplierBound:
         with pytest.raises(ValueError):
             check_multiplier_bound(1.5, (3.0,), (2.0,), CorpusSpec(n=64, size=20))
 
+    def test_empty_corpus_gives_no_rows(self):
+        spec = CorpusSpec(kind="random_band", n=64, size=0)
+        assert check_multiplier_bound(1.5, (4.0,), (2.0,), spec).rows == ()
+        assert check_bernstein(spec, (4.0,), ((2.0, 2.0),)).rows == ()
+
 
 class TestBernstein:
     def test_block_contraction_at_p2q2(self):
         # for f already localized to one block, projecting again contracts L2
         spec = CorpusSpec(kind="random_band", n=64, size=4, band=12)
         for fid, f in build_corpus(spec):
-            block = lp_project(f, 8.0, "at")
+            block = lp_project(_full(f), 8.0, "at")
             twice = lp_project(block, 8.0, "at")
             num = np.sqrt(np.sum(np.abs(twice.coeffs) ** 2))
             den = np.sqrt(np.sum(np.abs(block.coeffs) ** 2))
@@ -183,6 +298,7 @@ def _reference_rows_multiplier(gamma, N_set, q, spec):
     symbol = tgamma_symbol(gamma)
     rows = []
     for fid, f in build_corpus(spec):
+        f = _full(f)
         for N in N_set:
             block = lp_project(f, N, "at")
             image = apply_multiplier(block, symbol)
@@ -198,6 +314,7 @@ def _reference_rows_multiplier(gamma, N_set, q, spec):
 def _reference_rows_bernstein(spec, N_set, pq_pairs):
     rows = []
     for fid, f in build_corpus(spec):
+        f = _full(f)
         phys = dft_inverse(f)
         for N in N_set:
             block = dft_inverse(lp_project(f, N, "at"))

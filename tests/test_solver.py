@@ -18,7 +18,14 @@ from logeuler.solver import (
     run,
     step_rk4,
 )
-from logeuler.spectral import Grid, SpectralField, dft_inverse
+from logeuler.norms import compute_norm_bundle
+from logeuler.spectral import (
+    Grid,
+    SpectralField,
+    dealias,
+    dft_inverse,
+    project_zero_mean,
+)
 
 
 def l2_of(field: SpectralField) -> float:
@@ -319,6 +326,12 @@ class TestRun:
             assert rec.norms == ref.norms
             assert rec.aliasing_energy_discarded == ref.aliasing_energy_discarded
         assert runs[0].records[-1].t == runs[1].records[-1].t
+        # a record reads the half spectrum; the full-lattice field gives the
+        # same bundle to the last bit
+        ic = make_ic(InitialConditionSpec(kind="random_band", amplitude=20.0,
+                                          seed=5), Grid(32))
+        omega0 = dealias(project_zero_mean(ic))
+        assert runs[0].records[0].norms == compute_norm_bundle(omega0, 1.5, 64)
         snaps = [r.snapshots for r in runs]
         assert [s.step_count for s in snaps[0]] == [s.step_count for s in snaps[1]]
         for a, b in zip(*snaps):

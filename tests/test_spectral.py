@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,9 @@ from logeuler.spectral import (
     dft_forward,
     dft_inverse,
     gradient,
+    half_spectrum_l2,
+    half_spectrum_weights,
+    half_to_full,
     inv_laplacian,
     perp_gradient,
     project_zero_mean,
@@ -118,6 +122,35 @@ class TestTransforms:
         c[1, 0] = 1.0  # partner at (-1, 0) missing
         with pytest.raises(NonRealFieldError):
             dft_inverse(SpectralField(g, c))
+
+
+class TestHalfSpectrum:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([8, 16, 32, 128]),
+        scale=st.floats(1e-6, 1e6),
+    )
+    def test_plancherel_and_expansion(self, seed, n, scale):
+        g = Grid(n)
+        values = scale * random_real_field(g, seed).values
+        half = scipy.fft.rfft2(values, norm="forward")
+        physical = np.sum(values**2) * g.dx**2
+        weighted = np.sum(np.abs(half) ** 2 @ half_spectrum_weights(n))
+        assert physical == pytest.approx(4.0 * np.pi**2 * weighted, rel=1e-12)
+        assert half_spectrum_l2(half) == pytest.approx(np.sqrt(physical), rel=1e-12)
+        full = SpectralField(g, half_to_full(half))
+        direct = scipy.fft.irfft2(half, s=(n, n), norm="forward")
+        peak = np.max(np.abs(values))
+        assert np.max(np.abs(dft_inverse(full).values - direct)) < 1e-12 * peak
+        assert np.max(np.abs(full.coeffs - dft_forward(RealField(g, values)).coeffs)) \
+            < 1e-14 * peak
+
+    def test_half_field_shape_accepted(self):
+        g = Grid(16)
+        assert SpectralField(g, np.zeros((16, 9), dtype=complex)).coeffs.shape == (16, 9)
+        with pytest.raises(ValueError):
+            SpectralField(g, np.zeros((16, 8), dtype=complex))
 
 
 class TestOperators:
