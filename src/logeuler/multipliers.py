@@ -15,6 +15,7 @@ import numpy as np
 from .spectral import (
     RealField,
     SpectralField,
+    check_full,
     dft_inverse,
     inv_laplacian,
     perp_gradient,
@@ -74,6 +75,7 @@ def identity_symbol() -> MultiplierSymbol:
 
 def apply_multiplier(s: SpectralField, m: MultiplierSymbol) -> SpectralField:
     """Multiply coefficients by m(|k|); real symbols preserve real fields."""
+    check_full(s, "apply_multiplier")
     return SpectralField(s.grid, s.coeffs * m(s.grid.kmod))
 
 
@@ -121,6 +123,7 @@ def lp_project(s: SpectralField, N, kind: str) -> SpectralField:
     phi(|k|/N) - phi(2|k|/N), kind="gt" by 1 - phi(|k|/N).  N must be a
     positive dyadic number 2**j.
     """
+    check_full(s, "lp_project")
     if not is_dyadic(N):
         raise ValueError(f"N must be dyadic (a power of two), got {N!r}")
     N = float(N)

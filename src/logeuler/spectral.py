@@ -28,6 +28,7 @@ __all__ = [
     "project_zero_mean",
     "reflect",
     "hermitian_part",
+    "check_full",
     "check_zero_mean",
     "half_spectrum_weights",
     "half_spectrum_l2",
@@ -63,7 +64,8 @@ class Grid:
     k1 : ndarray, shape (n,)
         Integer frequencies along one axis in fft order.
     kx, ky : ndarray, shape (n, n)
-        Frequency lattice; axis 0 is x1, axis 1 is x2.
+        Frequency lattice; axis 0 is x1, axis 1 is x2.  Read-only broadcast
+        views of ``k1`` (no memory of their own): copy before writing.
     k2, kmod : ndarray, shape (n, n)
         |k|^2 and |k|.
     dealias_mask : ndarray of bool, shape (n, n)
@@ -75,17 +77,17 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        object.__setattr__(self, "dx", 2.0 * np.pi / self.n)
-        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)  # exact integers as floats
-        kx, ky = np.meshgrid(k1, k1, indexing="ij")
+        n = self.n
+        object.__setattr__(self, "dx", 2.0 * np.pi / n)
+        k1 = np.fft.fftfreq(n, d=1.0 / n)  # exact integers as floats
         object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "kx", kx)
-        object.__setattr__(self, "ky", ky)
-        object.__setattr__(self, "k2", kx**2 + ky**2)
-        object.__setattr__(self, "kmod", np.sqrt(kx**2 + ky**2))
-        cut = self.n // 3
-        mask = (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
-        object.__setattr__(self, "dealias_mask", mask)
+        object.__setattr__(self, "kx", np.broadcast_to(k1[:, None], (n, n)))
+        object.__setattr__(self, "ky", np.broadcast_to(k1[None, :], (n, n)))
+        k2 = k1[:, None] ** 2 + k1[None, :] ** 2
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "kmod", np.sqrt(k2))
+        band = np.abs(k1) <= n // 3
+        object.__setattr__(self, "dealias_mask", band[:, None] & band[None, :])
 
     def mesh(self):
         """Physical coordinates (X1, X2), each of shape (n, n)."""
@@ -127,6 +129,15 @@ def reflect(coeffs: np.ndarray) -> np.ndarray:
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric coefficients (real-field part)."""
     return 0.5 * (coeffs + np.conj(reflect(coeffs)))
+
+
+def check_full(s: SpectralField, what: str) -> None:
+    """Raise ValueError unless ``s`` holds the full n x n lattice."""
+    if s.coeffs.shape[1] != s.grid.n:
+        raise ValueError(
+            f"{what} needs full-lattice coefficients, got an rfft half "
+            f"{s.coeffs.shape}; expand it with half_to_full"
+        )
 
 
 def check_zero_mean(s: SpectralField, what: str) -> None:
@@ -205,6 +216,7 @@ def dft_inverse(s: SpectralField) -> RealField:
     symmetry by more than ``SYMMETRY_RTOL * max|coeff|``; otherwise the
     (roundoff-level) imaginary residue is discarded.
     """
+    check_full(s, "dft_inverse")
     c = s.coeffs
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
@@ -221,6 +233,7 @@ def dft_inverse(s: SpectralField) -> RealField:
 
 def gradient(s: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Spectral gradient: component m has coefficients i*k_m*coeff(k)."""
+    check_full(s, "gradient")
     g = s.grid
     return (
         SpectralField(g, 1j * g.kx * s.coeffs),
@@ -230,6 +243,7 @@ def gradient(s: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 def perp_gradient(s: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Perpendicular gradient (-d2, d1) of a stream function; divergence-free."""
+    check_full(s, "perp_gradient")
     g = s.grid
     return (
         SpectralField(g, -1j * g.ky * s.coeffs),
@@ -242,6 +256,7 @@ def inv_laplacian(s: SpectralField) -> SpectralField:
 
     Requires a zero-mean field (|coeff(0,0)| <= ZERO_MEAN_TOL).
     """
+    check_full(s, "inv_laplacian")
     check_zero_mean(s, "inverse Laplacian")
     g = s.grid
     k2 = g.k2.copy()
@@ -253,6 +268,7 @@ def inv_laplacian(s: SpectralField) -> SpectralField:
 
 def dealias(s: SpectralField) -> SpectralField:
     """Zero all coefficients with max(|k1|, |k2|) > floor(n/3) (2/3 rule)."""
+    check_full(s, "dealias")
     return SpectralField(s.grid, np.where(s.grid.dealias_mask, s.coeffs, 0.0))
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,3 +134,25 @@ class TestSharpnessCurve:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             sharpness_curve([2.0, 8.0])
+
+
+def test_quadrature_stack_loads_only_for_the_sharpness_table():
+    # importing the package and its cli must not pull in scipy.integrate
+    # (about 25 MB of RSS); the first sharpness table does
+    script = (
+        "import sys\n"
+        "import logeuler, logeuler.cli\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "from logeuler.extremizer import sharpness_curve\n"
+        "sharpness_curve([4.0])\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

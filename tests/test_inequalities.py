@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from logeuler import inequalities
 from logeuler.inequalities import (
     _SHELL_RADII_SQ,
     CorpusSpec,
@@ -203,6 +204,10 @@ class TestLogInterpolation:
         assert np.isfinite(report.max_ratio)
         assert all(np.isfinite(r.ratio) for r in report.rows)
 
+    def test_rejects_p_max_below_two(self):
+        with pytest.raises(ValueError, match="p_max"):
+            check_log_interpolation(CorpusSpec(n=64, size=20), 1.5, 1)
+
 
 class TestMultiplierBound:
     def test_q2_never_exceeds_one(self):
@@ -280,6 +285,28 @@ class TestBernstein:
             check_bernstein(spec, (4.0,), ((4.0, 2.0),))
         with pytest.raises(ValueError):
             check_bernstein(spec, (4.0,), ((1.0, 2.0),))
+
+    def test_one_inverse_transform_per_member_and_nonempty_block(self, monkeypatch):
+        # q = 2 is Plancherel, q = 4 and q = inf share one transform, and
+        # an empty block takes none
+        spec = CorpusSpec(n=64, size=24, seed=3)
+        N_set = tuple(2.0**j for j in range(6))
+        calls = []
+
+        def counting(half, n):
+            calls.append(half.shape)
+            return _block_inverse(half, n)
+
+        monkeypatch.setattr(inequalities, "_block_inverse", counting)
+        pairs = ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf")))
+        check_bernstein(spec, N_set, pairs)
+        blocks = [
+            (f.coeffs[:, : w.shape[1]] * w).any()
+            for _, f in build_corpus(spec)
+            for _, w in _annuli(f.grid, N_set)
+        ]
+        assert 0 < sum(blocks) < len(blocks)
+        assert len(calls) == spec.size + sum(blocks)
 
     def test_deterministic_report(self):
         spec = CorpusSpec(n=64, size=24, seed=3)

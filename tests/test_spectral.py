@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logeuler.multipliers import apply_multiplier, lp_project, tgamma_symbol
 from logeuler.spectral import (
     Grid,
     NonRealFieldError,
@@ -53,6 +56,32 @@ class TestGrid:
     def test_frequency_lattice(self):
         g = Grid(8)
         assert list(g.k1) == [0, 1, 2, 3, -4, -3, -2, -1]
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_lattice_matches_meshgrid_construction(self, n):
+        # the full-lattice arrays as they were built before kx/ky became views
+        g = Grid(n)
+        kx, ky = np.meshgrid(g.k1, g.k1, indexing="ij")
+        cut = n // 3
+        assert np.array_equal(g.kx, kx)
+        assert np.array_equal(g.ky, ky)
+        assert np.array_equal(g.k2, kx**2 + ky**2)
+        assert np.array_equal(g.kmod, np.sqrt(kx**2 + ky**2))
+        assert np.array_equal(
+            g.dealias_mask, (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
+        )
+        assert not g.kx.flags.writeable and not g.ky.flags.writeable
+
+    def test_construction_memory(self):
+        # k2 and kmod (8 MB each) plus the 1 MB mask; a meshgrid build
+        # peaked at 42 MB
+        tracemalloc.start()
+        try:
+            Grid(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20_000_000
 
 
 class TestTransforms:
@@ -151,6 +180,28 @@ class TestHalfSpectrum:
         assert SpectralField(g, np.zeros((16, 9), dtype=complex)).coeffs.shape == (16, 9)
         with pytest.raises(ValueError):
             SpectralField(g, np.zeros((16, 8), dtype=complex))
+
+
+FULL_LATTICE_OPERATORS = {
+    "dft_inverse": dft_inverse,
+    "gradient": gradient,
+    "perp_gradient": perp_gradient,
+    "inv_laplacian": inv_laplacian,
+    "dealias": dealias,
+    "lp_project": lambda s: lp_project(s, 4.0, "at"),
+    "apply_multiplier": lambda s: apply_multiplier(s, tgamma_symbol(1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_LATTICE_OPERATORS))
+def test_full_lattice_operator_rejects_rfft_half(name):
+    g = Grid(16)
+    half = scipy.fft.rfft2(random_real_field(g, 5).values, norm="forward")
+    half[0, 0] = 0.0
+    with pytest.raises(ValueError, match="half_to_full") as info:
+        FULL_LATTICE_OPERATORS[name](SpectralField(g, half))
+    assert type(info.value) is ValueError
+    assert name in str(info.value)
 
 
 class TestOperators:
