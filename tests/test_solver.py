@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import direct_rhs
 
 from logeuler import solver
 from logeuler.norms import FOUR_PI_SQ
@@ -24,6 +27,7 @@ from logeuler.spectral import (
     SpectralField,
     dealias,
     dft_inverse,
+    half_spectrum_weights,
     project_zero_mean,
 )
 
@@ -163,6 +167,59 @@ class TestRhs:
         # the evicted gamma = 0 workspace is rebuilt with identical arrays
         assert (32, 0.0, None) not in solver._WORKSPACES
         assert np.array_equal(rhs(f, 0.0, "dealias").coeffs, first.coeffs)
+
+
+class TestRhsOracles:
+    """Structural properties of the fast tendency, checked on the rfft half
+    (the leading n // 2 + 1 columns) of whatever layout ``rhs`` returns."""
+
+    @pytest.mark.parametrize("mollify, mollify_n", [("auto", 4), ("dealias", None)])
+    @pytest.mark.parametrize("gamma", [0.0, 1.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_direct_summation(self, mollify, mollify_n, gamma, seed):
+        n, nh = 16, 9
+        g = Grid(n)
+        omega = make_ic(InitialConditionSpec(kind="random_band", band=5, seed=seed,
+                                             amplitude=3.0), g)
+        slow = direct_rhs(omega.coeffs[:, :nh], gamma, mollify_n)[:, :nh]
+        fast = rhs(omega, gamma, mollify).coeffs[:, :nh]
+        assert np.max(np.abs(slow)) > 1e-3
+        assert np.max(np.abs(fast - slow)) < 1e-13 * np.max(np.abs(slow))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_skew_symmetric_in_dealias_mode(self, n, seed):
+        # <omega, rhs(omega)> = 0: the 2/3-rule tendency conserves L2 exactly
+        nh = n // 2 + 1
+        g = Grid(n)
+        omega = make_ic(InitialConditionSpec(kind="random_band", band=n // 3,
+                                             seed=seed), g)
+        h = omega.coeffs[:, :nh]
+        r = rhs(omega, 1.5, "dealias").coeffs[:, :nh]
+        w = half_spectrum_weights(n)
+        inner = float(np.sum(w * (h.conj() * r).real))
+        norm_h = math.sqrt(float(np.sum(w * np.abs(h) ** 2)))
+        norm_r = math.sqrt(float(np.sum(w * np.abs(r) ** 2)))
+        assert norm_r > 0.0
+        assert abs(inner) / (norm_h * norm_r) < 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([16, 32]),
+        amplitude=st.floats(0.01, 100.0),
+        mollify=st.sampled_from(["auto", "dealias"]),
+        dt_scale=st.floats(0.01, 1.0),
+    )
+    def test_step_keeps_the_mean_exactly_zero(self, seed, n, amplitude, mollify,
+                                              dt_scale):
+        g = Grid(n)
+        omega = make_ic(InitialConditionSpec(kind="random_band", seed=seed,
+                                             amplitude=amplitude), g)
+        cfg = SolverConfig(n=n, gamma=1.5, mollify=mollify)
+        dt = dt_scale * cfl_dt(omega, 1.5, 0.5, g)
+        state = step_rk4(SolverState(0.0, omega, 0), dt, cfg)
+        assert state.omega.coeffs[0, 0] == 0.0
 
 
 class TestCflDt:
