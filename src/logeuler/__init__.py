@@ -1,128 +1,4 @@
 """Pseudo-spectral solver and inequality-verification lab for the
 logarithmically regularized 2D Euler vorticity equation on the torus."""
 
-from .spectral import (
-    Grid,
-    RealField,
-    SpectralField,
-    NonRealFieldError,
-    dft_forward,
-    dft_inverse,
-    gradient,
-    perp_gradient,
-    inv_laplacian,
-    dealias,
-    project_zero_mean,
-)
-from .multipliers import (
-    MultiplierSymbol,
-    BoundReport,
-    tgamma_eval,
-    tgamma_symbol,
-    apply_multiplier,
-    phi_eval,
-    lp_project,
-    biot_savart,
-    mtilde,
-    verify_symbol_bound,
-)
-from .norms import (
-    NormBundle,
-    lp_norm,
-    sobolev_norm,
-    sup_p_ratio,
-    grad_u_sup,
-    generalized_energy,
-    compute_norm_bundle,
-)
-from .extremizer import (
-    RadialProfile,
-    RadialPiece,
-    build_extremizer,
-    radial_norms,
-    sharpness_curve,
-)
-from .inequalities import (
-    CorpusSpec,
-    InequalityReport,
-    build_corpus,
-    check_embedding,
-    check_log_interpolation,
-    check_multiplier_bound,
-    check_bernstein,
-)
-from .solver import (
-    InitialConditionSpec,
-    SolverConfig,
-    SolverState,
-    DiagnosticsRecord,
-    RunResult,
-    EnvelopeReport,
-    BlowUpError,
-    make_ic,
-    rhs,
-    cfl_dt,
-    step_rk4,
-    advance,
-    run,
-    gronwall_envelope,
-)
-
-__all__ = [
-    "Grid",
-    "RealField",
-    "SpectralField",
-    "NonRealFieldError",
-    "dft_forward",
-    "dft_inverse",
-    "gradient",
-    "perp_gradient",
-    "inv_laplacian",
-    "dealias",
-    "project_zero_mean",
-    "MultiplierSymbol",
-    "BoundReport",
-    "tgamma_eval",
-    "tgamma_symbol",
-    "apply_multiplier",
-    "phi_eval",
-    "lp_project",
-    "biot_savart",
-    "mtilde",
-    "verify_symbol_bound",
-    "NormBundle",
-    "lp_norm",
-    "sobolev_norm",
-    "sup_p_ratio",
-    "grad_u_sup",
-    "generalized_energy",
-    "compute_norm_bundle",
-    "RadialProfile",
-    "RadialPiece",
-    "build_extremizer",
-    "radial_norms",
-    "sharpness_curve",
-    "CorpusSpec",
-    "InequalityReport",
-    "build_corpus",
-    "check_embedding",
-    "check_log_interpolation",
-    "check_multiplier_bound",
-    "check_bernstein",
-    "InitialConditionSpec",
-    "SolverConfig",
-    "SolverState",
-    "DiagnosticsRecord",
-    "RunResult",
-    "EnvelopeReport",
-    "BlowUpError",
-    "make_ic",
-    "rhs",
-    "cfl_dt",
-    "step_rk4",
-    "advance",
-    "run",
-    "gronwall_envelope",
-]
-
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from .runio import (
     ConfigError,
     DIAG_HEADER,
     RunSettings,
-    Snapshot,
     default_out_root,
     parse_config,
     read_diagnostics_csv,
@@ -133,14 +132,7 @@ def _execute_run(settings: RunSettings) -> int:
         os.makedirs(snap_dir, exist_ok=True)
         for snap in result.snapshots:
             write_snapshot(
-                Snapshot(
-                    settings.solver.n,
-                    settings.solver.gamma,
-                    snap.t,
-                    snap.step_count,
-                    snap.omega.values,
-                ),
-                os.path.join(snap_dir, f"step_{snap.step_count:08d}.lgeu"),
+                snap, os.path.join(snap_dir, f"step_{snap.step_count:08d}.lgeu")
             )
     if result.blown_up:
         marker = os.path.join(settings.out_dir, "blowup.txt")

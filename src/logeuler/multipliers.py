@@ -1,53 +1,25 @@
 """Radial Fourier multipliers: the log-smoothing family, dyadic frequency
-cutoffs, the smoothed Biot-Savart map, and a numerical checker for the
-Mikhlin-type derivative bounds that make the cutoff calculus work.
+cutoffs, and a numerical checker for the Mikhlin-type derivative bounds that
+make the cutoff calculus work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .spectral import (
-    RealField,
-    SpectralField,
-    check_full,
-    dft_inverse,
-    inv_laplacian,
-    perp_gradient,
-)
-
 __all__ = [
-    "MultiplierSymbol",
     "BoundReport",
     "tgamma_eval",
-    "tgamma_symbol",
-    "identity_symbol",
-    "apply_multiplier",
     "phi_eval",
-    "lp_project",
-    "velocity_spectral",
-    "biot_savart",
     "mtilde",
     "verify_symbol_bound",
     "is_dyadic",
 ]
-
-
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """A real radial symbol m(|k|) acting diagonally on spectral coefficients."""
-
-    name: str
-    func: Callable[[np.ndarray], np.ndarray]
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __call__(self, r):
-        return self.func(r)
 
 
 def tgamma_eval(r, gamma: float):
@@ -58,25 +30,6 @@ def tgamma_eval(r, gamma: float):
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return np.log(np.asarray(r, dtype=float) + 10.0) ** (-gamma)
-
-
-def tgamma_symbol(gamma: float) -> MultiplierSymbol:
-    """The log-smoothing multiplier as a reusable symbol object."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return MultiplierSymbol(
-        "tgamma", lambda r: tgamma_eval(r, gamma), {"gamma": gamma}
-    )
-
-
-def identity_symbol() -> MultiplierSymbol:
-    return MultiplierSymbol("identity", lambda r: np.ones_like(np.asarray(r, float)))
-
-
-def apply_multiplier(s: SpectralField, m: MultiplierSymbol) -> SpectralField:
-    """Multiply coefficients by m(|k|); real symbols preserve real fields."""
-    check_full(s, "apply_multiplier")
-    return SpectralField(s.grid, s.coeffs * m(s.grid.kmod))
 
 
 # ---------------------------------------------------------------------------
@@ -114,50 +67,6 @@ def is_dyadic(value) -> bool:
         return False
     mantissa, _ = math.frexp(v)
     return mantissa == 0.5
-
-
-def lp_project(s: SpectralField, N, kind: str) -> SpectralField:
-    """Dyadic frequency localization of a spectral field.
-
-    kind="leq" multiplies coefficients by phi(|k|/N), kind="at" by
-    phi(|k|/N) - phi(2|k|/N), kind="gt" by 1 - phi(|k|/N).  N must be a
-    positive dyadic number 2**j.
-    """
-    check_full(s, "lp_project")
-    if not is_dyadic(N):
-        raise ValueError(f"N must be dyadic (a power of two), got {N!r}")
-    N = float(N)
-    r = s.grid.kmod / N
-    if kind == "leq":
-        w = phi_eval(r)
-    elif kind == "at":
-        w = phi_eval(r) - phi_eval(2.0 * r)
-    elif kind == "gt":
-        w = 1.0 - phi_eval(r)
-    else:
-        raise ValueError(f"kind must be 'at', 'leq' or 'gt', got {kind!r}")
-    return SpectralField(s.grid, s.coeffs * w)
-
-
-# ---------------------------------------------------------------------------
-# smoothed Biot-Savart
-# ---------------------------------------------------------------------------
-
-def velocity_spectral(
-    omega: SpectralField, gamma: float
-) -> tuple[SpectralField, SpectralField]:
-    """Velocity coefficients of the log-smoothed Biot-Savart law.
-
-    u = perp_grad(inv_laplacian(T_gamma omega)); requires zero-mean omega.
-    """
-    psi = inv_laplacian(apply_multiplier(omega, tgamma_symbol(gamma)))
-    return perp_gradient(psi)
-
-
-def biot_savart(omega: SpectralField, gamma: float) -> tuple[RealField, RealField]:
-    """Physical-space velocity induced by the vorticity; divergence-free."""
-    u1, u2 = velocity_spectral(omega, gamma)
-    return dft_inverse(u1), dft_inverse(u2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ Quadrature convention: integrals over the torus use the uniform rectangle
 rule, which is spectrally accurate for band-limited integrands, and
 Plancherel reads sum_j |f_j|^2 dx^2 = 4 pi^2 sum_k |coeff(k)|^2.
 
-Spectral functionals read only the rfft half of the coefficients (columns
-0..n/2), which holds all the data of a real (Hermitian) field: Plancherel
-sums weight columns 0 and n/2 by 1 and the others by 2, and the physical
-fields (the vorticity, three components of grad u) come from ``irfft2``.
+Spectral functionals read the rfft half of the coefficients (columns
+0..n/2), which holds all the data of a real field: Plancherel sums weight
+columns 0 and n/2 by 1 and the others by 2, and the physical fields (the
+vorticity, three components of grad u) come from ``irfft2``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.fft as _fft
 
 from .multipliers import tgamma_eval
 from .spectral import (
@@ -27,6 +26,7 @@ from .spectral import (
     RealField,
     SpectralField,
     check_zero_mean,
+    dft_inverse,
     half_spectrum_weights,
 )
 
@@ -47,11 +47,6 @@ def _sup_abs(values: np.ndarray) -> float:
     return max(float(values.max()), -float(values.min()))
 
 
-def _half(a: np.ndarray) -> np.ndarray:
-    """The rfft half (columns 0..n/2) of an n x n lattice array, as a view."""
-    return a[:, : a.shape[0] // 2 + 1]
-
-
 def _half_sum(density: np.ndarray) -> float:
     """Full-lattice sum of a density even in k, from its rfft half."""
     return float(np.sum(half_spectrum_weights(density.shape[0]) * density))
@@ -59,9 +54,9 @@ def _half_sum(density: np.ndarray) -> float:
 
 def _smoothed_inverse_k2(g: Grid, gamma: float) -> np.ndarray:
     """T_gamma(|k|) / |k|^2 on the rfft half, 0 at the origin."""
-    k2 = _half(g.k2).copy()
+    k2 = g.k2.copy()
     k2[0, 0] = 1.0
-    out = tgamma_eval(_half(g.kmod), gamma) / k2
+    out = tgamma_eval(g.kmod, gamma) / k2
     out[0, 0] = 0.0
     return out
 
@@ -114,9 +109,9 @@ def sobolev_norm(s: SpectralField, order: float) -> float:
     """
     if order < 0:
         check_zero_mean(s, f"Sobolev norm of order {order}")
-    kmod = _half(s.grid.kmod).copy()
+    kmod = s.grid.kmod.copy()
     kmod[0, 0] = 1.0  # origin excluded from the sum below
-    power = np.abs(_half(s.coeffs)) ** 2 * kmod ** (2.0 * order)
+    power = np.abs(s.coeffs) ** 2 * kmod ** (2.0 * order)
     power[0, 0] = 0.0
     return float(np.sqrt(FOUR_PI_SQ * _half_sum(power)))
 
@@ -138,12 +133,12 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
     """
     check_zero_mean(omega, "velocity-gradient sup")
     g = omega.grid
-    psi = _half(omega.coeffs) * _smoothed_inverse_k2(g, gamma)
-    kx, ky = _half(g.kx), _half(g.ky)
+    psi = omega.coeffs * _smoothed_inverse_k2(g, gamma)
+    kx, ky = g.kx, g.ky
     worst = 0.0
     for symbol in (-kx * ky, -ky * ky, kx * kx):
-        d = _fft.irfft2(symbol * psi, s=(g.n, g.n), norm="forward")
-        worst = max(worst, _sup_abs(d))
+        d = dft_inverse(SpectralField(g, symbol * psi))
+        worst = max(worst, _sup_abs(d.values))
     return worst
 
 
@@ -154,7 +149,7 @@ def generalized_energy(omega: SpectralField, gamma: float) -> float:
     ||u||_2^2 of the classical flow.
     """
     check_zero_mean(omega, "generalized energy")
-    dens = _smoothed_inverse_k2(omega.grid, gamma) * np.abs(_half(omega.coeffs)) ** 2
+    dens = _smoothed_inverse_k2(omega.grid, gamma) * np.abs(omega.coeffs) ** 2
     return FOUR_PI_SQ * _half_sum(dens)
 
 
@@ -175,10 +170,7 @@ def compute_norm_bundle(
     omega: SpectralField, gamma: float, p_max: int = 64
 ) -> NormBundle:
     """Evaluate the full norm bundle of a zero-mean vorticity field."""
-    n = omega.grid.n
-    phys = RealField(
-        omega.grid, _fft.irfft2(_half(omega.coeffs), s=(n, n), norm="forward")
-    )
+    phys = dft_inverse(omega)
     p_grid = range(2, max(p_max, 8) + 1)  # always include p = 4, 8 for reports
     lp = lp_norm_map(phys, p_grid)
     ratio = max(lp[p] / np.sqrt(p) for p in range(2, p_max + 1))

@@ -18,7 +18,7 @@ import numpy as np
 from .extremizer import SharpnessRow
 from .inequalities import InequalityReport
 from .norms import NormBundle
-from .solver import DiagnosticsRecord, InitialConditionSpec, SolverConfig
+from .solver import DiagnosticsRecord, InitialConditionSpec, Snapshot, SolverConfig
 
 __all__ = [
     "ConfigError",
@@ -251,22 +251,9 @@ def records_from_rows(rows: Sequence[Mapping[str, float]]) -> list[DiagnosticsRe
 # binary snapshots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Physical-space vorticity with its run header.
-
-    Layout: magic "LGEU", u32 version, u32 n, f64 gamma, f64 time,
-    u64 step_count, then n*n little-endian float64 values (row-major).
-    """
-
-    n: int
-    gamma: float
-    time: float
-    step_count: int
-    values: np.ndarray
-
-
 def write_snapshot(snap: Snapshot, path: str) -> None:
+    """Layout: magic "LGEU", u32 version, u32 n, f64 gamma, f64 time,
+    u64 step_count, then n*n little-endian float64 values (row-major)."""
     if snap.values.shape != (snap.n, snap.n):
         raise SnapshotError(
             f"payload shape {snap.values.shape} does not match n = {snap.n}"

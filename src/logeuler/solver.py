@@ -8,8 +8,8 @@ smooth dyadic low-pass (mollified mode) or the sharp 2/3-rule projection
 and dealiased.  Time stepping is classical RK4 under an adaptive CFL
 constraint.
 
-For speed the stepping loop works on half-spectrum (rfft-layout) arrays;
-the public API exchanges full-lattice ``SpectralField`` values.
+Vorticity is exchanged as ``SpectralField`` values, the rfft half of the
+coefficients; the stepping loop works on their bare arrays.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from .spectral import (
     add_mode,
     check_zero_mean,
     dealias,
+    dft_forward,
+    dft_inverse,
     half_spectrum_weights,
-    half_to_full,
     project_zero_mean,
     random_band_half,
 )
@@ -41,7 +42,7 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "DiagnosticsRecord",
-    "FieldSnapshot",
+    "Snapshot",
     "RunResult",
     "EnvelopeReport",
     "BlowUpError",
@@ -92,6 +93,8 @@ class InitialConditionSpec:
                 f"unknown ic kind {self.kind!r} (expected one of "
                 f"{', '.join(IC_KINDS)})"
             )
+        if self.band < 0:
+            raise ValueError(f"ic band must be >= 0 (0 = auto), got {self.band}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"ic amplitude must be finite, got {self.amplitude}")
         if not (math.isfinite(self.width) and self.width > 0):
@@ -118,10 +121,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.p_max < 8:
@@ -133,6 +136,13 @@ class SolverConfig:
                 f"snapshot_interval must be >= 0, got {self.snapshot_interval}"
             )
         _resolve_mollify(self.n, self.mollify)  # validates
+        mode = self.ic.mode
+        if self.ic.kind == "single_mode" and max(map(abs, mode)) > self.n // 3:
+            # run() dealiases the initial field, which would leave nothing
+            raise ValueError(
+                f"single_mode wavevector {mode} lies outside the "
+                f"dealias band n/3 = {self.n // 3}"
+            )
 
     @property
     def mollify_n(self) -> int | None:
@@ -174,16 +184,20 @@ class DiagnosticsRecord:
 
 
 @dataclass(frozen=True)
-class FieldSnapshot:
-    t: float
+class Snapshot:
+    """Physical-space vorticity ``values`` (n x n) with its run header."""
+
+    n: int
+    gamma: float
+    time: float
     step_count: int
-    omega: RealField
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
 class RunResult:
     records: list[DiagnosticsRecord]
-    snapshots: list[FieldSnapshot]
+    snapshots: list[Snapshot]
     blown_up: bool = False
     blowup_t: float | None = None
     blowup_step: int | None = None
@@ -224,9 +238,9 @@ def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
                 for sy in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
                     d2 = (x1 - cx - sx) ** 2 + (x2 - math.pi - sy) ** 2
                     values += sign * np.exp(-d2 / (2.0 * spec.width**2))
-        coeffs = _fft.rfft2(spec.amplitude * values, norm="forward")
+        coeffs = dft_forward(RealField(grid, spec.amplitude * values)).coeffs
     coeffs[0, 0] = 0.0
-    return SpectralField(grid, half_to_full(coeffs))
+    return SpectralField(grid, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +252,9 @@ class _Workspace:
 
     def __init__(self, grid: Grid, gamma: float, mollify_n: int | None):
         n = grid.n
-        nh = n // 2 + 1
         self.n = n
-        self.nh = nh
-        kx = grid.kx[:, :nh]
-        ky = grid.ky[:, :nh]
-        kmod = grid.kmod[:, :nh]
-        k2 = grid.k2[:, :nh].copy()
+        kx, ky, kmod = grid.kx, grid.ky, grid.kmod
+        k2 = grid.k2.copy()
         k2[0, 0] = 1.0
 
         n2 = float(n * n)
@@ -255,7 +265,7 @@ class _Workspace:
         self.u1_mult[0, 0] = 0.0
         self.u2_mult[0, 0] = 0.0
 
-        sharp = grid.dealias_mask[:, :nh]
+        sharp = grid.dealias_mask
         if mollify_n is None:
             chi_inner = sharp.astype(float)
             self.chi_outer = chi_inner
@@ -287,10 +297,6 @@ def _workspace(grid: Grid, gamma: float, mollify_n: int | None) -> _Workspace:
     else:
         _WORKSPACES.move_to_end(key)
     return ws
-
-
-def _to_half(coeffs: np.ndarray, nh: int) -> np.ndarray:
-    return np.ascontiguousarray(coeffs[:, :nh])
 
 
 def _velocity_phys(h: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -332,14 +338,14 @@ def rhs(omega: SpectralField, gamma: float, mollify="auto") -> SpectralField:
     """
     check_zero_mean(omega, "the advection tendency")
     ws = _workspace(omega.grid, gamma, _resolve_mollify(omega.grid.n, mollify))
-    out, _ = _rhs_half(_to_half(omega.coeffs, ws.nh), ws)
-    return SpectralField(omega.grid, half_to_full(out))
+    out, _ = _rhs_half(omega.coeffs, ws)
+    return SpectralField(omega.grid, out)
 
 
 def cfl_dt(omega: SpectralField, gamma: float, cfl: float, grid: Grid) -> float:
     """Advective CFL step cfl * dx / max(||u||_inf, guard)."""
     ws = _workspace(grid, gamma, None)
-    u1, u2 = _velocity_phys(_to_half(omega.coeffs, ws.nh), ws)
+    u1, u2 = _velocity_phys(omega.coeffs, ws)
     umax = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
     return cfl * grid.dx / max(umax, VELOCITY_FLOOR)
 
@@ -364,12 +370,10 @@ def step_rk4(state: SolverState, dt: float, config: SolverConfig) -> SolverState
         raise ValueError(f"dt must be > 0, got {dt}")
     grid = state.omega.grid
     ws = _workspace(grid, config.gamma, config.mollify_n)
-    h = _rk4_half(_to_half(state.omega.coeffs, ws.nh), dt, ws)
+    h = _rk4_half(state.omega.coeffs, dt, ws)
     if not np.all(np.isfinite(h)):
         raise BlowUpError(state.t + dt, state.step_count + 1)
-    return SolverState(
-        state.t + dt, SpectralField(grid, half_to_full(h)), state.step_count + 1
-    )
+    return SolverState(state.t + dt, SpectralField(grid, h), state.step_count + 1)
 
 
 def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -> SolverState:
@@ -378,7 +382,7 @@ def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -
         raise ValueError(f"dt must be > 0, got {dt}")
     grid = state.omega.grid
     ws = _workspace(grid, config.gamma, config.mollify_n)
-    h = _to_half(state.omega.coeffs, ws.nh)
+    h = state.omega.coeffs
     t, step = state.t, state.step_count
     for _ in range(n_steps):
         h = _rk4_half(h, dt, ws)
@@ -386,7 +390,7 @@ def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -
         step += 1
         if not np.all(np.isfinite(h)):
             raise BlowUpError(t, step)
-    return SolverState(t, SpectralField(grid, half_to_full(h)), step)
+    return SolverState(t, SpectralField(grid, h), step)
 
 
 def run(config: SolverConfig) -> RunResult:
@@ -399,12 +403,11 @@ def run(config: SolverConfig) -> RunResult:
     """
     grid = Grid(config.n)
     ic = make_ic(replace(config.ic, seed=config.seed), grid)
-    omega0 = dealias(project_zero_mean(ic))
+    h = dealias(project_zero_mean(ic)).coeffs
     ws = _workspace(grid, config.gamma, config.mollify_n)
-    h = _to_half(omega0.coeffs, ws.nh)
 
     records: list[DiagnosticsRecord] = []
-    snapshots: list[FieldSnapshot] = []
+    snapshots: list[Snapshot] = []
     t = 0.0
     step = 0
     dt_used = 0.0
@@ -423,8 +426,8 @@ def run(config: SolverConfig) -> RunResult:
 
     def snap(h, t, step):
         nonlocal snapped_at
-        phys = _fft.irfft2(h * (grid.n**2), s=(grid.n, grid.n))
-        snapshots.append(FieldSnapshot(t, step, RealField(grid, phys)))
+        phys = dft_inverse(SpectralField(grid, h)).values
+        snapshots.append(Snapshot(grid.n, config.gamma, t, step, phys))
         snapped_at = step
 
     # the velocity and first RK4 stage of the current h, when a record

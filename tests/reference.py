@@ -6,9 +6,40 @@ operators were first written, so the tests can check the half-spectrum code
 against an independent computation.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from logeuler.multipliers import phi_eval, tgamma_eval
+from logeuler.multipliers import is_dyadic, phi_eval, tgamma_eval
+from logeuler.spectral import ZERO_MEAN_TOL, Grid, RealField, SpectralField
+
+SYMMETRY_RTOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class FullField:
+    """Complex coefficients on the full n x n lattice in fft layout."""
+
+    grid: Grid
+    coeffs: np.ndarray
+
+
+def lattice(n: int):
+    """Full-lattice wavevector components k1, k2 (axis 0, axis 1), |k|^2, |k|."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    k2 = kx**2 + ky**2
+    return kx, ky, k2, np.sqrt(k2)
+
+
+def reflect(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient array evaluated at -k (index map i -> (-i) mod n)."""
+    return np.roll(coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1))
+
+
+def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
+    """Project onto Hermitian-symmetric coefficients (real-field part)."""
+    return 0.5 * (coeffs + np.conj(reflect(coeffs)))
 
 
 def half_to_full(half: np.ndarray) -> np.ndarray:
@@ -20,11 +51,91 @@ def half_to_full(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def lattice(n: int):
-    """Full-lattice wavevector components k1, k2 (axis 0, axis 1) and |k|."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    return kx, ky, np.sqrt(kx**2 + ky**2)
+def to_full(s: SpectralField) -> FullField:
+    return FullField(s.grid, half_to_full(s.coeffs))
+
+
+def to_half(s: FullField) -> SpectralField:
+    return SpectralField(s.grid, s.coeffs[:, : s.grid.n // 2 + 1])
+
+
+def full_forward(f: RealField) -> FullField:
+    """coeff(k) = (1/n^2) sum_j f(x_j) exp(-i k.x_j) on the whole lattice."""
+    return FullField(f.grid, np.fft.fft2(f.values) / f.grid.n**2)
+
+
+def full_inverse(s: FullField) -> RealField:
+    """f(x_j) = sum_k coeff(k) exp(i k.x_j); raises ValueError when the
+    coefficients break Hermitian symmetry by more than SYMMETRY_RTOL."""
+    c = s.coeffs
+    violation = float(np.max(np.abs(c - np.conj(reflect(c)))))
+    if violation > SYMMETRY_RTOL * float(np.max(np.abs(c))):
+        raise ValueError(f"Hermitian symmetry violated by {violation:.3e}")
+    return RealField(s.grid, np.fft.ifft2(c).real * s.grid.n**2)
+
+
+def gradient(s: FullField) -> tuple[FullField, FullField]:
+    """Spectral gradient: component m has coefficients i*k_m*coeff(k)."""
+    kx, ky, _, _ = lattice(s.grid.n)
+    return FullField(s.grid, 1j * kx * s.coeffs), FullField(s.grid, 1j * ky * s.coeffs)
+
+
+def perp_gradient(s: FullField) -> tuple[FullField, FullField]:
+    """Perpendicular gradient (-d2, d1) of a stream function."""
+    kx, ky, _, _ = lattice(s.grid.n)
+    return FullField(s.grid, -1j * ky * s.coeffs), FullField(s.grid, 1j * kx * s.coeffs)
+
+
+def inv_laplacian(s: FullField) -> FullField:
+    """Coefficients -coeff(k)/|k|^2, zero at k = 0; needs a zero-mean field."""
+    if abs(s.coeffs[0, 0]) > ZERO_MEAN_TOL:
+        raise ValueError("inverse Laplacian needs a zero-mean field")
+    _, _, k2, _ = lattice(s.grid.n)
+    k2[0, 0] = 1.0
+    out = -s.coeffs / k2
+    out[0, 0] = 0.0
+    return FullField(s.grid, out)
+
+
+def tgamma_symbol(gamma: float):
+    """The log-smoothing symbol r -> 1/log^gamma(r + 10) as a function."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    return lambda r: tgamma_eval(r, gamma)
+
+
+def identity_symbol():
+    return lambda r: np.ones_like(np.asarray(r, float))
+
+
+def apply_multiplier(s: FullField, m) -> FullField:
+    """Multiply coefficients by the radial symbol m(|k|)."""
+    return FullField(s.grid, s.coeffs * m(lattice(s.grid.n)[3]))
+
+
+def lp_project(s: FullField, N, kind: str) -> FullField:
+    """Multiply by phi(|k|/N) ("leq"), phi(|k|/N) - phi(2|k|/N) ("at") or
+    1 - phi(|k|/N) ("gt"); N must be dyadic."""
+    if not is_dyadic(N):
+        raise ValueError(f"N must be dyadic, got {N!r}")
+    r = lattice(s.grid.n)[3] / float(N)
+    if kind == "leq":
+        w = phi_eval(r)
+    elif kind == "at":
+        w = phi_eval(r) - phi_eval(2.0 * r)
+    else:
+        w = 1.0 - phi_eval(r)
+    return FullField(s.grid, s.coeffs * w)
+
+
+def velocity_spectral(omega: FullField, gamma: float) -> tuple[FullField, FullField]:
+    """u = perp_grad(inv_laplacian(T_gamma omega))."""
+    return perp_gradient(inv_laplacian(apply_multiplier(omega, tgamma_symbol(gamma))))
+
+
+def biot_savart(omega: FullField, gamma: float) -> tuple[RealField, RealField]:
+    u1, u2 = velocity_spectral(omega, gamma)
+    return full_inverse(u1), full_inverse(u2)
 
 
 def dft_matrices(n: int):
@@ -43,8 +154,7 @@ def direct_rhs(half: np.ndarray, gamma: float, mollify_n: int | None) -> np.ndar
     n = half.shape[0]
     c = half_to_full(half)
     fwd, inv = dft_matrices(n)
-    kx, ky, kmod = lattice(n)
-    k2 = kx**2 + ky**2
+    kx, ky, k2, kmod = lattice(n)
     k2[0, 0] = 1.0
     sharp = (np.abs(kx) <= n // 3) & (np.abs(ky) <= n // 3)
     inner = sharp.astype(float) if mollify_n is None else phi_eval(kmod / mollify_n)

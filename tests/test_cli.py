@@ -38,7 +38,9 @@ def test_simulate_bad_gamma_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config, flags",
-    [("ic_amplitude = nan\n", []), ("ic_width = 0\n", ["--ic", "vortex_pair"])],
+    [("ic_amplitude = nan\n", []), ("ic_width = 0\n", ["--ic", "vortex_pair"]),
+     # a nan gamma used to run, blow up at t = 0 and write blowup.txt
+     ("", ["--gamma", "nan"])],
 )
 def test_simulate_bad_ic_parameters_are_config_errors(tmp_path, capsys, config, flags):
     cfg = tmp_path / "bad.cfg"

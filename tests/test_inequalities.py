@@ -4,6 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from reference import (
+    apply_multiplier,
+    full_inverse,
+    half_to_full,
+    hermitian_part,
+    lattice,
+    lp_project,
+    tgamma_symbol,
+    to_full,
+)
 
 from logeuler import inequalities
 from logeuler.inequalities import (
@@ -18,31 +28,13 @@ from logeuler.inequalities import (
     check_log_interpolation,
     check_multiplier_bound,
 )
-from logeuler.multipliers import (
-    apply_multiplier,
-    lp_project,
-    mtilde,
-    tgamma_eval,
-    tgamma_symbol,
-)
+from logeuler.multipliers import mtilde, tgamma_eval
 from logeuler.norms import FOUR_PI_SQ, lp_norm
-from logeuler.spectral import (
-    Grid,
-    SpectralField,
-    dft_inverse,
-    half_to_full,
-    hermitian_part,
-)
+from logeuler.spectral import Grid
 
 # closed-form single-mode values, frozen from 40-digit evaluation
 EMBED_SINGLE_MODE = 0.3535533905932737622004221810524245196424  # 1/(2 sqrt 2)
 LOGINTERP_SINGLE_MODE = 0.03497025360213881640872195449763307405028
-
-
-def _full(f):
-    """A corpus member (rfft layout) on the full lattice, for the
-    full-lattice operators."""
-    return SpectralField(f.grid, half_to_full(f.coeffs))
 
 
 class TestCorpus:
@@ -63,7 +55,7 @@ class TestCorpus:
     def test_all_fields_zero_mean_and_real(self):
         for _, f in build_corpus(CorpusSpec(n=64, size=24)):
             assert f.coeffs[0, 0] == 0.0
-            dft_inverse(_full(f))  # raises on broken Hermitian symmetry
+            full_inverse(to_full(f))  # raises on broken Hermitian symmetry
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -102,7 +94,8 @@ def _ref_random_band(grid, rng, band):
     z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal(
         (grid.n, grid.n)
     )
-    mask = (grid.kmod > 0) & (grid.kmod <= band)
+    kmod = lattice(grid.n)[3]
+    mask = (kmod > 0) & (kmod <= band)
     coeffs = hermitian_part(np.where(mask, z, 0.0))
     return coeffs / math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(coeffs) ** 2)))
 
@@ -249,7 +242,7 @@ class TestBernstein:
         # for f already localized to one block, projecting again contracts L2
         spec = CorpusSpec(kind="random_band", n=64, size=4, band=12)
         for fid, f in build_corpus(spec):
-            block = lp_project(_full(f), 8.0, "at")
+            block = lp_project(to_full(f), 8.0, "at")
             twice = lp_project(block, 8.0, "at")
             num = np.sqrt(np.sum(np.abs(twice.coeffs) ** 2))
             den = np.sqrt(np.sum(np.abs(block.coeffs) ** 2))
@@ -321,19 +314,20 @@ class TestBernstein:
 
 def _reference_rows_multiplier(gamma, N_set, q, spec):
     """Full-lattice blocks (lp_project, apply_multiplier) and physical-space
-    norms of dft_inverse, as the check computed them before it was cropped."""
+    norms of their inverse transforms, as the check computed them before it
+    was cropped."""
     symbol = tgamma_symbol(gamma)
     rows = []
     for fid, f in build_corpus(spec):
-        f = _full(f)
+        f = to_full(f)
         for N in N_set:
             block = lp_project(f, N, "at")
             image = apply_multiplier(block, symbol)
             for q_val in q:
-                denom = lp_norm(dft_inverse(block), q_val)
+                denom = lp_norm(full_inverse(block), q_val)
                 if denom == 0.0:
                     continue
-                ratio = lp_norm(dft_inverse(image), q_val) / (mtilde(N, gamma) * denom)
+                ratio = lp_norm(full_inverse(image), q_val) / (mtilde(N, gamma) * denom)
                 rows.append((fid, (("N", N), ("q", q_val)), ratio))
     return rows
 
@@ -341,10 +335,10 @@ def _reference_rows_multiplier(gamma, N_set, q, spec):
 def _reference_rows_bernstein(spec, N_set, pq_pairs):
     rows = []
     for fid, f in build_corpus(spec):
-        f = _full(f)
-        phys = dft_inverse(f)
+        f = to_full(f)
+        phys = full_inverse(f)
         for N in N_set:
-            block = dft_inverse(lp_project(f, N, "at"))
+            block = full_inverse(lp_project(f, N, "at"))
             for p, q_val in pq_pairs:
                 inv_q = 0.0 if math.isinf(q_val) else 1.0 / q_val
                 scale = N ** (2.0 * (1.0 / p - inv_q))

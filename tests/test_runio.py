@@ -16,7 +16,13 @@ from logeuler.runio import (
     write_diagnostics_csv,
     write_snapshot,
 )
-from logeuler.solver import DiagnosticsRecord, gronwall_envelope
+from logeuler.solver import (
+    DiagnosticsRecord,
+    InitialConditionSpec,
+    SolverConfig,
+    gronwall_envelope,
+    run,
+)
 
 
 def bundle(scale=1.0):
@@ -147,6 +153,18 @@ class TestSnapshots:
     def snapshot(self, n=16, seed=0):
         rng = np.random.default_rng(seed)
         return Snapshot(n, 1.5, 0.25, 42, rng.standard_normal((n, n)))
+
+    def test_run_snapshots_are_written_as_they_are(self, tmp_path):
+        cfg = SolverConfig(n=16, gamma=0.5, t_max=0.05, snapshot_interval=1,
+                           ic=InitialConditionSpec(kind="shell"))
+        snap = run(cfg).snapshots[-1]
+        assert isinstance(snap, Snapshot)
+        path = tmp_path / "s.lgeu"
+        write_snapshot(snap, str(path))
+        back = read_snapshot(str(path))
+        assert (back.n, back.gamma, back.time, back.step_count) == (
+            16, 0.5, snap.time, snap.step_count)
+        assert np.array_equal(back.values, snap.values)
 
     def test_roundtrip_bit_exact(self, tmp_path):
         snap = self.snapshot()

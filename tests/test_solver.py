@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from reference import direct_rhs
 
 from logeuler import solver
-from logeuler.norms import FOUR_PI_SQ
 from logeuler.solver import (
     BlowUpError,
     InitialConditionSpec,
@@ -27,13 +26,14 @@ from logeuler.spectral import (
     SpectralField,
     dealias,
     dft_inverse,
+    half_spectrum_l2,
     half_spectrum_weights,
     project_zero_mean,
 )
 
 
 def l2_of(field: SpectralField) -> float:
-    return math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(field.coeffs) ** 2)))
+    return half_spectrum_l2(field.coeffs)
 
 
 class TestMakeIC:
@@ -80,7 +80,7 @@ class TestMakeIC:
         g = Grid(64)
         f = make_ic(InitialConditionSpec(kind="vortex_pair"), g)
         assert f.coeffs[0, 0] == 0.0
-        phys = dft_inverse(f).values  # raises if symmetry broken
+        phys = dft_inverse(f).values
         assert np.max(phys) > 0.5 and np.min(phys) < -0.5
 
     def test_unknown_kind(self):
@@ -118,11 +118,23 @@ class TestConfig:
             {"mollify": 128, "n": 256},  # exceeds n/3
             {"p_max": 4},
             {"diag_interval": 0},
+            {"gamma": math.nan},
+            {"gamma": math.inf},
+            {"t_max": math.inf},  # a run would never end; only constructed
+            {"ic": {"band": -3}},
+            # run() would dealias the mode away, leaving a zero field
+            {"n": 32, "ic": {"kind": "single_mode", "mode": (12, 0)}},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+            ic = InitialConditionSpec(**kwargs.get("ic", {}))
+            SolverConfig(**{**kwargs, "ic": ic})
+
+    def test_single_mode_on_the_dealias_band_edge_accepted(self):
+        cfg = SolverConfig(n=32, ic=InitialConditionSpec(kind="single_mode",
+                                                         mode=(10, -10)))
+        assert cfg.ic.mode == (10, -10)
 
 
 class TestRhs:
@@ -143,7 +155,7 @@ class TestRhs:
 
     def test_rejects_nonzero_mean(self):
         g = Grid(16)
-        c = np.zeros((16, 16), dtype=complex)
+        c = np.zeros((16, 9), dtype=complex)
         c[0, 0] = 1.0
         with pytest.raises(ValueError):
             rhs(SpectralField(g, c), 1.5)
@@ -170,19 +182,17 @@ class TestRhs:
 
 
 class TestRhsOracles:
-    """Structural properties of the fast tendency, checked on the rfft half
-    (the leading n // 2 + 1 columns) of whatever layout ``rhs`` returns."""
+    """Structural properties of the fast tendency."""
 
     @pytest.mark.parametrize("mollify, mollify_n", [("auto", 4), ("dealias", None)])
     @pytest.mark.parametrize("gamma", [0.0, 1.5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_direct_summation(self, mollify, mollify_n, gamma, seed):
-        n, nh = 16, 9
-        g = Grid(n)
+        g = Grid(16)
         omega = make_ic(InitialConditionSpec(kind="random_band", band=5, seed=seed,
                                              amplitude=3.0), g)
-        slow = direct_rhs(omega.coeffs[:, :nh], gamma, mollify_n)[:, :nh]
-        fast = rhs(omega, gamma, mollify).coeffs[:, :nh]
+        slow = direct_rhs(omega.coeffs, gamma, mollify_n)[:, :9]
+        fast = rhs(omega, gamma, mollify).coeffs
         assert np.max(np.abs(slow)) > 1e-3
         assert np.max(np.abs(fast - slow)) < 1e-13 * np.max(np.abs(slow))
 
@@ -190,12 +200,11 @@ class TestRhsOracles:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_skew_symmetric_in_dealias_mode(self, n, seed):
         # <omega, rhs(omega)> = 0: the 2/3-rule tendency conserves L2 exactly
-        nh = n // 2 + 1
         g = Grid(n)
         omega = make_ic(InitialConditionSpec(kind="random_band", band=n // 3,
                                              seed=seed), g)
-        h = omega.coeffs[:, :nh]
-        r = rhs(omega, 1.5, "dealias").coeffs[:, :nh]
+        h = omega.coeffs
+        r = rhs(omega, 1.5, "dealias").coeffs
         w = half_spectrum_weights(n)
         inner = float(np.sum(w * (h.conj() * r).real))
         norm_h = math.sqrt(float(np.sum(w * np.abs(h) ** 2)))
@@ -231,7 +240,7 @@ class TestCflDt:
 
     def test_zero_field_guard(self):
         g = Grid(64)
-        f = SpectralField(g, np.zeros((64, 64), dtype=complex))
+        f = SpectralField(g, np.zeros((64, 33), dtype=complex))
         dt = cfl_dt(f, 1.5, 0.5, g)
         assert dt == pytest.approx(0.5 * g.dx / 1e-12, rel=1e-12)
 
@@ -255,14 +264,14 @@ class TestStepRK4:
     def test_zero_field_stays_zero(self):
         g = Grid(32)
         cfg = SolverConfig(n=32)
-        state = SolverState(0.0, SpectralField(g, np.zeros((32, 32), complex)), 0)
+        state = SolverState(0.0, SpectralField(g, np.zeros((32, 17), complex)), 0)
         state = step_rk4(state, 0.1, cfg)
         assert np.max(np.abs(state.omega.coeffs)) == 0.0
 
     def test_rejects_bad_dt(self):
         g = Grid(32)
         cfg = SolverConfig(n=32)
-        state = SolverState(0.0, SpectralField(g, np.zeros((32, 32), complex)), 0)
+        state = SolverState(0.0, SpectralField(g, np.zeros((32, 17), complex)), 0)
         with pytest.raises(ValueError):
             step_rk4(state, 0.0, cfg)
 
@@ -271,10 +280,10 @@ class TestStepRK4:
     def test_blowup_detected(self):
         g = Grid(32)
         cfg = SolverConfig(n=32)
-        c = np.zeros((32, 32), dtype=complex)
+        c = np.zeros((32, 17), dtype=complex)
         # two interacting mode pairs at 1e200: the advection product overflows
         c[1, 0] = c[-1, 0] = 1e200
-        c[0, 2] = c[0, -2] = 1e200
+        c[0, 2] = 1e200  # its partner (0, -2) is implied by the rfft half
         state = SolverState(0.0, SpectralField(g, c), 0)
         with pytest.raises(BlowUpError) as err:
             step_rk4(state, 0.1, cfg)
@@ -292,8 +301,8 @@ class TestStepRK4:
         for div in (1, 2, 4):
             dt = 0.05 / div
             sols[div] = advance(state0, cfg, dt, round(0.4 / dt)).omega.coeffs
-        e1 = math.sqrt(FOUR_PI_SQ * np.sum(np.abs(sols[1] - sols[2]) ** 2))
-        e2 = math.sqrt(FOUR_PI_SQ * np.sum(np.abs(sols[2] - sols[4]) ** 2))
+        e1 = half_spectrum_l2(sols[1] - sols[2])
+        e2 = half_spectrum_l2(sols[2] - sols[4])
         slope = math.log2(e1 / e2)
         assert 3.7 <= slope <= 4.3
 
@@ -383,8 +392,8 @@ class TestRun:
             assert rec.norms == ref.norms
             assert rec.aliasing_energy_discarded == ref.aliasing_energy_discarded
         assert runs[0].records[-1].t == runs[1].records[-1].t
-        # a record reads the half spectrum; the full-lattice field gives the
-        # same bundle to the last bit
+        # the first record is the public bundle of the dealiased initial
+        # field, to the last bit
         ic = make_ic(InitialConditionSpec(kind="random_band", amplitude=20.0,
                                           seed=5), Grid(32))
         omega0 = dealias(project_zero_mean(ic))
@@ -392,8 +401,8 @@ class TestRun:
         snaps = [r.snapshots for r in runs]
         assert [s.step_count for s in snaps[0]] == [s.step_count for s in snaps[1]]
         for a, b in zip(*snaps):
-            assert a.t == b.t
-            assert np.array_equal(a.omega.values, b.omega.values)
+            assert a.time == b.time
+            assert np.array_equal(a.values, b.values)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
