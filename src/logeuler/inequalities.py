@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.fft as _fft
 
 from .multipliers import is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
@@ -28,6 +27,7 @@ from .spectral import (
     add_mode,
     half_spectrum_l2,
     random_band_half,
+    transform_plan,
 )
 
 __all__ = [
@@ -273,13 +273,11 @@ def _block_inverse(half: np.ndarray, n: int) -> np.ndarray:
     first K rfft-layout columns (the rest zero).
 
     Equal bit for bit to ``scipy.fft.irfft2(half, s=(n, n), norm="forward")``:
-    below half the columns, the column transforms run on the K occupied
-    columns only and the row transforms zero-pad the rest.
+    the column transforms run on the K occupied columns only and the row
+    transforms zero-pad the rest.  The samples are the transform plan's
+    slot "block", valid until the next call.
     """
-    if half.shape[1] >= (n // 2 + 1) // 2:
-        return _fft.irfft2(half, s=(n, n), norm="forward")
-    cols = _fft.ifft(half, axis=0, norm="forward")
-    return _fft.irfft(cols, n=n, axis=1, norm="forward")
+    return transform_plan(n).inverse(None, half, "block", norm="forward")
 
 
 def _block_norms(grid: Grid, half: np.ndarray, qs) -> dict:

@@ -9,7 +9,9 @@ Plancherel reads sum_j |f_j|^2 dx^2 = 4 pi^2 sum_k |coeff(k)|^2.
 Spectral functionals read the rfft half of the coefficients (columns
 0..n/2), which holds all the data of a real field: Plancherel sums weight
 columns 0 and n/2 by 1 and the others by 2, and the physical fields (the
-vorticity, three components of grad u) come from ``irfft2``.
+vorticity, three components of grad u) come from the grid's transform plan,
+into its slots "omega" and "grad"; ``lp_norm_map`` sweeps its powers in the
+slots "lp_base" and "lp_acc".
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .spectral import (
     RealField,
     SpectralField,
     check_zero_mean,
-    dft_inverse,
     half_spectrum_weights,
 )
 
@@ -89,10 +90,11 @@ def lp_norm_map(f: RealField, p_values) -> dict[int, float]:
     m = _sup_abs(f.values)
     if m == 0.0:
         return {p: 0.0 for p in ps}
-    base = np.abs(f.values)
+    plan = f.grid.plan
+    base = np.abs(f.values, out=plan.real("lp_base"))
     base /= m
     dx2 = f.grid.dx**2
-    acc = base * base
+    acc = np.multiply(base, base, out=plan.real("lp_acc"))
     power = 2
     for p in ps:
         while power < p:
@@ -132,13 +134,18 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
     d2 u2 = -d1 u1: three inverse transforms cover all four components.
     """
     check_zero_mean(omega, "velocity-gradient sup")
+    return _grad_u_sup(omega, _smoothed_inverse_k2(omega.grid, gamma))
+
+
+def _grad_u_sup(omega: SpectralField, inv_k2: np.ndarray) -> float:
+    """``grad_u_sup`` given the table T_gamma(|k|) / |k|^2."""
     g = omega.grid
-    psi = omega.coeffs * _smoothed_inverse_k2(g, gamma)
+    psi = omega.coeffs * inv_k2
     kx, ky = g.kx, g.ky
     worst = 0.0
     for symbol in (-kx * ky, -ky * ky, kx * kx):
-        d = dft_inverse(SpectralField(g, symbol * psi))
-        worst = max(worst, _sup_abs(d.values))
+        d = g.plan.inverse(symbol, psi, "grad", norm="forward")
+        worst = max(worst, _sup_abs(d))
     return worst
 
 
@@ -149,8 +156,12 @@ def generalized_energy(omega: SpectralField, gamma: float) -> float:
     ||u||_2^2 of the classical flow.
     """
     check_zero_mean(omega, "generalized energy")
-    dens = _smoothed_inverse_k2(omega.grid, gamma) * np.abs(omega.coeffs) ** 2
-    return FOUR_PI_SQ * _half_sum(dens)
+    return _generalized_energy(omega, _smoothed_inverse_k2(omega.grid, gamma))
+
+
+def _generalized_energy(omega: SpectralField, inv_k2: np.ndarray) -> float:
+    """``generalized_energy`` given the table T_gamma(|k|) / |k|^2."""
+    return FOUR_PI_SQ * _half_sum(inv_k2 * np.abs(omega.coeffs) ** 2)
 
 
 @dataclass(frozen=True)
@@ -170,16 +181,19 @@ def compute_norm_bundle(
     omega: SpectralField, gamma: float, p_max: int = 64
 ) -> NormBundle:
     """Evaluate the full norm bundle of a zero-mean vorticity field."""
-    phys = dft_inverse(omega)
+    g = omega.grid
+    phys = RealField(g, g.plan.inverse(None, omega.coeffs, "omega", norm="forward"))
     p_grid = range(2, max(p_max, 8) + 1)  # always include p = 4, 8 for reports
     lp = lp_norm_map(phys, p_grid)
     ratio = max(lp[p] / np.sqrt(p) for p in range(2, p_max + 1))
+    hm1dot = sobolev_norm(omega, -1.0)  # checks the zero mean
+    inv_k2 = _smoothed_inverse_k2(g, gamma)
     return NormBundle(
         l2=lp[2],
         h1dot=sobolev_norm(omega, 1.0),
-        hm1dot=sobolev_norm(omega, -1.0),
+        hm1dot=hm1dot,
         lp=lp,
         sup_p_ratio=ratio,
-        grad_u_sup=grad_u_sup(omega, gamma),
-        energy_gamma=generalized_energy(omega, gamma),
+        grad_u_sup=_grad_u_sup(omega, inv_k2),
+        energy_gamma=_generalized_energy(omega, inv_k2),
     )

@@ -9,7 +9,9 @@ and dealiased.  Time stepping is classical RK4 under an adaptive CFL
 constraint.
 
 Vorticity is exchanged as ``SpectralField`` values, the rfft half of the
-coefficients; the stepping loop works on their bare arrays.
+coefficients; the stepping loop works on their bare arrays, in buffers and
+transform-plan slots reused from step to step, and the states it returns
+own fresh copies.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft as _fft
 
 from .multipliers import is_dyadic, phi_eval, tgamma_eval
 from .norms import FOUR_PI_SQ, NormBundle, compute_norm_bundle
@@ -27,6 +28,7 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
+    TransformPlan,
     add_mode,
     check_zero_mean,
     dealias,
@@ -137,11 +139,17 @@ class SolverConfig:
             )
         _resolve_mollify(self.n, self.mollify)  # validates
         mode = self.ic.mode
+        if self.ic.kind == "single_mode" and tuple(mode) == (0, 0):
+            raise ValueError("single_mode needs a nonzero wavevector")
         if self.ic.kind == "single_mode" and max(map(abs, mode)) > self.n // 3:
             # run() dealiases the initial field, which would leave nothing
             raise ValueError(
                 f"single_mode wavevector {mode} lies outside the "
                 f"dealias band n/3 = {self.n // 3}"
+            )
+        if self.ic.kind == "random_band" and self.ic.band > self.n // 3:
+            raise ValueError(
+                f"ic band {self.ic.band} exceeds the dealias band {self.n // 3}"
             )
 
     @property
@@ -247,86 +255,117 @@ def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
 # half-spectrum workspace
 # ---------------------------------------------------------------------------
 
-class _Workspace:
-    """Precomputed rfft-layout multiplier arrays for one (n, gamma, mollify)."""
+class _Velocity:
+    """rfft-layout multipliers taking the vorticity to the physical
+    velocity (u1, u2) through a backward-normalized inverse transform, for
+    one (n, gamma)."""
 
-    def __init__(self, grid: Grid, gamma: float, mollify_n: int | None):
-        n = grid.n
-        self.n = n
-        kx, ky, kmod = grid.kx, grid.ky, grid.kmod
+    def __init__(self, grid: Grid, gamma: float):
         k2 = grid.k2.copy()
         k2[0, 0] = 1.0
-
-        n2 = float(n * n)
-        self.inv_n2 = 1.0 / n2
-        m = tgamma_eval(kmod, gamma)
-        self.u1_mult = 1j * ky * m / k2 * n2   # coeff -> physical u1 via irfft2
-        self.u2_mult = -1j * kx * m / k2 * n2
+        n2 = float(grid.n * grid.n)
+        m = tgamma_eval(grid.kmod, gamma)
+        self.u1_mult = 1j * grid.ky * m / k2 * n2
+        self.u2_mult = -1j * grid.kx * m / k2 * n2
         self.u1_mult[0, 0] = 0.0
         self.u2_mult[0, 0] = 0.0
 
+
+class _Truncation:
+    """Truncation tables and RK4 buffers for one (n, mollify)."""
+
+    def __init__(self, grid: Grid, mollify_n: int | None):
+        n = grid.n
+        n2 = float(n * n)
+        self.inv_n2 = 1.0 / n2
         sharp = grid.dealias_mask
         if mollify_n is None:
             chi_inner = sharp.astype(float)
-            self.chi_outer = chi_inner
+            chi_outer = chi_inner
         else:
-            chi_inner = phi_eval(kmod / float(mollify_n))
-            self.chi_outer = chi_inner * sharp
-        self.gx_mult = 1j * kx * chi_inner * n2
-        self.gy_mult = 1j * ky * chi_inner * n2
+            chi_inner = phi_eval(grid.kmod / float(mollify_n))
+            chi_outer = chi_inner * sharp
+        self.gx_mult = 1j * grid.kx * chi_inner * n2
+        self.gy_mult = 1j * grid.ky * chi_inner * n2
         # outer truncation folded together with the forward-transform
         # normalization and the minus sign of the advection term
-        self.neg_chi_scaled = -self.chi_outer * self.inv_n2
-
+        self.neg_chi_scaled = -chi_outer * self.inv_n2
+        # share of each mode's energy the outer truncation removes
+        self.removed_weight = 1.0 - chi_outer**2
         self.col_weight = half_spectrum_weights(n)
 
+        # RK4: the first stage, the later stages in turn, a stage's
+        # argument h + c k, and two result buffers used in turn
+        half = (n, n // 2 + 1)
+        self.k1, self.k, self.stage = (np.empty(half, dtype=complex) for _ in range(3))
+        self.result = (np.empty(half, dtype=complex), np.empty(half, dtype=complex))
 
-# least-recently-used workspaces; one takes about 76 MB at n = 1024, so a
-# sweep over many (n, gamma, mollify) keeps at most this many alive
+
+@dataclass(frozen=True)
+class _Workspace:
+    plan: TransformPlan
+    vel: _Velocity
+    trunc: _Truncation
+
+
+# least-recently-used velocity and truncation parts; at n = 1024 a velocity
+# part takes about 17 MB and a truncation part about 67 MB, so a sweep over
+# many (n, gamma, mollify) keeps at most this many of each alive
 WORKSPACE_CACHE_SIZE = 4
-_WORKSPACES: OrderedDict[tuple[int, float, int | None], _Workspace] = OrderedDict()
+_VELOCITIES: OrderedDict[tuple[int, float], _Velocity] = OrderedDict()
+_TRUNCATIONS: OrderedDict[tuple[int, int | None], _Truncation] = OrderedDict()
+
+
+def _cached(cache: OrderedDict, key, build):
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+        if len(cache) > WORKSPACE_CACHE_SIZE:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
+
+
+def _velocity(grid: Grid, gamma: float) -> _Velocity:
+    gamma = float(gamma)
+    return _cached(_VELOCITIES, (grid.n, gamma), lambda: _Velocity(grid, gamma))
 
 
 def _workspace(grid: Grid, gamma: float, mollify_n: int | None) -> _Workspace:
-    key = (grid.n, float(gamma), mollify_n)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        ws = _WORKSPACES[key] = _Workspace(grid, gamma, mollify_n)
-        if len(_WORKSPACES) > WORKSPACE_CACHE_SIZE:
-            _WORKSPACES.popitem(last=False)
-    else:
-        _WORKSPACES.move_to_end(key)
-    return ws
+    trunc = _cached(_TRUNCATIONS, (grid.n, mollify_n),
+                    lambda: _Truncation(grid, mollify_n))
+    return _Workspace(grid.plan, _velocity(grid, gamma), trunc)
 
 
-def _velocity_phys(h: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    shape = (ws.n, ws.n)
-    u1 = _fft.irfft2(ws.u1_mult * h, s=shape)
-    u2 = _fft.irfft2(ws.u2_mult * h, s=shape)
-    return u1, u2
+def _velocity_phys(h: np.ndarray, vel: _Velocity, plan: TransformPlan):
+    """(u1, u2) in the plan's slots "u1" and "u2"."""
+    return plan.inverse(vel.u1_mult, h, "u1"), plan.inverse(vel.u2_mult, h, "u2")
 
 
-def _rhs_half(h: np.ndarray, ws: _Workspace, uv=None, want_diag: bool = False):
-    """Truncated advection tendency on the half spectrum.
+def _rhs_half(h: np.ndarray, ws: _Workspace, uv=None, out=None,
+              want_diag: bool = False):
+    """Truncated advection tendency on the half spectrum, into ``out`` (a
+    fresh array when None).
 
     Returns (tendency, discarded) where discarded is the L2 energy removed
     from the advection product by the outer truncation (None unless
     want_diag).
     """
-    shape = (ws.n, ws.n)
-    u1, u2 = _velocity_phys(h, ws) if uv is None else uv
-    wx = _fft.irfft2(ws.gx_mult * h, s=shape)
-    wy = _fft.irfft2(ws.gy_mult * h, s=shape)
+    plan, trunc = ws.plan, ws.trunc
+    u1, u2 = _velocity_phys(h, ws.vel, plan) if uv is None else uv
+    wx = plan.inverse(trunc.gx_mult, h, "wx")
+    wy = plan.inverse(trunc.gy_mult, h, "wy")
     np.multiply(u1, wx, out=wx)
     np.multiply(u2, wy, out=wy)
     wx += wy
-    a = _fft.rfft2(wx)
-    out = ws.neg_chi_scaled * a
+    a = plan.forward(wx)
+    out = np.multiply(trunc.neg_chi_scaled, a, out=out)
     out[0, 0] = 0.0
     discarded = None
     if want_diag:
-        removed = (1.0 - ws.chi_outer**2) * np.abs(a * ws.inv_n2) ** 2
-        discarded = float(FOUR_PI_SQ * np.sum(ws.col_weight * removed))
+        removed = trunc.removed_weight * np.abs(a * trunc.inv_n2) ** 2
+        discarded = float(FOUR_PI_SQ * np.sum(trunc.col_weight * removed))
     return out, discarded
 
 
@@ -344,8 +383,7 @@ def rhs(omega: SpectralField, gamma: float, mollify="auto") -> SpectralField:
 
 def cfl_dt(omega: SpectralField, gamma: float, cfl: float, grid: Grid) -> float:
     """Advective CFL step cfl * dx / max(||u||_inf, guard)."""
-    ws = _workspace(grid, gamma, None)
-    u1, u2 = _velocity_phys(omega.coeffs, ws)
+    u1, u2 = _velocity_phys(omega.coeffs, _velocity(grid, gamma), grid.plan)
     umax = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
     return cfl * grid.dx / max(umax, VELOCITY_FLOOR)
 
@@ -353,13 +391,33 @@ def cfl_dt(omega: SpectralField, gamma: float, cfl: float, grid: Grid) -> float:
 def _rk4_half(
     h: np.ndarray, dt: float, ws: _Workspace, uv=None, k1=None
 ) -> np.ndarray:
-    """One RK4 step; ``k1``, when given, is ``_rhs_half(h, ws)[0]``."""
+    """One RK4 step into the workspace result buffer that ``h`` is not;
+    ``k1``, when given, is ``_rhs_half(h, ws)[0]``.
+
+    The operations and their order are those of
+    h + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with stage arguments h + c k.
+    """
+    t = ws.trunc
     if k1 is None:
-        k1, _ = _rhs_half(h, ws, uv=uv)
-    k2, _ = _rhs_half(h + (0.5 * dt) * k1, ws)
-    k3, _ = _rhs_half(h + (0.5 * dt) * k2, ws)
-    k4, _ = _rhs_half(h + dt * k3, ws)
-    out = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1, _ = _rhs_half(h, ws, uv=uv, out=t.k1)
+    k, stage = t.k, t.stage
+    out = t.result[1] if h is t.result[0] else t.result[0]
+    np.multiply(0.5 * dt, k1, out=stage)
+    np.add(h, stage, out=stage)
+    _rhs_half(stage, ws, out=k)  # k2
+    np.multiply(0.5 * dt, k, out=stage)
+    np.add(h, stage, out=stage)
+    np.multiply(2.0, k, out=k)
+    np.add(k1, k, out=out)
+    _rhs_half(stage, ws, out=k)  # k3
+    np.multiply(dt, k, out=stage)
+    np.add(h, stage, out=stage)
+    np.multiply(2.0, k, out=k)
+    out += k
+    _rhs_half(stage, ws, out=k)  # k4
+    out += k
+    np.multiply(dt / 6.0, out, out=out)
+    np.add(h, out, out=out)
     out[0, 0] = 0.0
     return out
 
@@ -373,7 +431,7 @@ def step_rk4(state: SolverState, dt: float, config: SolverConfig) -> SolverState
     h = _rk4_half(state.omega.coeffs, dt, ws)
     if not np.all(np.isfinite(h)):
         raise BlowUpError(state.t + dt, state.step_count + 1)
-    return SolverState(state.t + dt, SpectralField(grid, h), state.step_count + 1)
+    return SolverState(state.t + dt, SpectralField(grid, h.copy()), state.step_count + 1)
 
 
 def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -> SolverState:
@@ -390,7 +448,7 @@ def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -
         step += 1
         if not np.all(np.isfinite(h)):
             raise BlowUpError(t, step)
-    return SolverState(t, SpectralField(grid, h), step)
+    return SolverState(t, SpectralField(grid, h.copy()), step)
 
 
 def run(config: SolverConfig) -> RunResult:
@@ -415,10 +473,11 @@ def run(config: SolverConfig) -> RunResult:
     snapped_at = -1
 
     def record(h, t, step, dt_used):
-        """Append a record; return the velocity and the RHS of ``h`` it used."""
+        """Append a record; return the velocity and the RHS of ``h`` it used
+        (in buffers that stay untouched until the next step reads them)."""
         nonlocal recorded_at
-        uv = _velocity_phys(h, ws)
-        k1, discarded = _rhs_half(h, ws, uv=uv, want_diag=True)
+        uv = _velocity_phys(h, ws.vel, ws.plan)
+        k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.trunc.k1, want_diag=True)
         bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma, config.p_max)
         records.append(DiagnosticsRecord(t, bundle, dt_used, discarded))
         recorded_at = step
@@ -439,7 +498,10 @@ def run(config: SolverConfig) -> RunResult:
     blowup: BlowUpError | None = None
     t_end = config.t_max
     while t < t_end * (1.0 - 1e-14):
-        uv, k1 = reuse if reuse is not None else (_velocity_phys(h, ws), None)
+        if reuse is not None:
+            uv, k1 = reuse
+        else:
+            uv, k1 = _velocity_phys(h, ws.vel, ws.plan), None
         reuse = None
         umax = max(float(np.max(np.abs(uv[0]))), float(np.max(np.abs(uv[1]))))
         dt = min(config.cfl * grid.dx / max(umax, VELOCITY_FLOOR), t_end - t)

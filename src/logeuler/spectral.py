@@ -10,18 +10,25 @@ k2 = -n/2, so it is the first n//2 + 1 columns of the full lattice
 ``fftfreq(n) * n``, not ``rfftfreq``.  The forward transform is normalized
 so that a coefficient equals the amplitude of its mode: the real field
 A*exp(i k.x) + conj has the coefficient A at k and conj A at -k.
+
+Every transform runs through a ``TransformPlan``, one per grid size, as two
+1-D passes into buffers the plan keeps: pocketfft's 2-D real transforms
+allocate temporaries on every call, and at n >= 256 faulting those pages
+in costs more than the transform itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 __all__ = [
     "Grid",
+    "TransformPlan",
+    "transform_plan",
     "RealField",
     "SpectralField",
     "dft_forward",
@@ -81,10 +88,74 @@ class Grid:
         band = np.abs(k1) <= n // 3
         object.__setattr__(self, "dealias_mask", band[:, None] & band[None, :nh])
 
+    @property
+    def plan(self) -> TransformPlan:
+        """The shared transform plan of this grid size."""
+        return transform_plan(self.n)
+
     def mesh(self):
         """Physical coordinates (X1, X2), each of shape (n, n)."""
         x = np.arange(self.n) * self.dx
         return np.meshgrid(x, x, indexing="ij")
+
+
+class TransformPlan:
+    """Real 2-D transforms of one grid size n into buffers reused across calls.
+
+    The plan owns one complex rfft-half buffer and, per named slot, one
+    n x n float buffer.  An inverse transform overwrites its slot's buffer
+    and returns it, so a result stays valid only until the next call with
+    the same slot; callers that hand a result on copy it or pass
+    ``slot=None`` for a fresh array.  Both directions are the column pass
+    and the row pass of ``scipy.fft.irfft2`` / ``rfft2`` in the same order,
+    and give the same bits.  Plans are shared within a process, so calls
+    from several threads must not overlap.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._half = np.empty((n, n // 2 + 1), dtype=complex)
+        self._slots: dict[str, np.ndarray] = {}
+
+    def real(self, slot: str) -> np.ndarray:
+        """The n x n float buffer of ``slot``, made on first use."""
+        buf = self._slots.get(slot)
+        if buf is None:
+            buf = self._slots[slot] = np.empty((self.n, self.n))
+        return buf
+
+    def inverse(self, mult, h: np.ndarray, slot: str | None,
+                norm: str = "backward") -> np.ndarray:
+        """Real samples of the field with rfft-layout coefficients mult*h.
+
+        ``h`` may hold only the leading K columns, the rest taken as zero;
+        the column pass then runs on those K columns only.  ``mult`` is
+        None (h itself) or broadcasts against h.  The samples go to
+        ``slot``'s buffer, or to a fresh array when ``slot`` is None.
+        """
+        c = self._half[:, : h.shape[1]]
+        if mult is None:
+            np.fft.ifft(h, axis=0, norm=norm, out=c)
+        else:
+            np.multiply(mult, h, out=c)
+            np.fft.ifft(c, axis=0, norm=norm, out=c)
+        out = None if slot is None else self.real(slot)
+        return np.fft.irfft(c, n=self.n, axis=1, norm=norm, out=out)
+
+    def forward(self, x: np.ndarray, norm: str = "backward") -> np.ndarray:
+        """rfft-layout coefficients of the real n x n samples ``x``, in the
+        plan's complex buffer (valid until the plan's next transform)."""
+        c = self._half
+        np.fft.rfft(x, axis=1, norm=norm, out=c)
+        return np.fft.fft(c, axis=0, norm=norm, out=c)
+
+
+# one plan per grid size; at n = 1024 its complex buffer is 8.4 MB and each
+# slot 8 MB, so a sweep over many sizes keeps only the latest few
+@lru_cache(maxsize=4)
+def transform_plan(n: int) -> TransformPlan:
+    """The shared ``TransformPlan`` of grid size n."""
+    return TransformPlan(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,14 +241,14 @@ def random_band_half(grid: Grid, rng: np.random.Generator, band: float) -> np.nd
 
 def dft_forward(f: RealField) -> SpectralField:
     """Forward transform: coeff(k) = (1/n^2) sum_j f(x_j) exp(-i k.x_j)."""
-    return SpectralField(f.grid, _fft.rfft2(f.values, norm="forward"))
+    coeffs = f.grid.plan.forward(f.values, norm="forward")
+    return SpectralField(f.grid, coeffs.copy())
 
 
 def dft_inverse(s: SpectralField) -> RealField:
     """Inverse transform f(x_j) = sum_k coeff(k) exp(i k.x_j) over the whole
     lattice, the columns k2 < 0 taken as conj coeff(-k)."""
-    n = s.grid.n
-    return RealField(s.grid, _fft.irfft2(s.coeffs, s=(n, n), norm="forward"))
+    return RealField(s.grid, s.grid.plan.inverse(None, s.coeffs, None, norm="forward"))
 
 
 def dealias(s: SpectralField) -> SpectralField:

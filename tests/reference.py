@@ -9,6 +9,7 @@ against an independent computation.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from logeuler.multipliers import is_dyadic, phi_eval, tgamma_eval
 from logeuler.spectral import ZERO_MEAN_TOL, Grid, RealField, SpectralField
@@ -167,5 +168,35 @@ def direct_rhs(half: np.ndarray, gamma: float, mollify_n: int | None) -> np.ndar
     u1, u2 = phys(1j * ky * psi), phys(-1j * kx * psi)
     wx, wy = phys(1j * kx * inner * c), phys(1j * ky * inner * c)
     out = -(inner * sharp) * (fwd @ (u1 * wx + u2 * wy) @ fwd.T)
+    out[0, 0] = 0.0
+    return out
+
+
+def scipy_rhs(half: np.ndarray, gamma: float, mollify_n: int | None) -> np.ndarray:
+    """Advection tendency on the rfft half with the solver's multipliers and
+    allocating ``scipy.fft`` 2-D transforms, the way it was computed before
+    the transform plan; ``mollify_n`` None is the sharp 2/3-rule truncation."""
+    n = half.shape[0]
+    g = Grid(n)
+    k2 = g.k2.copy()
+    k2[0, 0] = 1.0
+    n2 = float(n * n)
+    m = tgamma_eval(g.kmod, gamma)
+    u1_mult = 1j * g.ky * m / k2 * n2
+    u2_mult = -1j * g.kx * m / k2 * n2
+    u1_mult[0, 0] = 0.0
+    u2_mult[0, 0] = 0.0
+    if mollify_n is None:
+        chi_inner = chi_outer = g.dealias_mask.astype(float)
+    else:
+        chi_inner = phi_eval(g.kmod / float(mollify_n))
+        chi_outer = chi_inner * g.dealias_mask
+
+    def phys(mult):
+        return scipy.fft.irfft2(mult * half, s=(n, n))
+
+    u1, u2 = phys(u1_mult), phys(u2_mult)
+    wx, wy = phys(1j * g.kx * chi_inner * n2), phys(1j * g.ky * chi_inner * n2)
+    out = (-chi_outer * (1.0 / n2)) * scipy.fft.rfft2(u1 * wx + u2 * wy)
     out[0, 0] = 0.0
     return out

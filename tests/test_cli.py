@@ -55,6 +55,24 @@ def test_simulate_bad_ic_parameters_are_config_errors(tmp_path, capsys, config, 
     assert not (out / "blowup.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [("", ["--ic-band", "12"], "ic band 12 exceeds the dealias band 10"),
+     ("ic = single_mode\nic_mode = 0,0\n", [], "needs a nonzero wavevector")],
+)
+def test_simulate_bad_ic_writes_nothing(tmp_path, capsys, config, flags, message):
+    # n = 32 dealiases at 10; these used to fail only once the run had
+    # created its output directory
+    cfg = tmp_path / "ic.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "run"
+    rc = run_cli(["simulate", "--config", str(cfg), "--n", "32", *flags,
+                  "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_identical_config_gives_bit_identical_outputs(tmp_path):
     args = [
         "simulate", "--ic", "random_band", "--seed", "9", "--n", "64",

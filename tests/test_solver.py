@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import direct_rhs
+from reference import direct_rhs, scipy_rhs
 
 from logeuler import solver
 from logeuler.solver import (
@@ -174,10 +175,12 @@ class TestRhs:
         first = rhs(f, 0.0, "dealias")
         for gamma in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             rhs(f, gamma, "dealias")
-        assert len(solver._WORKSPACES) <= solver.WORKSPACE_CACHE_SIZE
-        assert (32, 3.0, None) in solver._WORKSPACES
-        # the evicted gamma = 0 workspace is rebuilt with identical arrays
-        assert (32, 0.0, None) not in solver._WORKSPACES
+        assert len(solver._VELOCITIES) <= solver.WORKSPACE_CACHE_SIZE
+        assert (32, 3.0) in solver._VELOCITIES
+        # one truncation part serves every gamma
+        assert (32, None) in solver._TRUNCATIONS
+        # the evicted gamma = 0 velocity part is rebuilt with identical arrays
+        assert (32, 0.0) not in solver._VELOCITIES
         assert np.array_equal(rhs(f, 0.0, "dealias").coeffs, first.coeffs)
 
 
@@ -231,6 +234,80 @@ class TestRhsOracles:
         assert state.omega.coeffs[0, 0] == 0.0
 
 
+class TestTransformPlanPath:
+    """The solver's plan-based transforms and buffers against the allocating
+    scipy.fft computation, bit for bit."""
+
+    @pytest.mark.parametrize("mollify", ["auto", "dealias"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_rhs_equals_scipy_reference(self, mollify, n):
+        g = Grid(n)
+        omega = make_ic(InitialConditionSpec(kind="random_band", band=n // 4, seed=7,
+                                             amplitude=5.0), g)
+        mollify_n = SolverConfig(n=n, mollify=mollify).mollify_n
+        assert np.array_equal(rhs(omega, 1.5, mollify).coeffs,
+                              scipy_rhs(omega.coeffs, 1.5, mollify_n))
+
+    @pytest.mark.parametrize("mollify, mollify_n", [("auto", 16), ("dealias", None)])
+    def test_steps_equal_scipy_reference(self, mollify, mollify_n):
+        g = Grid(64)
+        cfg = SolverConfig(n=64, gamma=1.5, mollify=mollify)
+        h = make_ic(InitialConditionSpec(kind="random_band", band=12, seed=8,
+                                         amplitude=5.0), g).coeffs
+        state = SolverState(0.0, SpectralField(g, h), 0)
+        dt = 0.01
+        for _ in range(3):
+            k1 = scipy_rhs(h, 1.5, mollify_n)
+            k2 = scipy_rhs(h + (0.5 * dt) * k1, 1.5, mollify_n)
+            k3 = scipy_rhs(h + (0.5 * dt) * k2, 1.5, mollify_n)
+            k4 = scipy_rhs(h + dt * k3, 1.5, mollify_n)
+            h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h[0, 0] = 0.0
+            state = step_rk4(state, dt, cfg)
+            assert np.array_equal(state.omega.coeffs, h)
+
+    def test_returned_states_own_their_arrays(self):
+        g = Grid(32)
+        cfg = SolverConfig(n=32)
+        f = make_ic(InitialConditionSpec(kind="random_band", band=4, seed=1), g)
+        a = step_rk4(SolverState(0.0, f, 0), 0.01, cfg)
+        b = step_rk4(a, 0.01, cfg)
+        c = advance(b, cfg, 0.01, 2)
+        d = advance(c, cfg, 0.01, 3)
+        arrays = [f.coeffs, a.omega.coeffs, b.omega.coeffs, c.omega.coeffs,
+                  d.omega.coeffs]
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+        out = rhs(f, 1.5)
+        assert not np.shares_memory(out.coeffs, rhs(a.omega, 1.5).coeffs)
+        snaps = run(SolverConfig(
+            n=32, t_max=0.2, snapshot_interval=1,
+            ic=InitialConditionSpec(kind="random_band", amplitude=20.0),
+        )).snapshots
+        assert len(snaps) > 2
+        for i, x in enumerate(snaps):
+            for y in snaps[i + 1:]:
+                assert not np.shares_memory(x.values, y.values)
+
+    @pytest.mark.parametrize("mollify", ["auto", "dealias"])
+    def test_advance_allocates_at_most_four_half_arrays(self, mollify):
+        # the stage sums, tendencies and transforms reuse buffers; what
+        # remains is the returned copy and small temporaries
+        n = 128
+        g = Grid(n)
+        cfg = SolverConfig(n=n, gamma=1.5, mollify=mollify)
+        state = SolverState(0.0, make_ic(InitialConditionSpec(seed=3), g), 0)
+        state = advance(state, cfg, 1e-3, 1)  # warm-up: buffers and fft plans
+        tracemalloc.start()
+        try:
+            advance(state, cfg, 1e-3, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * state.omega.coeffs.nbytes
+
+
 class TestCflDt:
     def test_single_mode_closed_form(self):
         g = Grid(256)
@@ -243,6 +320,20 @@ class TestCflDt:
         f = SpectralField(g, np.zeros((64, 33), dtype=complex))
         dt = cfl_dt(f, 1.5, 0.5, g)
         assert dt == pytest.approx(0.5 * g.dx / 1e-12, rel=1e-12)
+
+    def test_shares_the_velocity_table_with_run(self):
+        solver._VELOCITIES.clear()
+        solver._TRUNCATIONS.clear()
+        g = Grid(32)
+        f = make_ic(InitialConditionSpec(kind="random_band", band=4, seed=1), g)
+        cfl_dt(f, 1.25, 0.5, g)
+        assert list(solver._VELOCITIES) == [(32, 1.25)]
+        assert not solver._TRUNCATIONS  # no dealias tables, no RK4 buffers
+        table = solver._VELOCITIES[(32, 1.25)]
+        run(SolverConfig(n=32, gamma=1.25, t_max=0.01, mollify="auto"))
+        assert list(solver._VELOCITIES) == [(32, 1.25)]
+        assert solver._VELOCITIES[(32, 1.25)] is table
+        assert list(solver._TRUNCATIONS) == [(32, 8)]
 
     def test_smoothing_increases_dt(self):
         g = Grid(64)

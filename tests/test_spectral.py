@@ -26,6 +26,7 @@ from logeuler.spectral import (
     half_spectrum_l2,
     half_spectrum_weights,
     project_zero_mean,
+    transform_plan,
 )
 
 
@@ -149,6 +150,64 @@ class TestTransforms:
         g = Grid(8)
         out = dft_inverse(SpectralField(g, np.zeros((8, 5), dtype=complex)))
         assert np.all(out.values == 0.0)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_half(n, seed, cols=None):
+    """Random rfft-layout coefficients on every entry, the Nyquist row and
+    column and the imaginary parts of the self-conjugate modes included."""
+    rng = np.random.default_rng(seed)
+    shape = (n, n // 2 + 1 if cols is None else cols)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestTransformPlan:
+    @pytest.mark.parametrize("norm", ["backward", "forward"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_inverse_is_irfft2(self, n, norm):
+        plan = transform_plan(n)
+        h = random_half(n, n)
+        mult = random_half(n, n + 1).real
+        ref = scipy.fft.irfft2(h, s=(n, n), norm=norm)
+        assert same_bits(plan.inverse(None, h, "test", norm=norm), ref)
+        assert same_bits(plan.inverse(None, h, None, norm=norm), ref)
+        ref = scipy.fft.irfft2(mult * h, s=(n, n), norm=norm)
+        assert same_bits(plan.inverse(mult, h, "test", norm=norm), ref)
+
+    @pytest.mark.parametrize("norm", ["backward", "forward"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_forward_is_rfft2(self, n, norm):
+        x = random_real_field(Grid(n), n).values
+        assert same_bits(transform_plan(n).forward(x, norm=norm),
+                         scipy.fft.rfft2(x, norm=norm))
+
+    @pytest.mark.parametrize("cols", [1, 3, 17])
+    def test_leading_columns_are_zero_padded(self, cols):
+        n = 64
+        h = random_half(n, cols, cols)
+        ref = scipy.fft.irfft2(h, s=(n, n), norm="forward")
+        assert same_bits(transform_plan(n).inverse(None, h, "test", norm="forward"), ref)
+
+    def test_slots_are_reused_and_none_is_fresh(self):
+        plan = Grid(16).plan
+        assert plan is transform_plan(16)
+        h = random_half(16, 0)
+        a = plan.inverse(None, h, "test")
+        assert plan.inverse(2.0, h, "test") is a
+        assert plan.inverse(None, h, "other") is not a
+        fresh = plan.inverse(None, h, None)
+        assert not any(np.shares_memory(fresh, buf) for buf in plan._slots.values())
+
+    def test_public_transforms_return_fresh_arrays(self):
+        g = Grid(16)
+        f = random_real_field(g, 3)
+        s1, s2 = dft_forward(f), dft_forward(f)
+        assert same_bits(s1.coeffs, s2.coeffs)
+        assert not np.shares_memory(s1.coeffs, s2.coeffs)
+        assert not np.shares_memory(dft_inverse(s1).values, dft_inverse(s1).values)
 
 
 class TestHalfSpectrum:
