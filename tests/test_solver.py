@@ -495,6 +495,44 @@ class TestRun:
             assert a.time == b.time
             assert np.array_equal(a.values, b.values)
 
+    @staticmethod
+    def _cadence_run(diag_interval, snapshot_interval):
+        # 14 adaptive steps to t_max
+        return run(SolverConfig(
+            n=32, t_max=0.6, cfl=0.3, diag_interval=diag_interval,
+            snapshot_interval=snapshot_interval,
+            ic=InitialConditionSpec(kind="random_band", amplitude=20.0),
+        ))
+
+    @pytest.mark.parametrize("interval", [1, 2, 3, 5, 14, 20])
+    def test_records_and_snapshots_follow_one_rule(self, interval):
+        result = self._cadence_run(interval, interval)
+        assert [r.t for r in result.records] == [s.time for s in result.snapshots]
+
+    def test_snapshot_steps_are_the_cadence_plus_the_final_step_once(self):
+        final = self._cadence_run(1, 1).snapshots[-1].step_count
+        on = [d for d in range(2, final) if final % d == 0]
+        off = [d for d in range(2, final) if final % d != 0]
+        assert on and off
+        for d in (*on, *off[:3], final + 3):
+            steps = [s.step_count for s in self._cadence_run(10, d).snapshots]
+            expected = list(range(0, final + 1, d))
+            if final % d != 0:
+                expected.append(final)
+            assert steps == expected, d
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_blown_up_run_keeps_nothing_from_the_blowup_on(self):
+        result = run(SolverConfig(
+            n=32, t_max=1.0, diag_interval=1, snapshot_interval=1,
+            ic=InitialConditionSpec(kind="random_band", band=4, amplitude=1e160),
+        ))
+        assert result.blown_up
+        assert result.records
+        assert all(r.t < result.blowup_t for r in result.records)
+        assert all(s.step_count < result.blowup_step for s in result.snapshots)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_blowup_marks_partial_result(self):
