@@ -43,8 +43,8 @@ def main() -> None:
             t_max=args.tmax,
             cfl=0.2,
             mollify="dealias",
-            ic=InitialConditionSpec(kind="random_band", amplitude=args.amplitude),
-            seed=args.seed,
+            ic=InitialConditionSpec(kind="random_band", amplitude=args.amplitude,
+                                    seed=args.seed),
             diag_interval=1,
         )
         result = run(cfg)

@@ -19,6 +19,7 @@ from .inequalities import (
     check_multiplier_bound,
 )
 from .runio import (
+    CONFIG_DEFAULTS,
     ConfigError,
     DIAG_HEADER,
     RunSettings,
@@ -49,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="key = value config file")
         p.add_argument("--gamma", help="log-smoothing exponent (>= 0)")
         p.add_argument("--n", help="grid resolution (power of two >= 8)")
-        p.add_argument("--tmax", help="integration time")
+        p.add_argument("--tmax", dest="t_max", help="integration time")
         p.add_argument("--cfl", help="CFL number in (0, 1]")
         p.add_argument("--mollify", help="dyadic cutoff N, 'dealias' or 'auto'")
         p.add_argument(
@@ -57,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--ic-band", help="random_band cutoff (0 = auto n/16)")
         p.add_argument("--seed", help="random seed")
-        p.add_argument("--pmax", help="largest Lebesgue exponent tracked")
+        p.add_argument("--pmax", dest="p_max",
+                       help="largest Lebesgue exponent tracked")
         p.add_argument("--diag-every", help="steps between diagnostics records")
         p.add_argument("--snap-every", help="steps between snapshots (0 = off)")
         p.add_argument("--out", metavar="DIR", help="output directory")
@@ -94,29 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # simulate / sweep
 # ---------------------------------------------------------------------------
 
-_FLAG_TO_KEY = {
-    "gamma": "gamma",
-    "n": "n",
-    "tmax": "t_max",
-    "cfl": "cfl",
-    "mollify": "mollify",
-    "ic": "ic",
-    "ic_band": "ic_band",
-    "seed": "seed",
-    "pmax": "p_max",
-    "diag_every": "diag_every",
-    "snap_every": "snap_every",
-    "out": "out",
-}
-
-
 def _overrides_from_args(args) -> dict[str, object]:
-    out = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[key] = value
-    return out
+    """The config keys given as flags; a flag's dest is its config key."""
+    return {key: getattr(args, key) for key in CONFIG_DEFAULTS
+            if getattr(args, key, None) is not None}
 
 
 def _execute_run(settings: RunSettings) -> int:
@@ -171,8 +154,11 @@ def _sweep_worker(config: str | None, overrides: dict) -> tuple[int, str]:
 
 def _cmd_sweep(args) -> int:
     overrides = _overrides_from_args(args)
-    gammas = str(overrides.pop("gamma", "1.5")).split(",")
-    ns = str(overrides.pop("n", "256")).split(",")
+    if "gamma" not in overrides or "n" not in overrides:
+        base = parse_config(args.config).raw  # file values, then defaults
+        overrides = {"gamma": base["gamma"], "n": base["n"], **overrides}
+    gammas = str(overrides.pop("gamma")).split(",")
+    ns = str(overrides.pop("n")).split(",")
     out_root = overrides.pop("out", None)
     if out_root is None:
         out_root = os.path.join(default_out_root(), "sweep")

@@ -165,7 +165,6 @@ def parse_config(
             cfl=float(values["cfl"]),
             mollify=values["mollify"],
             ic=ic,
-            seed=int(values["seed"]),
             p_max=int(values["p_max"]),
             diag_interval=int(values["diag_every"]),
             snapshot_interval=int(values["snap_every"]),
@@ -175,7 +174,7 @@ def parse_config(
 
     out = str(values["out"])
     if not out:
-        name = f"sim-g{solver.gamma:g}-n{solver.n}-seed{solver.seed}"
+        name = f"sim-g{solver.gamma:g}-n{solver.n}-seed{ic.seed}"
         out = os.path.join(default_out_root(), name)
     return RunSettings(solver, out, values)
 

@@ -17,8 +17,8 @@ own fresh copies.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,7 +107,9 @@ class InitialConditionSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters; ``seed`` overrides ``ic.seed`` when the run starts."""
+    """Run parameters.  ``ic`` is the whole initial data, its seed included;
+    ``diag_interval`` and ``snapshot_interval`` are the step cadences of
+    ``run``'s records and snapshots (see ``run``)."""
 
     n: int = 256
     gamma: float = 1.5
@@ -115,7 +117,6 @@ class SolverConfig:
     cfl: float = 0.5
     mollify: int | str = "auto"   # dyadic N, "dealias", or "auto"
     ic: InitialConditionSpec = field(default_factory=InitialConditionSpec)
-    seed: int = 0
     p_max: int = 64
     diag_interval: int = 10
     snapshot_interval: int = 0    # 0 disables snapshots
@@ -308,34 +309,21 @@ class _Workspace:
     trunc: _Truncation
 
 
-# least-recently-used velocity and truncation parts; at n = 1024 a velocity
-# part takes about 17 MB and a truncation part about 67 MB, so a sweep over
-# many (n, gamma, mollify) keeps at most this many of each alive
-WORKSPACE_CACHE_SIZE = 4
-_VELOCITIES: OrderedDict[tuple[int, float], _Velocity] = OrderedDict()
-_TRUNCATIONS: OrderedDict[tuple[int, int | None], _Truncation] = OrderedDict()
+# at n = 1024 a velocity part takes about 17 MB and a truncation part about
+# 67 MB, so a sweep over many (n, gamma, mollify) keeps at most four of each
+@lru_cache(maxsize=4)
+def _velocity(n: int, gamma: float) -> _Velocity:
+    return _Velocity(Grid(n), gamma)
 
 
-def _cached(cache: OrderedDict, key, build):
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build()
-        if len(cache) > WORKSPACE_CACHE_SIZE:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return value
-
-
-def _velocity(grid: Grid, gamma: float) -> _Velocity:
-    gamma = float(gamma)
-    return _cached(_VELOCITIES, (grid.n, gamma), lambda: _Velocity(grid, gamma))
+@lru_cache(maxsize=4)
+def _truncation(n: int, mollify_n: int | None) -> _Truncation:
+    return _Truncation(Grid(n), mollify_n)
 
 
 def _workspace(grid: Grid, gamma: float, mollify_n: int | None) -> _Workspace:
-    trunc = _cached(_TRUNCATIONS, (grid.n, mollify_n),
-                    lambda: _Truncation(grid, mollify_n))
-    return _Workspace(grid.plan, _velocity(grid, gamma), trunc)
+    return _Workspace(grid.plan, _velocity(grid.n, float(gamma)),
+                      _truncation(grid.n, mollify_n))
 
 
 def _velocity_phys(h: np.ndarray, vel: _Velocity, plan: TransformPlan):
@@ -381,11 +369,17 @@ def rhs(omega: SpectralField, gamma: float, mollify="auto") -> SpectralField:
     return SpectralField(omega.grid, out)
 
 
+def _cfl_dt(uv, cfl: float, dx: float) -> float:
+    """Advective CFL step cfl * dx / max(||u||_inf, guard) of the velocity
+    (u1, u2)."""
+    umax = max(float(np.max(np.abs(uv[0]))), float(np.max(np.abs(uv[1]))))
+    return cfl * dx / max(umax, VELOCITY_FLOOR)
+
+
 def cfl_dt(omega: SpectralField, gamma: float, cfl: float, grid: Grid) -> float:
     """Advective CFL step cfl * dx / max(||u||_inf, guard)."""
-    u1, u2 = _velocity_phys(omega.coeffs, _velocity(grid, gamma), grid.plan)
-    umax = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
-    return cfl * grid.dx / max(umax, VELOCITY_FLOOR)
+    uv = _velocity_phys(omega.coeffs, _velocity(grid.n, float(gamma)), grid.plan)
+    return _cfl_dt(uv, cfl, grid.dx)
 
 
 def _rk4_half(
@@ -424,14 +418,7 @@ def _rk4_half(
 
 def step_rk4(state: SolverState, dt: float, config: SolverConfig) -> SolverState:
     """One classical RK4 step; re-projects the mean and checks finiteness."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    grid = state.omega.grid
-    ws = _workspace(grid, config.gamma, config.mollify_n)
-    h = _rk4_half(state.omega.coeffs, dt, ws)
-    if not np.all(np.isfinite(h)):
-        raise BlowUpError(state.t + dt, state.step_count + 1)
-    return SolverState(state.t + dt, SpectralField(grid, h.copy()), state.step_count + 1)
+    return advance(state, config, dt, 1)
 
 
 def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -> SolverState:
@@ -452,83 +439,44 @@ def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -
 
 
 def run(config: SolverConfig) -> RunResult:
-    """Integrate from t = 0 to t_max under the adaptive CFL constraint.
+    """Integrate ``config.ic`` from t = 0 to t_max under the adaptive CFL
+    constraint.
 
-    Diagnostics are recorded at t = 0, every ``diag_interval`` steps and at
-    the final state; snapshots follow ``snapshot_interval`` the same way.
-    If non-finite values appear the run stops and returns partial results
-    with the blow-up marker set.
+    A state at step s gets a diagnostics record when s % diag_interval == 0
+    or it is the final state, and a snapshot by the same rule with
+    ``snapshot_interval`` (0 disables snapshots).  If the step size or the
+    next state is non-finite the run stops and returns what it has, with
+    the blow-up marker set.
     """
     grid = Grid(config.n)
-    ic = make_ic(replace(config.ic, seed=config.seed), grid)
-    h = dealias(project_zero_mean(ic)).coeffs
+    h = dealias(project_zero_mean(make_ic(config.ic, grid))).coeffs
     ws = _workspace(grid, config.gamma, config.mollify_n)
-
+    t_end, snap = config.t_max, config.snapshot_interval
     records: list[DiagnosticsRecord] = []
     snapshots: list[Snapshot] = []
-    t = 0.0
-    step = 0
-    dt_used = 0.0
-    recorded_at = -1
-    snapped_at = -1
-
-    def record(h, t, step, dt_used):
-        """Append a record; return the velocity and the RHS of ``h`` it used
-        (in buffers that stay untouched until the next step reads them)."""
-        nonlocal recorded_at
+    t, step, dt_used = 0.0, 0, 0.0
+    while True:
+        # the velocity, and a record's RHS as the step's first RK4 stage,
+        # stay in slots that the norm bundle and the snapshot do not touch
         uv = _velocity_phys(h, ws.vel, ws.plan)
-        k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.trunc.k1, want_diag=True)
-        bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma, config.p_max)
-        records.append(DiagnosticsRecord(t, bundle, dt_used, discarded))
-        recorded_at = step
-        return uv, k1
-
-    def snap(h, t, step):
-        nonlocal snapped_at
-        phys = dft_inverse(SpectralField(grid, h)).values
-        snapshots.append(Snapshot(grid.n, config.gamma, t, step, phys))
-        snapped_at = step
-
-    # the velocity and first RK4 stage of the current h, when a record
-    # has just computed them
-    reuse = record(h, t, step, dt_used)
-    if config.snapshot_interval > 0:
-        snap(h, t, step)
-
-    blowup: BlowUpError | None = None
-    t_end = config.t_max
-    while t < t_end * (1.0 - 1e-14):
-        if reuse is not None:
-            uv, k1 = reuse
-        else:
-            uv, k1 = _velocity_phys(h, ws.vel, ws.plan), None
-        reuse = None
-        umax = max(float(np.max(np.abs(uv[0]))), float(np.max(np.abs(uv[1]))))
-        dt = min(config.cfl * grid.dx / max(umax, VELOCITY_FLOOR), t_end - t)
+        final = not t < t_end * (1.0 - 1e-14)
+        k1 = None
+        if step % config.diag_interval == 0 or final:
+            k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.trunc.k1, want_diag=True)
+            bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma, config.p_max)
+            records.append(DiagnosticsRecord(t, bundle, dt_used, discarded))
+        if snap > 0 and (step % snap == 0 or final):
+            phys = dft_inverse(SpectralField(grid, h)).values
+            snapshots.append(Snapshot(grid.n, config.gamma, t, step, phys))
+        if final:
+            return RunResult(records, snapshots)
+        dt = min(_cfl_dt(uv, config.cfl, grid.dx), t_end - t)
         if not (dt > 0 and math.isfinite(dt)):
-            blowup = BlowUpError(t, step)
-            break
-        h_next = _rk4_half(h, dt, ws, uv=uv, k1=k1)
-        if not np.all(np.isfinite(h_next)):
-            blowup = BlowUpError(t + dt, step + 1)
-            break
-        h = h_next
-        t += dt
-        step += 1
-        dt_used = dt
-        if step % config.diag_interval == 0:
-            reuse = record(h, t, step, dt_used)
-        if config.snapshot_interval > 0 and step % config.snapshot_interval == 0:
-            snap(h, t, step)
-
-    if recorded_at != step and blowup is None:
-        record(h, t, step, dt_used)
-    if config.snapshot_interval > 0 and snapped_at != step and blowup is None:
-        snap(h, t, step)
-
-    if blowup is not None:
-        return RunResult(records, snapshots, True, blowup.t, blowup.step_count)
-    return RunResult(records, snapshots)
+            return RunResult(records, snapshots, True, t, step)
+        h = _rk4_half(h, dt, ws, uv=uv, k1=k1)
+        if not np.all(np.isfinite(h)):
+            return RunResult(records, snapshots, True, t + dt, step + 1)
+        t, step, dt_used = t + dt, step + 1, dt
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def conservation_run():
     """
     cfg = SolverConfig(
         n=256, gamma=1.5, t_max=1.0, cfl=0.1, mollify="dealias",
-        ic=InitialConditionSpec(kind="random_band"), seed=7, diag_interval=1,
+        ic=InitialConditionSpec(kind="random_band", seed=7), diag_interval=1,
     )
     start = time.perf_counter()
     result = run(cfg)

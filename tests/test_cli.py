@@ -118,6 +118,21 @@ def test_sweep_parallel_jobs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["g0.5_n32", "g1.5_n32"]
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [([], ["g0.5_n16"]),
+     (["--n", "32"], ["g0.5_n32"]),
+     (["--gamma", "0,1"], ["g0_n16", "g1_n16"])],
+)
+def test_sweep_takes_missing_lists_from_the_config_file(tmp_path, flags, expected):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("gamma = 0.5\nn = 16\nt_max = 0.02\nic = shell\n")
+    out = tmp_path / "sweep"
+    rc = run_cli(["sweep", "--config", str(cfg), *flags, "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == expected
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_finishes_the_other_runs_after_one_fails(tmp_path, capsys, jobs):
     # ic band 12 exceeds the dealias band of n = 32 (10) but not of n = 64

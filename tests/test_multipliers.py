@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +22,13 @@ from reference import (
     tgamma_symbol,
 )
 
-from logeuler.multipliers import mtilde, phi_eval, tgamma_eval, verify_symbol_bound
+from logeuler.multipliers import (
+    _symbol_partial,
+    mtilde,
+    phi_eval,
+    tgamma_eval,
+    verify_symbol_bound,
+)
 from logeuler.spectral import Grid, RealField
 
 # 1/log^{3/2}(11) evaluated at 40 digits
@@ -208,3 +219,50 @@ class TestSymbolBound:
             sup_annulus = tgamma_eval(n_block / 2.0, 1.5)
             assert lhs <= sup_annulus * rhs * (1 + 1e-12)
             assert sup_annulus <= mtilde(n_block, 1.5)
+
+    def test_rejects_orders_above_three(self):
+        with pytest.raises(ValueError):
+            verify_symbol_bound(1.5, 4.0, alpha_max=4)
+
+    def test_closed_form_partials_match_sympy(self):
+        sp = pytest.importorskip("sympy")
+        x, y, g = sp.symbols("x y g", real=True)
+        m = sp.log(sp.sqrt(x**2 + y**2) + 10) ** (-g)
+        exact = {
+            (ax, order - ax): sp.lambdify(
+                (x, y, g), sp.diff(m, x, ax, y, order - ax), "numpy")
+            for order in range(4) for ax in range(order + 1)
+        }
+        angles = np.arange(16) * (2.0 * np.pi / 16)
+        for j in (1, 5, 10, 15, 20):
+            radii = np.geomspace(2.0**j / 8.0, 8.0 * 2.0**j, 64)
+            xs = np.outer(radii, np.cos(angles)).ravel()
+            ys = np.outer(radii, np.sin(angles)).ravel()
+            for gamma in (0.0, 0.5, 1.5, 3.0):
+                for order in range(4):
+                    alphas = [(ax, order - ax) for ax in range(order + 1)]
+                    ref = [np.broadcast_to(exact[a](xs, ys, gamma), xs.shape)
+                           for a in alphas]
+                    ours = [_symbol_partial(xs, ys, gamma, *a) for a in alphas]
+                    # relative to the largest partial of this order per point
+                    scale = np.max(np.abs(ref), axis=0)
+                    err = np.max(np.abs(np.subtract(ours, ref)), axis=0)
+                    assert np.all(err <= 1e-12 * scale), (j, gamma, order)
+
+
+def test_symbol_bound_check_does_not_import_sympy():
+    script = (
+        "import sys\n"
+        "from logeuler.multipliers import verify_symbol_bound\n"
+        "verify_symbol_bound(1.5, 16.0)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -171,17 +171,22 @@ class TestRhs:
         assert np.max(np.abs(a.coeffs[sel] - b.coeffs[sel])) < 1e-15
 
     def test_workspace_cache_stays_bounded(self):
+        solver._velocity.cache_clear()
+        solver._truncation.cache_clear()
         f = make_ic(InitialConditionSpec(kind="random_band", band=4, seed=2), Grid(32))
         first = rhs(f, 0.0, "dealias")
         for gamma in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             rhs(f, gamma, "dealias")
-        assert len(solver._VELOCITIES) <= solver.WORKSPACE_CACHE_SIZE
-        assert (32, 3.0) in solver._VELOCITIES
+        velocities = solver._velocity.cache_info()
+        assert velocities.maxsize == 4 and velocities.currsize == 4
+        assert solver._truncation.cache_info().maxsize == 4
         # one truncation part serves every gamma
-        assert (32, None) in solver._TRUNCATIONS
+        assert solver._truncation.cache_info().currsize == 1
+        assert solver._truncation.cache_info().misses == 1
         # the evicted gamma = 0 velocity part is rebuilt with identical arrays
-        assert (32, 0.0) not in solver._VELOCITIES
-        assert np.array_equal(rhs(f, 0.0, "dealias").coeffs, first.coeffs)
+        again = rhs(f, 0.0, "dealias")
+        assert solver._velocity.cache_info().misses == velocities.misses + 1
+        assert np.array_equal(again.coeffs, first.coeffs)
 
 
 class TestRhsOracles:
@@ -322,18 +327,21 @@ class TestCflDt:
         assert dt == pytest.approx(0.5 * g.dx / 1e-12, rel=1e-12)
 
     def test_shares_the_velocity_table_with_run(self):
-        solver._VELOCITIES.clear()
-        solver._TRUNCATIONS.clear()
+        solver._velocity.cache_clear()
+        solver._truncation.cache_clear()
         g = Grid(32)
         f = make_ic(InitialConditionSpec(kind="random_band", band=4, seed=1), g)
         cfl_dt(f, 1.25, 0.5, g)
-        assert list(solver._VELOCITIES) == [(32, 1.25)]
-        assert not solver._TRUNCATIONS  # no dealias tables, no RK4 buffers
-        table = solver._VELOCITIES[(32, 1.25)]
+        assert solver._velocity.cache_info().currsize == 1
+        # no dealias tables, no RK4 buffers
+        assert solver._truncation.cache_info().currsize == 0
+        table = solver._velocity(32, 1.25)
         run(SolverConfig(n=32, gamma=1.25, t_max=0.01, mollify="auto"))
-        assert list(solver._VELOCITIES) == [(32, 1.25)]
-        assert solver._VELOCITIES[(32, 1.25)] is table
-        assert list(solver._TRUNCATIONS) == [(32, 8)]
+        assert solver._velocity.cache_info().misses == 1
+        assert solver._velocity(32, 1.25) is table
+        assert solver._truncation.cache_info().currsize == 1
+        solver._truncation(32, 8)
+        assert solver._truncation.cache_info().misses == 1
 
     def test_smoothing_increases_dt(self):
         g = Grid(64)
@@ -417,7 +425,7 @@ class TestRun:
     def test_time_column_and_final_time(self):
         cfg = SolverConfig(
             n=64, gamma=1.5, t_max=0.3, diag_interval=1, cfl=0.4,
-            ic=InitialConditionSpec(kind="random_band", band=8), seed=4,
+            ic=InitialConditionSpec(kind="random_band", band=8, seed=4),
         )
         result = run(cfg)
         times = [rec.t for rec in result.records]
@@ -428,8 +436,8 @@ class TestRun:
     def test_conservation_short_run(self):
         cfg = SolverConfig(
             n=64, gamma=1.5, t_max=0.5, cfl=0.3, mollify="dealias",
-            diag_interval=1, ic=InitialConditionSpec(kind="random_band", band=8),
-            seed=1,
+            diag_interval=1,
+            ic=InitialConditionSpec(kind="random_band", band=8, seed=1),
         )
         result = run(cfg)
         l2s = [rec.norms.l2 for rec in result.records]
@@ -440,7 +448,7 @@ class TestRun:
     def test_seed_determinism(self):
         cfg = SolverConfig(
             n=32, t_max=0.2, diag_interval=1,
-            ic=InitialConditionSpec(kind="random_band", band=4), seed=11,
+            ic=InitialConditionSpec(kind="random_band", band=4, seed=11),
         )
         a = run(cfg)
         b = run(cfg)
@@ -469,8 +477,8 @@ class TestRun:
         runs = [
             run(SolverConfig(
                 n=32, gamma=1.5, t_max=0.8, cfl=0.3, mollify=mollify,
-                ic=InitialConditionSpec(kind="random_band", amplitude=20.0),
-                seed=5, diag_interval=interval, snapshot_interval=3,
+                ic=InitialConditionSpec(kind="random_band", amplitude=20.0, seed=5),
+                diag_interval=interval, snapshot_interval=3,
             ))
             for interval in (1, 2)
         ]
@@ -533,13 +541,22 @@ class TestRun:
         assert all(r.t < result.blowup_t for r in result.records)
         assert all(s.step_count < result.blowup_step for s in result.snapshots)
 
+    def test_ic_seed_is_the_run_seed(self):
+        def h1dot(seed):
+            cfg = SolverConfig(n=32, t_max=0.05, diag_interval=1,
+                               ic=InitialConditionSpec(kind="random_band", seed=seed))
+            return [rec.norms.h1dot for rec in run(cfg).records]
+
+        assert h1dot(5) != h1dot(0)
+        assert h1dot(5) == h1dot(5)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_blowup_marks_partial_result(self):
         cfg = SolverConfig(
             n=32, t_max=1.0, diag_interval=1,
-            ic=InitialConditionSpec(kind="random_band", band=4, amplitude=1e160),
-            seed=2,
+            ic=InitialConditionSpec(kind="random_band", band=4, amplitude=1e160,
+                                    seed=2),
         )
         result = run(cfg)
         assert result.blown_up
@@ -565,8 +582,8 @@ class TestGronwallEnvelope:
     def test_random_run_finite_constants(self):
         cfg = SolverConfig(
             n=64, gamma=1.5, t_max=0.5, cfl=0.2, diag_interval=1,
-            ic=InitialConditionSpec(kind="random_band", band=8, amplitude=10.0),
-            seed=6,
+            ic=InitialConditionSpec(kind="random_band", band=8, amplitude=10.0,
+                                    seed=6),
         )
         records = self._records(cfg)
         report = gronwall_envelope(records, records[0].norms)
@@ -586,8 +603,8 @@ class TestGronwallEnvelope:
     def test_ceiling_flag(self):
         cfg = SolverConfig(
             n=64, gamma=1.5, t_max=0.5, cfl=0.2, diag_interval=1,
-            ic=InitialConditionSpec(kind="random_band", band=8, amplitude=10.0),
-            seed=6,
+            ic=InitialConditionSpec(kind="random_band", band=8, amplitude=10.0,
+                                    seed=6),
         )
         records = self._records(cfg)
         tiny_ceiling = gronwall_envelope(records, records[0].norms, ceiling=1e-30)
