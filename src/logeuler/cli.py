@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from .extremizer import sharpness_curve
 from .inequalities import (
     CorpusSpec,
-    InequalityReport,
     check_bernstein,
     check_embedding,
     check_log_interpolation,
@@ -154,14 +153,12 @@ def _sweep_worker(config: str | None, overrides: dict) -> tuple[int, str]:
 
 def _cmd_sweep(args) -> int:
     overrides = _overrides_from_args(args)
-    if "gamma" not in overrides or "n" not in overrides:
+    if not {"gamma", "n", "out"} <= overrides.keys():
         base = parse_config(args.config).raw  # file values, then defaults
-        overrides = {"gamma": base["gamma"], "n": base["n"], **overrides}
+        overrides = {key: base[key] for key in ("gamma", "n", "out")} | overrides
     gammas = str(overrides.pop("gamma")).split(",")
     ns = str(overrides.pop("n")).split(",")
-    out_root = overrides.pop("out", None)
-    if out_root is None:
-        out_root = os.path.join(default_out_root(), "sweep")
+    out_root = overrides.pop("out") or os.path.join(default_out_root(), "sweep")
     jobs = []
     for gamma in gammas:
         for n in ns:
@@ -185,39 +182,24 @@ def _cmd_sweep(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _dyadic_range(n_max: int) -> list[float]:
+def _doublings(first: float, last: float) -> list[float]:
+    """first, 2 first, 4 first, ... up to last."""
     out = []
-    value = 2.0
-    while value <= n_max:
-        out.append(value)
-        value *= 2.0
+    while first <= last:
+        out.append(first)
+        first *= 2.0
     return out
 
 
-def _print_report(report: InequalityReport, csv_path: str) -> None:
-    print(f"== {report.name} ==")
-    for key, value in report.params.items():
-        print(f"  {key} = {value}")
-    print(f"  rows = {len(report.rows)}")
-    print(f"  max ratio = {report.max_ratio:.9g}  (worst: {report.attaining_id})")
-    print(f"  csv -> {csv_path}")
-
-
 def _cmd_verify(args) -> int:
+    # every input error surfaces before the output directory is made
     out_dir = args.out or os.path.join(default_out_root(), "verify")
-    os.makedirs(out_dir, exist_ok=True)
-    corpus = CorpusSpec(
-        kind="default", seed=args.seed, size=args.size, band=args.band, n=args.n
-    )
     csv_path = os.path.join(out_dir, f"{args.mode}.csv")
     if args.mode == "sharpness":
         if args.pmax < 4:
             raise ConfigError("sharpness needs --pmax >= 4")
-        p_list, p = [], 4.0
-        while p <= args.pmax:
-            p_list.append(p)
-            p *= 2.0
-        rows = sharpness_curve(p_list)
+        rows = sharpness_curve(_doublings(4.0, args.pmax))
+        os.makedirs(out_dir, exist_ok=True)
         write_sharpness_csv(rows, csv_path)
         print("== sharpness ==")
         print("       p    ||f||_2   ||f||_H1dot    ||f||_p     ratio   1/sqrt(log p)")
@@ -228,19 +210,28 @@ def _cmd_verify(args) -> int:
             )
         print(f"  csv -> {csv_path}")
         return 0
+    corpus = CorpusSpec(
+        kind="default", seed=args.seed, size=args.size, band=args.band, n=args.n
+    )
     if args.mode == "embedding":
         report = check_embedding(corpus, args.pmax)
     elif args.mode == "loginterp":
         report = check_log_interpolation(corpus, args.gamma, args.pmax)
     elif args.mode == "multiplier":
         report = check_multiplier_bound(
-            args.gamma, _dyadic_range(args.nmax), (2.0, float("inf")), corpus
+            args.gamma, _doublings(2.0, args.nmax), (2.0, float("inf")), corpus
         )
     else:  # bernstein
         pairs = ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf")))
-        report = check_bernstein(corpus, _dyadic_range(args.nmax), pairs)
+        report = check_bernstein(corpus, _doublings(2.0, args.nmax), pairs)
+    os.makedirs(out_dir, exist_ok=True)
     write_inequality_csv(report, csv_path)
-    _print_report(report, csv_path)
+    print(f"== {report.name} ==")
+    for key, value in report.params.items():
+        print(f"  {key} = {value}")
+    print(f"  rows = {len(report.rows)}")
+    print(f"  max ratio = {report.max_ratio:.9g}  (worst: {report.attaining_id})")
+    print(f"  csv -> {csv_path}")
     return 0
 
 

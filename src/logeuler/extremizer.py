@@ -145,41 +145,21 @@ def _piece_integrals(piece: RadialPiece, p: float, scale: float):
         log_ip = p * (math.log(c) - math.log(scale)) + math.log(geom)
         return c * c * geom, math.exp(log_ip), 0.0
 
-    if piece.log_substitution:
-        t_lo = -math.log(piece.r_hi)
-        t_hi = -math.log(piece.r_lo)
-
-        def f2(t):
-            r = np.exp(-t)
-            return piece.func(r) ** 2 * np.exp(-2.0 * t)
-
-        def fp(t):
-            r = np.exp(-t)
-            return _scaled_pow(np.abs(piece.func(r)) / scale, p) * np.exp(-2.0 * t)
-
-        def df2(t):
-            r = np.exp(-t)
-            return piece.deriv(r) ** 2 * np.exp(-2.0 * t)
-
-        return (
-            _quad(f2, t_lo, t_hi, "L2 piece (log variable)"),
-            _quad(fp, t_lo, t_hi, "Lp piece (log variable)"),
-            _quad(df2, t_lo, t_hi, "H1 piece (log variable)"),
+    integrands = (
+        ("L2", lambda r: piece.func(r) ** 2),
+        ("Lp", lambda r: _scaled_pow(np.abs(piece.func(r)) / scale, p)),
+        ("H1", lambda r: piece.deriv(r) ** 2),
+    )
+    if piece.log_substitution:  # r dr = r^2 dt with r = e^{-t}
+        t_lo, t_hi = -math.log(piece.r_hi), -math.log(piece.r_lo)
+        return tuple(
+            _quad(lambda t, g=g: g(np.exp(-t)) * np.exp(-2.0 * t), t_lo, t_hi,
+                  f"{name} piece (log variable)")
+            for name, g in integrands
         )
-
-    def f2r(r):
-        return piece.func(r) ** 2 * r
-
-    def fpr(r):
-        return _scaled_pow(np.abs(piece.func(r)) / scale, p) * r
-
-    def df2r(r):
-        return piece.deriv(r) ** 2 * r
-
-    return (
-        _quad(f2r, piece.r_lo, piece.r_hi, "L2 piece"),
-        _quad(fpr, piece.r_lo, piece.r_hi, "Lp piece"),
-        _quad(df2r, piece.r_lo, piece.r_hi, "H1 piece"),
+    return tuple(
+        _quad(lambda r, g=g: g(r) * r, piece.r_lo, piece.r_hi, f"{name} piece")
+        for name, g in integrands
     )
 
 

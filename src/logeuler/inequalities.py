@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .multipliers import is_dyadic, mtilde, phi_eval, tgamma_eval
+from .multipliers import check_gamma, is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
     grad_u_sup,
     lp_norm,
@@ -24,8 +24,9 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
-    add_mode,
+    check_grid_size,
     half_spectrum_l2,
+    mode_sum,
     random_band_half,
     transform_plan,
 )
@@ -65,7 +66,8 @@ class CorpusSpec:
 
     kind "default" assembles the standard mixture: ``size - 16`` random
     band-limited fields plus 8 single modes, 4 lattice shells and 4
-    lacunary (multiscale) fields.  band = 0 resolves to n // 4.
+    lacunary (multiscale) fields.  band = 0 resolves to n // 4; n follows
+    ``Grid``'s rule, and band and seed are >= 0.
     """
 
     kind: str = "default"
@@ -80,42 +82,37 @@ class CorpusSpec:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
         if self.kind == "default" and self.size < 20:
             raise ValueError("default corpus needs size >= 20")
+        check_grid_size(self.n)
+        if self.band < 0:
+            raise ValueError(f"corpus band must be >= 0 (0 = n/4), got {self.band}")
+        if self.seed < 0:
+            raise ValueError(f"corpus seed must be >= 0, got {self.seed}")
 
     @property
     def resolved_band(self) -> int:
         return self.band if self.band > 0 else self.n // 4
 
 
-def _single_mode_field(grid: Grid, k: tuple[int, int]) -> SpectralField:
-    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
-    add_mode(coeffs, k, -0.5j)  # sin(k . x)
-    return SpectralField(grid, coeffs)
-
-
-def _shell_field(grid: Grid, rsq: int, rng: np.random.Generator) -> SpectralField:
-    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
+def _shell_modes(rsq: int, rng: np.random.Generator):
+    """(k, amp) pairs of a lattice shell |k|^2 = rsq, one random phase per
+    +/-k pair."""
     limit = int(math.isqrt(rsq)) + 1
     for k1 in range(-limit, limit + 1):
         for k2 in range(0, limit + 1):
             if k1 * k1 + k2 * k2 != rsq or (k2 == 0 and k1 <= 0):
                 continue
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            add_mode(coeffs, (k1, k2), 0.5 * np.exp(1j * phase))
-    return SpectralField(grid, coeffs)
+            yield (k1, k2), 0.5 * np.exp(1j * phase)
 
 
-def _multiscale_field(
-    grid: Grid, band: int, rng: np.random.Generator
-) -> SpectralField:
+def _multiscale_modes(band: int, rng: np.random.Generator):
     """Lacunary spectrum: one mode per dyadic shell, weights 1/(j+1)."""
-    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
     j = 0
     while 2**j <= band:
         k = (2**j, 0) if j % 2 == 0 else (0, 2**j)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        add_mode(coeffs, k, 0.5 * np.exp(1j * phase) / (j + 1))
+        yield k, 0.5 * np.exp(1j * phase) / (j + 1)
         j += 1
-    return SpectralField(grid, coeffs)
 
 
 @dataclass(frozen=True)
@@ -140,20 +137,20 @@ class Corpus:
                 coeffs = random_band_half(grid, rng, band)
                 yield f"random_band[{i}]", SpectralField(grid, coeffs)
         if kind in ("default", "single_mode"):
-            modes = _single_modes_for(grid.n)
+            modes = _single_modes_for(grid.n)  # members sin(k . x)
             count = 8 if kind == "default" else spec.size
             for i in range(count):
                 k = modes[i % len(modes)]
-                yield f"single_mode[{k[0]},{k[1]}]", _single_mode_field(grid, k)
+                yield f"single_mode[{k[0]},{k[1]}]", mode_sum(grid, [(k, -0.5j)])
         if kind in ("default", "shell"):
             count = 4 if kind == "default" else spec.size
             for i in range(count):
                 rsq = _SHELL_RADII_SQ[i % len(_SHELL_RADII_SQ)]
-                yield f"shell[{rsq}]", _shell_field(grid, rsq, rng)
+                yield f"shell[{rsq}]", mode_sum(grid, _shell_modes(rsq, rng))
         if kind in ("default", "multiscale"):
             count = 4 if kind == "default" else spec.size
             for i in range(count):
-                yield f"multiscale[{i}]", _multiscale_field(grid, band, rng)
+                yield f"multiscale[{i}]", mode_sum(grid, _multiscale_modes(band, rng))
 
 
 def build_corpus(spec: CorpusSpec) -> Corpus:
@@ -187,6 +184,23 @@ class InequalityReport:
         return max(self.rows, key=lambda row: row.ratio).function_id
 
 
+def _lp_and_h1(corpus: CorpusSpec, p_max: int):
+    """(id, member, {p: ||f||_p for p = 2..p_max}, ||f||_2 + ||f||_H1dot)
+    over the corpus; the sup over p needs p_max >= 2."""
+    if p_max < 2:
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
+    for fid, f in build_corpus(corpus):
+        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
+        lp = lp_norm_map(phys, range(2, p_max + 1))
+        yield fid, f, lp, lp[2] + sobolev_norm(f, 1.0)
+
+
+def _check_dyadic(N_set: Sequence[float]) -> None:
+    for N in N_set:
+        if not is_dyadic(N):
+            raise ValueError(f"N_set must be dyadic, got {N!r}")
+
+
 def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
     """Worst ratio ||f||_p / (sqrt(p) (||f||_2 + ||f||_H1dot)) over the corpus.
 
@@ -194,10 +208,7 @@ def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
     which the per-function maximum is attained.
     """
     rows = []
-    for fid, f in build_corpus(corpus):
-        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
-        lp = lp_norm_map(phys, range(2, p_max + 1))
-        denom_base = lp[2] + sobolev_norm(f, 1.0)
+    for fid, _, lp, denom_base in _lp_and_h1(corpus, p_max):
         if denom_base == 0.0:
             continue
         best_p, best = max(
@@ -219,18 +230,12 @@ def check_log_interpolation(
     gamma below 3/2 is allowed but flagged exploratory: the estimate is only
     claimed for gamma >= 3/2.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
+    check_gamma(gamma)
     rows = []
-    for fid, f in build_corpus(corpus):
-        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
-        lp = lp_norm_map(phys, range(2, p_max + 1))
+    for fid, f, lp, h1 in _lp_and_h1(corpus, p_max):
         spr = max(lp[p] / np.sqrt(p) for p in lp)  # sup_p ||f||_p / sqrt(p)
         if spr == 0.0:
             continue
-        h1 = lp[2] + sobolev_norm(f, 1.0)
         denom = math.log(h1 + math.e) * spr
         rows.append(
             ReportRow(fid, (("gamma", gamma),), grad_u_sup(f, gamma) / denom)
@@ -304,11 +309,8 @@ def check_multiplier_bound(
     sup over the dyadic annulus below mtilde(N)).  Pairs with an empty
     frequency block are skipped.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    for N in N_set:
-        if not is_dyadic(N):
-            raise ValueError(f"N_set must be dyadic, got {N!r}")
+    check_gamma(gamma)
+    _check_dyadic(N_set)
     rows = []
     tables = None
     for fid, f in build_corpus(corpus):
@@ -343,9 +345,7 @@ def check_bernstein(
     pq_pairs: Sequence[tuple[float, float]],
 ) -> InequalityReport:
     """Worst ratio ||P_N f||_q / (N^{2(1/p - 1/q)} ||f||_p) for 2 <= p <= q."""
-    for N in N_set:
-        if not is_dyadic(N):
-            raise ValueError(f"N_set must be dyadic, got {N!r}")
+    _check_dyadic(N_set)
     for p, q_val in pq_pairs:
         if not (2.0 <= float(p) <= float(q_val)):
             raise ValueError(f"need 2 <= p <= q, got ({p}, {q_val})")

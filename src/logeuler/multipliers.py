@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "BoundReport",
+    "check_gamma",
     "tgamma_eval",
     "phi_eval",
     "mtilde",
@@ -21,13 +22,18 @@ __all__ = [
 ]
 
 
+def check_gamma(gamma: float) -> None:
+    """Raise ValueError unless the smoothing exponent is finite and >= 0."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+
+
 def tgamma_eval(r, gamma: float):
     """Log-smoothing symbol 1/log^gamma(r + 10), natural logarithm.
 
-    Positive, bounded by 1 and non-increasing in r for gamma >= 0.
+    Positive, bounded by 1 and non-increasing in r for finite gamma >= 0.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_gamma(gamma)
     return np.log(np.asarray(r, dtype=float) + 10.0) ** (-gamma)
 
 
@@ -142,8 +148,7 @@ def verify_symbol_bound(
     every partial derivative up to total order alpha_max <= 3 in closed
     form, cross-checked against a finite difference.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_gamma(gamma)
     if not 0 <= alpha_max <= 3:
         raise ValueError(f"alpha_max must be in 0..3, got {alpha_max}")
     if not is_dyadic(N):

@@ -17,6 +17,7 @@ slots "lp_base" and "lp_acc".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +29,7 @@ from .spectral import (
     RealField,
     SpectralField,
     check_zero_mean,
-    half_spectrum_weights,
+    half_sum,
 )
 
 __all__ = [
@@ -48,17 +49,18 @@ def _sup_abs(values: np.ndarray) -> float:
     return max(float(values.max()), -float(values.min()))
 
 
-def _half_sum(density: np.ndarray) -> float:
-    """Full-lattice sum of a density even in k, from its rfft half."""
-    return float(np.sum(half_spectrum_weights(density.shape[0]) * density))
-
-
-def _smoothed_inverse_k2(g: Grid, gamma: float) -> np.ndarray:
-    """T_gamma(|k|) / |k|^2 on the rfft half, 0 at the origin."""
+# at n = 1024 a table takes about 4 MB; the solver's workspace parts keep
+# the same four entries
+@lru_cache(maxsize=4)
+def _smoothed_inverse_k2(n: int, gamma: float) -> np.ndarray:
+    """T_gamma(|k|) / |k|^2 on the rfft half of grid size n, 0 at the
+    origin; read-only, shared by every call with the same (n, gamma)."""
+    g = Grid(n)
     k2 = g.k2.copy()
     k2[0, 0] = 1.0
     out = tgamma_eval(g.kmod, gamma) / k2
     out[0, 0] = 0.0
+    out.flags.writeable = False
     return out
 
 
@@ -115,7 +117,7 @@ def sobolev_norm(s: SpectralField, order: float) -> float:
     kmod[0, 0] = 1.0  # origin excluded from the sum below
     power = np.abs(s.coeffs) ** 2 * kmod ** (2.0 * order)
     power[0, 0] = 0.0
-    return float(np.sqrt(FOUR_PI_SQ * _half_sum(power)))
+    return float(np.sqrt(FOUR_PI_SQ * half_sum(power)))
 
 
 def sup_p_ratio(f: RealField, p_max: int) -> float:
@@ -134,13 +136,8 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
     d2 u2 = -d1 u1: three inverse transforms cover all four components.
     """
     check_zero_mean(omega, "velocity-gradient sup")
-    return _grad_u_sup(omega, _smoothed_inverse_k2(omega.grid, gamma))
-
-
-def _grad_u_sup(omega: SpectralField, inv_k2: np.ndarray) -> float:
-    """``grad_u_sup`` given the table T_gamma(|k|) / |k|^2."""
     g = omega.grid
-    psi = omega.coeffs * inv_k2
+    psi = omega.coeffs * _smoothed_inverse_k2(g.n, gamma)
     kx, ky = g.kx, g.ky
     worst = 0.0
     for symbol in (-kx * ky, -ky * ky, kx * kx):
@@ -156,12 +153,8 @@ def generalized_energy(omega: SpectralField, gamma: float) -> float:
     ||u||_2^2 of the classical flow.
     """
     check_zero_mean(omega, "generalized energy")
-    return _generalized_energy(omega, _smoothed_inverse_k2(omega.grid, gamma))
-
-
-def _generalized_energy(omega: SpectralField, inv_k2: np.ndarray) -> float:
-    """``generalized_energy`` given the table T_gamma(|k|) / |k|^2."""
-    return FOUR_PI_SQ * _half_sum(inv_k2 * np.abs(omega.coeffs) ** 2)
+    inv_k2 = _smoothed_inverse_k2(omega.grid.n, gamma)
+    return FOUR_PI_SQ * half_sum(inv_k2 * np.abs(omega.coeffs) ** 2)
 
 
 @dataclass(frozen=True)
@@ -186,14 +179,12 @@ def compute_norm_bundle(
     p_grid = range(2, max(p_max, 8) + 1)  # always include p = 4, 8 for reports
     lp = lp_norm_map(phys, p_grid)
     ratio = max(lp[p] / np.sqrt(p) for p in range(2, p_max + 1))
-    hm1dot = sobolev_norm(omega, -1.0)  # checks the zero mean
-    inv_k2 = _smoothed_inverse_k2(g, gamma)
     return NormBundle(
         l2=lp[2],
         h1dot=sobolev_norm(omega, 1.0),
-        hm1dot=hm1dot,
+        hm1dot=sobolev_norm(omega, -1.0),
         lp=lp,
         sup_p_ratio=ratio,
-        grad_u_sup=_grad_u_sup(omega, inv_k2),
-        energy_gamma=_generalized_energy(omega, inv_k2),
+        grad_u_sup=grad_u_sup(omega, gamma),
+        energy_gamma=generalized_energy(omega, gamma),
     )

@@ -22,19 +22,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multipliers import is_dyadic, phi_eval, tgamma_eval
+from .multipliers import check_gamma, is_dyadic, phi_eval, tgamma_eval
 from .norms import FOUR_PI_SQ, NormBundle, compute_norm_bundle
 from .spectral import (
     Grid,
     RealField,
     SpectralField,
     TransformPlan,
-    add_mode,
+    check_grid_size,
     check_zero_mean,
     dealias,
     dft_forward,
     dft_inverse,
-    half_spectrum_weights,
+    half_sum,
+    mode_sum,
     project_zero_mean,
     random_band_half,
 )
@@ -97,6 +98,8 @@ class InitialConditionSpec:
             )
         if self.band < 0:
             raise ValueError(f"ic band must be >= 0 (0 = auto), got {self.band}")
+        if self.seed < 0:
+            raise ValueError(f"ic seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"ic amplitude must be finite, got {self.amplitude}")
         if not (math.isfinite(self.width) and self.width > 0):
@@ -122,10 +125,8 @@ class SolverConfig:
     snapshot_interval: int = 0    # 0 disables snapshots
 
     def __post_init__(self) -> None:
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        check_grid_size(self.n)
+        check_gamma(self.gamma)
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if not 0 < self.cfl <= 1:
@@ -139,24 +140,30 @@ class SolverConfig:
                 f"snapshot_interval must be >= 0, got {self.snapshot_interval}"
             )
         _resolve_mollify(self.n, self.mollify)  # validates
-        mode = self.ic.mode
-        if self.ic.kind == "single_mode" and tuple(mode) == (0, 0):
-            raise ValueError("single_mode needs a nonzero wavevector")
-        if self.ic.kind == "single_mode" and max(map(abs, mode)) > self.n // 3:
-            # run() dealiases the initial field, which would leave nothing
-            raise ValueError(
-                f"single_mode wavevector {mode} lies outside the "
-                f"dealias band n/3 = {self.n // 3}"
-            )
-        if self.ic.kind == "random_band" and self.ic.band > self.n // 3:
-            raise ValueError(
-                f"ic band {self.ic.band} exceeds the dealias band {self.n // 3}"
-            )
+        _check_ic(self.ic, self.n)
 
     @property
     def mollify_n(self) -> int | None:
         """Dyadic cutoff of the smooth truncation, or None in dealias mode."""
         return _resolve_mollify(self.n, self.mollify)
+
+
+def _check_ic(spec: InitialConditionSpec, n: int) -> None:
+    """Raise ValueError unless ``spec`` gives data inside the dealias band
+    n/3 of grid size n: ``run`` dealiases the initial field, which would
+    leave nothing of a single mode beyond it."""
+    if spec.kind == "single_mode":
+        if tuple(spec.mode) == (0, 0):
+            raise ValueError("single_mode needs a nonzero wavevector")
+        if max(map(abs, spec.mode)) > n // 3:
+            raise ValueError(
+                f"single_mode wavevector {spec.mode} lies outside the "
+                f"dealias band n/3 = {n // 3}"
+            )
+    if spec.kind == "random_band" and spec.band > n // 3:
+        raise ValueError(
+            f"ic band {spec.band} exceeds the dealias band {n // 3}"
+        )
 
 
 def _resolve_mollify(n: int, mollify) -> int | None:
@@ -219,23 +226,15 @@ class RunResult:
 def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
     """Zero-mean initial vorticity on the given grid; deterministic per spec."""
     n = grid.n
-    coeffs = np.zeros((n, n // 2 + 1), dtype=complex)  # rfft layout
+    _check_ic(spec, n)
     if spec.kind == "single_mode":
-        if spec.mode == (0, 0):
-            raise ValueError("single_mode needs a nonzero wavevector")
-        if max(abs(spec.mode[0]), abs(spec.mode[1])) >= n // 2:
-            raise ValueError(
-                f"single_mode wavevector {spec.mode} is not resolvable on n = {n}"
-            )
-        add_mode(coeffs, spec.mode, -0.5j * spec.amplitude)
+        coeffs = mode_sum(grid, [(spec.mode, -0.5j * spec.amplitude)]).coeffs
     elif spec.kind == "shell":
         # sin(x1) sin(x2): four modes on the |k| = sqrt(2) shell
-        add_mode(coeffs, (1, -1), 0.25 * spec.amplitude)
-        add_mode(coeffs, (1, 1), -0.25 * spec.amplitude)
+        shell = [((1, -1), 0.25 * spec.amplitude), ((1, 1), -0.25 * spec.amplitude)]
+        coeffs = mode_sum(grid, shell).coeffs
     elif spec.kind == "random_band":
         band = spec.band if spec.band > 0 else max(2, n // 16)
-        if band > n // 3:
-            raise ValueError(f"ic band {band} exceeds the dealias band {n // 3}")
         coeffs = random_band_half(grid, np.random.default_rng(spec.seed), band)
         coeffs *= spec.amplitude
     else:  # vortex_pair
@@ -293,7 +292,6 @@ class _Truncation:
         self.neg_chi_scaled = -chi_outer * self.inv_n2
         # share of each mode's energy the outer truncation removes
         self.removed_weight = 1.0 - chi_outer**2
-        self.col_weight = half_spectrum_weights(n)
 
         # RK4: the first stage, the later stages in turn, a stage's
         # argument h + c k, and two result buffers used in turn
@@ -353,7 +351,7 @@ def _rhs_half(h: np.ndarray, ws: _Workspace, uv=None, out=None,
     discarded = None
     if want_diag:
         removed = trunc.removed_weight * np.abs(a * trunc.inv_n2) ** 2
-        discarded = float(FOUR_PI_SQ * np.sum(trunc.col_weight * removed))
+        discarded = FOUR_PI_SQ * half_sum(removed)
     return out, discarded
 
 

@@ -36,9 +36,11 @@ __all__ = [
     "dealias",
     "project_zero_mean",
     "check_zero_mean",
+    "check_grid_size",
     "half_spectrum_weights",
     "half_spectrum_l2",
-    "add_mode",
+    "half_sum",
+    "mode_sum",
     "random_band_half",
     "FOUR_PI_SQ",
     "ZERO_MEAN_TOL",
@@ -48,6 +50,12 @@ __all__ = [
 # zero-mean field.
 ZERO_MEAN_TOL = 1e-13
 FOUR_PI_SQ = 4.0 * np.pi**2
+
+
+def check_grid_size(n: int) -> None:
+    """Raise ValueError unless n is a power of two >= 8."""
+    if n < 8 or (n & (n - 1)) != 0:
+        raise ValueError(f"n must be a power of two >= 8, got {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +82,7 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        check_grid_size(self.n)
         n, nh = self.n, self.n // 2 + 1
         object.__setattr__(self, "dx", 2.0 * np.pi / n)
         k1 = np.fft.fftfreq(n, d=1.0 / n)  # exact integers as floats
@@ -207,6 +214,11 @@ def half_spectrum_weights(n: int) -> np.ndarray:
     return w
 
 
+def half_sum(density: np.ndarray) -> float:
+    """Full-lattice sum of a density even in k, from its rfft half."""
+    return float(np.sum(half_spectrum_weights(density.shape[0]) * density))
+
+
 def half_spectrum_l2(half: np.ndarray) -> float:
     """L2 norm of a real field from its leading rfft-layout columns."""
     weights = half_spectrum_weights(half.shape[0])[: half.shape[1]]
@@ -214,13 +226,17 @@ def half_spectrum_l2(half: np.ndarray) -> float:
     return math.sqrt(FOUR_PI_SQ * float(np.sum(power @ weights)))
 
 
-def add_mode(half: np.ndarray, k: tuple[int, int], amp: complex) -> None:
-    """Add amp * exp(i k.x) + conj to rfft-layout coefficients: k and -k
-    each land in columns 0 .. n/2 or not; on columns 0 and n/2 both do."""
-    n = half.shape[0]
-    for (k1, k2), c in ((k, amp), ((-k[0], -k[1]), np.conj(amp))):
-        if k2 % n <= n // 2:
-            half[k1 % n, k2 % n] += c
+def mode_sum(grid: Grid, modes) -> SpectralField:
+    """The real field sum of amp * exp(i k.x) + conj over the (k, amp) pairs
+    of ``modes``, in rfft layout: k and -k each land in columns 0 .. n/2 or
+    not; on columns 0 and n/2 both do."""
+    n = grid.n
+    half = np.zeros((n, n // 2 + 1), dtype=complex)
+    for k, amp in modes:
+        for (k1, k2), c in ((k, amp), ((-k[0], -k[1]), np.conj(amp))):
+            if k2 % n <= n // 2:
+                half[k1 % n, k2 % n] += c
+    return SpectralField(grid, half)
 
 
 def random_band_half(grid: Grid, rng: np.random.Generator, band: float) -> np.ndarray:

@@ -58,7 +58,9 @@ def test_simulate_bad_ic_parameters_are_config_errors(tmp_path, capsys, config, 
 @pytest.mark.parametrize(
     "config, flags, message",
     [("", ["--ic-band", "12"], "ic band 12 exceeds the dealias band 10"),
-     ("ic = single_mode\nic_mode = 0,0\n", [], "needs a nonzero wavevector")],
+     ("ic = single_mode\nic_mode = 0,0\n", [], "needs a nonzero wavevector"),
+     # used to fail in the seeded generator
+     ("", ["--seed", "-1"], "ic seed must be >= 0, got -1")],
 )
 def test_simulate_bad_ic_writes_nothing(tmp_path, capsys, config, flags, message):
     # n = 32 dealiases at 10; these used to fail only once the run had
@@ -133,6 +135,23 @@ def test_sweep_takes_missing_lists_from_the_config_file(tmp_path, flags, expecte
     assert sorted(p.name for p in out.iterdir()) == expected
 
 
+@pytest.mark.parametrize("root", ["flag", "file", "default"])
+def test_sweep_output_root_is_the_flag_then_the_file_then_the_default(
+    tmp_path, monkeypatch, root
+):
+    monkeypatch.setenv("LGEU_OUT", str(tmp_path / "default"))
+    cfg = tmp_path / "base.cfg"
+    text = "t_max = 0.02\nic = shell\nn = 16\n"
+    if root != "default":
+        text += f"out = {tmp_path / 'file'}\n"
+    cfg.write_text(text)
+    flags = ["--out", str(tmp_path / "flag")] if root == "flag" else []
+    assert run_cli(["sweep", "--config", str(cfg), "--gamma", "0.5", *flags]) == 0
+    runs = tmp_path / root / ("sweep" if root == "default" else "")
+    assert (runs / "g0.5_n16" / "diagnostics.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.cfg", root]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_finishes_the_other_runs_after_one_fails(tmp_path, capsys, jobs):
     # ic band 12 exceeds the dealias band of n = 32 (10) but not of n = 64
@@ -199,6 +218,27 @@ def test_verify_embedding_small_corpus(tmp_path):
     lines = (out / "embedding.csv").read_text().splitlines()
     assert lines[0] == "function_id,p,ratio"
     assert len(lines) == 21
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [  # p_max = 1 used to end in a KeyError traceback
+     (["embedding", "--pmax", "1"], "p_max must be >= 2, got 1"),
+     (["loginterp", "--pmax", "1"], "p_max must be >= 2, got 1"),
+     (["embedding", "--n", "12"], "n must be a power of two >= 8, got 12"),
+     # a negative band used to fall back to n/4 silently
+     (["bernstein", "--band", "-3"], "corpus band must be >= 0"),
+     (["embedding", "--seed", "-1"], "corpus seed must be >= 0, got -1"),
+     # a nan gamma used to exit 0 with "max ratio = nan"
+     *((["multiplier", "--gamma", g], "gamma must be finite and >= 0")
+       for g in ("-0.1", "nan", "inf"))],
+)
+def test_verify_bad_input_writes_nothing(tmp_path, capsys, flags, message):
+    out = tmp_path / "v"
+    rc = run_cli(["verify", *flags, "--size", "20", "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_multiplier_small(tmp_path):

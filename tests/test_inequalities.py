@@ -61,6 +61,16 @@ class TestCorpus:
         with pytest.raises(ValueError):
             CorpusSpec(kind="bogus")
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"n": 12}, "n must be a power of two >= 8, got 12"),
+         ({"band": -3}, "corpus band must be >= 0"),
+         ({"seed": -1}, "corpus seed must be >= 0")],
+    )
+    def test_rejects_bad_grid_band_and_seed(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            CorpusSpec(**bad)
+
     def test_iterating_again_replays_the_stream(self):
         corpus = build_corpus(CorpusSpec(n=32, seed=2, size=20))
         assert len(corpus) == 20
@@ -171,6 +181,11 @@ class TestEmbedding:
     def test_max_matches_rows(self):
         report = check_embedding(CorpusSpec(n=64, size=20), 16)
         assert report.max_ratio == max(r.ratio for r in report.rows)
+
+    def test_rejects_p_max_below_two(self):
+        # p_max = 1 used to end in a KeyError on the missing p = 2 norm
+        with pytest.raises(ValueError, match="p_max must be >= 2"):
+            check_embedding(CorpusSpec(n=64, size=20), 1)
 
     def test_stable_across_seeds(self):
         maxima = [

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,11 @@ from reference import (
     tgamma_symbol,
 )
 
+from logeuler.inequalities import (
+    CorpusSpec,
+    check_log_interpolation,
+    check_multiplier_bound,
+)
 from logeuler.multipliers import (
     _symbol_partial,
     mtilde,
@@ -29,6 +35,7 @@ from logeuler.multipliers import (
     tgamma_eval,
     verify_symbol_bound,
 )
+from logeuler.solver import SolverConfig
 from logeuler.spectral import Grid, RealField
 
 # 1/log^{3/2}(11) evaluated at 40 digits
@@ -266,3 +273,23 @@ def test_symbol_bound_check_does_not_import_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# every entry point that takes gamma, under the one rule "finite and >= 0";
+# nan used to read as a met bound (max drops it) and inf as a zero symbol
+GAMMA_ENTRY_POINTS = {
+    "tgamma_eval": lambda g: tgamma_eval(3.0, g),
+    "verify_symbol_bound": lambda g: verify_symbol_bound(g, 4),
+    "SolverConfig": lambda g: SolverConfig(gamma=g),
+    "check_log_interpolation":
+        lambda g: check_log_interpolation(CorpusSpec(n=16, size=20), g, 8),
+    "check_multiplier_bound":
+        lambda g: check_multiplier_bound(g, (2.0,), (2.0,), CorpusSpec(n=16, size=20)),
+}
+
+
+@pytest.mark.parametrize("gamma", [-0.1, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(GAMMA_ENTRY_POINTS))
+def test_gamma_must_be_finite_and_nonnegative(entry, gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+        GAMMA_ENTRY_POINTS[entry](gamma)

@@ -14,6 +14,7 @@ from reference import (
     velocity_spectral,
 )
 
+from logeuler import norms
 from logeuler.multipliers import tgamma_eval
 from logeuler.norms import (
     FOUR_PI_SQ,
@@ -200,6 +201,21 @@ class TestNormBundle:
         )
         assert bundle.grad_u_sup > 0
         assert bundle.energy_gamma > 0
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.5])
+    def test_bundle_equals_the_standalone_norms(self, gamma):
+        s, _ = _nyquist_field(32, 24, disc=False)
+        bundle = compute_norm_bundle(s, gamma, p_max=16)
+        assert bundle.grad_u_sup == grad_u_sup(s, gamma)
+        assert bundle.energy_gamma == generalized_energy(s, gamma)
+
+    def test_smoothed_inverse_k2_is_a_shared_read_only_table(self):
+        table = norms._smoothed_inverse_k2(16, 1.5)
+        assert norms._smoothed_inverse_k2.cache_info().maxsize == 4
+        assert norms._smoothed_inverse_k2(16, 1.5) is table
+        assert table[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            table[1, 1] = 0.0
 
     def test_zero_field_bundle(self):
         g = Grid(16)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import direct_rhs, scipy_rhs
 
-from logeuler import solver
+from logeuler import norms, solver
 from logeuler.solver import (
     BlowUpError,
     InitialConditionSpec,
@@ -35,6 +35,25 @@ from logeuler.spectral import (
 
 def l2_of(field: SpectralField) -> float:
     return half_spectrum_l2(field.coeffs)
+
+
+INVALID_CONFIGS = [
+    {"n": 12},
+    {"gamma": -0.1},
+    {"t_max": 0.0},
+    {"cfl": 1.5},
+    {"cfl": 0.0},
+    {"mollify": 3},
+    {"mollify": 128, "n": 256},  # exceeds n/3
+    {"p_max": 4},
+    {"diag_interval": 0},
+    {"gamma": math.nan},
+    {"gamma": math.inf},
+    {"t_max": math.inf},  # a run would never end; only constructed
+    {"ic": {"band": -3}},
+    # run() would dealias the mode away, leaving a zero field
+    {"n": 32, "ic": {"kind": "single_mode", "mode": (12, 0)}},
+]
 
 
 class TestMakeIC:
@@ -88,6 +107,14 @@ class TestMakeIC:
         with pytest.raises(ValueError):
             make_ic(InitialConditionSpec(kind="spiral"), Grid(16))
 
+    @pytest.mark.parametrize("kwargs", [c for c in INVALID_CONFIGS if "ic" in c])
+    def test_rejects_the_ic_specs_solver_config_rejects(self, kwargs):
+        # the same rule as SolverConfig: a single mode beyond n/3 used to
+        # pass make_ic and be dealiased away by run
+        with pytest.raises(ValueError):
+            ic = InitialConditionSpec(**kwargs["ic"])
+            make_ic(ic, Grid(kwargs.get("n", 256)))
+
     @pytest.mark.parametrize(
         "bad",
         [{"amplitude": math.nan}, {"amplitude": math.inf}, {"width": 0.0},
@@ -107,26 +134,7 @@ class TestConfig:
     def test_dealias_mode(self):
         assert SolverConfig(mollify="dealias").mollify_n is None
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n": 12},
-            {"gamma": -0.1},
-            {"t_max": 0.0},
-            {"cfl": 1.5},
-            {"cfl": 0.0},
-            {"mollify": 3},
-            {"mollify": 128, "n": 256},  # exceeds n/3
-            {"p_max": 4},
-            {"diag_interval": 0},
-            {"gamma": math.nan},
-            {"gamma": math.inf},
-            {"t_max": math.inf},  # a run would never end; only constructed
-            {"ic": {"band": -3}},
-            # run() would dealias the mode away, leaving a zero field
-            {"n": 32, "ic": {"kind": "single_mode", "mode": (12, 0)}},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", INVALID_CONFIGS)
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ic = InitialConditionSpec(**kwargs.get("ic", {}))
@@ -342,6 +350,14 @@ class TestCflDt:
         assert solver._truncation.cache_info().currsize == 1
         solver._truncation(32, 8)
         assert solver._truncation.cache_info().misses == 1
+
+    def test_records_share_one_norm_table(self):
+        norms._smoothed_inverse_k2.cache_clear()
+        ic = InitialConditionSpec(band=4, seed=1, amplitude=20.0)
+        result = run(SolverConfig(n=32, gamma=1.25, t_max=0.2, cfl=0.05,
+                                  diag_interval=1, ic=ic))
+        assert len(result.records) > 10
+        assert norms._smoothed_inverse_k2.cache_info().misses == 1
 
     def test_smoothing_increases_dt(self):
         g = Grid(64)

@@ -25,6 +25,8 @@ from logeuler.spectral import (
     dft_inverse,
     half_spectrum_l2,
     half_spectrum_weights,
+    half_sum,
+    mode_sum,
     project_zero_mean,
     transform_plan,
 )
@@ -232,6 +234,23 @@ class TestHalfSpectrum:
             < 1e-14 * peak
         assert np.max(np.abs(dft_inverse(SpectralField(g, half)).values
                              - full_inverse(full).values)) < 1e-12 * peak
+
+    @pytest.mark.parametrize("k", [(3, -2), (0, 4), (-5, 8), (8, 8)])
+    def test_mode_sum_is_the_real_field(self, k):
+        g = Grid(16)
+        x1, x2 = g.mesh()
+        amp = 0.3 - 0.7j
+        f = mode_sum(g, [(k, amp), ((1, 1), 2.0)])
+        phase = k[0] * x1 + k[1] * x2
+        expected = 2 * (amp * np.exp(1j * phase)).real + 4 * np.cos(x1 + x2)
+        assert np.max(np.abs(dft_inverse(f).values - expected)) < 1e-13
+
+    def test_half_sum_is_the_full_lattice_sum(self):
+        g = Grid(16)
+        even = half_to_full(dft_forward(random_real_field(g, 4)).coeffs)
+        density = np.abs(even) ** 2  # even in k
+        assert half_sum(density[:, :9]) == pytest.approx(np.sum(density),
+                                                          rel=1e-13)
 
     def test_half_field_shape_accepted(self):
         g = Grid(16)
