@@ -106,6 +106,78 @@ class TestConfig:
         assert reparsed.solver == settings.solver
 
 
+DEFAULT_ECHO = """\
+cfl = 0.5
+diag_every = 10
+gamma = 1.5
+ic = random_band
+ic_amplitude = 1
+ic_band = 0
+ic_mode = 1,0
+ic_separation = 1.5707963267948966
+ic_width = 0.40000000000000002
+mollify = auto
+n = 256
+p_max = 64
+seed = 0
+snap_every = 0
+t_max = 1
+"""
+
+EVERY_KEY_CONFIG = """\
+n = 128
+gamma = 0.75
+t_max = 0.25
+cfl = 0.3
+mollify = 32
+ic = single_mode
+ic_mode = 3,-2
+ic_band = 5
+ic_amplitude = 2.5
+ic_width = 0.3
+ic_separation = 1.2345678901234567
+seed = 7
+p_max = 32
+diag_every = 3
+snap_every = 4
+out = elsewhere
+"""
+
+EVERY_KEY_ECHO = """\
+cfl = 0.29999999999999999
+diag_every = 3
+gamma = 0.75
+ic = single_mode
+ic_amplitude = 2.5
+ic_band = 5
+ic_mode = 3,-2
+ic_separation = 1.2345678901234567
+ic_width = 0.29999999999999999
+mollify = 32
+n = 128
+p_max = 32
+seed = 7
+snap_every = 4
+t_max = 0.25
+"""
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [(None, DEFAULT_ECHO), (EVERY_KEY_CONFIG, EVERY_KEY_ECHO)],
+    ids=["defaults", "every-key"],
+)
+def test_config_echo_bytes(tmp_path, config, expected):
+    path = None
+    if config is not None:
+        path = tmp_path / "in.cfg"
+        path.write_text(config)
+        path = str(path)
+    echo = tmp_path / "config.txt"
+    write_config_echo(parse_config(path), str(echo))
+    assert echo.read_bytes() == expected.encode("utf-8")
+
+
 class TestDiagnosticsCsv:
     def test_single_record_two_lines(self, tmp_path):
         path = tmp_path / "d.csv"
