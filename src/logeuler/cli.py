@@ -18,12 +18,16 @@ from .inequalities import (
     check_multiplier_bound,
 )
 from .runio import (
-    CONFIG_DEFAULTS,
+    KEYS,
+    RUN_KEYS,
     ConfigError,
     DIAG_HEADER,
     RunSettings,
     default_out_root,
     parse_config,
+    parse_value,
+    parse_values,
+    read_config_file,
     read_diagnostics_csv,
     records_from_rows,
     write_config_echo,
@@ -32,9 +36,20 @@ from .runio import (
     write_sharpness_csv,
     write_snapshot,
 )
-from .solver import gronwall_envelope, run
+from .solver import SolverConfig, gronwall_envelope, run
 
 __all__ = ["main", "run_cli"]
+
+
+VERIFY_KEYS = ("gamma", "n", "seed", "size", "band", "p_max", "nmax", "out")
+NMAX = 256  # verify's largest dyadic block unless --nmax is given
+
+
+def _add_keys(parser: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        key = KEYS[name]
+        parser.add_argument(key.flag or "--" + name.replace("_", "-"),
+                            dest=name, help=key.help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,31 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", metavar="PATH", help="key = value config file")
-        p.add_argument("--gamma", help="log-smoothing exponent (>= 0)")
-        p.add_argument("--n", help="grid resolution (power of two >= 8)")
-        p.add_argument("--tmax", dest="t_max", help="integration time")
-        p.add_argument("--cfl", help="CFL number in (0, 1]")
-        p.add_argument("--mollify", help="dyadic cutoff N, 'dealias' or 'auto'")
-        p.add_argument(
-            "--ic", help="single_mode | shell | random_band | vortex_pair"
-        )
-        p.add_argument("--ic-band", help="random_band cutoff (0 = auto n/16)")
-        p.add_argument("--seed", help="random seed")
-        p.add_argument("--pmax", dest="p_max",
-                       help="largest Lebesgue exponent tracked")
-        p.add_argument("--diag-every", help="steps between diagnostics records")
-        p.add_argument("--snap-every", help="steps between snapshots (0 = off)")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-
     p_sim = sub.add_parser("simulate", help="integrate one configuration")
-    add_common(p_sim)
-
     p_sweep = sub.add_parser(
-        "sweep", help="cartesian product of gamma and resolution lists"
+        "sweep", help="cartesian product of the comma-separated gamma and n "
+        "lists, from the flags or the config file"
     )
-    add_common(p_sweep)
+    for p in (p_sim, p_sweep):
+        p.add_argument("--config", metavar="PATH", help="key = value config file")
+        _add_keys(p, RUN_KEYS)
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs")
 
     p_ver = sub.add_parser("verify", help="run one inequality check")
@@ -77,14 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "mode",
         choices=["embedding", "loginterp", "multiplier", "bernstein", "sharpness"],
     )
-    p_ver.add_argument("--gamma", type=float, default=1.5)
-    p_ver.add_argument("--n", type=int, default=128, help="corpus grid resolution")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--size", type=int, default=80, help="corpus size")
-    p_ver.add_argument("--band", type=int, default=0, help="corpus band (0 = n/4)")
-    p_ver.add_argument("--pmax", type=int, default=64)
-    p_ver.add_argument("--nmax", type=int, default=256, help="largest dyadic block")
-    p_ver.add_argument("--out", metavar="DIR")
+    _add_keys(p_ver, VERIFY_KEYS)
 
     p_rep = sub.add_parser("report", help="summarize stored CSV output")
     p_rep.add_argument("path", help="run directory or CSV file")
@@ -95,36 +86,32 @@ def _build_parser() -> argparse.ArgumentParser:
 # simulate / sweep
 # ---------------------------------------------------------------------------
 
-def _overrides_from_args(args) -> dict[str, object]:
-    """The config keys given as flags; a flag's dest is its config key."""
-    return {key: getattr(args, key) for key in CONFIG_DEFAULTS
-            if getattr(args, key, None) is not None}
+def _given(args, names) -> dict[str, str]:
+    """The unparsed values of the keys given as flags."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _execute_run(settings: RunSettings) -> int:
-    os.makedirs(settings.out_dir, exist_ok=True)
+    out = settings.out_dir
+    os.makedirs(out, exist_ok=True)
     result = run(settings.solver)
-    write_config_echo(settings, os.path.join(settings.out_dir, "config.txt"))
+    write_config_echo(settings, os.path.join(out, "config.txt"))
     if result.records:
-        write_diagnostics_csv(
-            result.records, os.path.join(settings.out_dir, "diagnostics.csv")
-        )
+        write_diagnostics_csv(result.records, os.path.join(out, "diagnostics.csv"))
     if result.snapshots:
-        snap_dir = os.path.join(settings.out_dir, "snapshots")
+        snap_dir = os.path.join(out, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
         for snap in result.snapshots:
             write_snapshot(
                 snap, os.path.join(snap_dir, f"step_{snap.step_count:08d}.lgeu")
             )
     if result.blown_up:
-        marker = os.path.join(settings.out_dir, "blowup.txt")
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"blow-up at t = {result.blowup_t!r}, step {result.blowup_step}\n"
-            )
+        with open(os.path.join(out, "blowup.txt"), "w", encoding="utf-8") as fh:
+            fh.write(f"blow-up at t = {result.blowup_t!r}, step {result.blowup_step}\n")
         print(
             f"BLOW-UP at t = {result.blowup_t:.6g} (step {result.blowup_step}); "
-            f"partial results in {settings.out_dir}",
+            f"partial results in {out}",
             file=sys.stderr,
         )
         return 1
@@ -132,48 +119,50 @@ def _execute_run(settings: RunSettings) -> int:
     print(
         f"run finished: t = {final.t:.6g}, records = {len(result.records)}, "
         f"l2 = {final.norms.l2:.9g}, energy = {final.norms.energy_gamma:.9g} "
-        f"-> {settings.out_dir}"
+        f"-> {out}"
     )
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    settings = parse_config(args.config, _overrides_from_args(args))
-    return _execute_run(settings)
+    return _execute_run(parse_config(args.config, _given(args, RUN_KEYS)))
 
 
-def _sweep_worker(config: str | None, overrides: dict) -> tuple[int, str]:
+def _sweep_worker(values: dict) -> tuple[int, str]:
     """One sweep run as (exit status, status line); an error fails only it."""
     try:
-        code = _execute_run(parse_config(config, overrides))
+        code = _execute_run(parse_config(None, values))
     except (ConfigError, OSError, ValueError) as exc:
         return 1, f"error: {exc}"
     return code, "ok" if code == 0 else f"exit {code}"
 
 
 def _cmd_sweep(args) -> int:
-    overrides = _overrides_from_args(args)
-    if not {"gamma", "n", "out"} <= overrides.keys():
-        base = parse_config(args.config).raw  # file values, then defaults
-        overrides = {key: base[key] for key in ("gamma", "n", "out")} | overrides
-    gammas = str(overrides.pop("gamma")).split(",")
-    ns = str(overrides.pop("n")).split(",")
-    out_root = overrides.pop("out") or os.path.join(default_out_root(), "sweep")
-    jobs = []
-    for gamma in gammas:
-        for n in ns:
-            child = dict(overrides)
-            child["gamma"] = gamma
-            child["n"] = n
-            child["out"] = os.path.join(out_root, f"g{float(gamma):g}_n{int(n)}")
-            jobs.append(child)
+    given = read_config_file(args.config) if args.config else {}
+    given.update(_given(args, RUN_KEYS))  # flags override the file
+
+    def axis(name: str) -> list:
+        if name not in given:
+            return [getattr(SolverConfig, name)]
+        return [parse_value(name, text) for text in given.pop(name).split(",")]
+
+    gammas, ns = axis("gamma"), axis("n")
+    base = parse_values(given)  # every other value fails before any run
+    out_root = base.pop("out", "") or os.path.join(default_out_root(), "sweep")
+    jobs = [base | {"gamma": gamma, "n": n,
+                    "out": os.path.join(out_root, f"g{gamma:g}_n{n}")}
+            for gamma in gammas for n in ns]
+    outs = [job["out"] for job in jobs]
+    shared = sorted({os.path.basename(out) for out in outs if outs.count(out) > 1})
+    if shared:
+        raise ConfigError(f"sweep runs would share a directory: {', '.join(shared)}")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, [args.config] * len(jobs), jobs))
+            results = list(pool.map(_sweep_worker, jobs))
     else:
-        results = list(map(_sweep_worker, [args.config] * len(jobs), jobs))
-    for child, (_, status) in zip(jobs, results):
-        print(f"  {os.path.basename(child['out'])}: {status}")
+        results = list(map(_sweep_worker, jobs))
+    for out, (_, status) in zip(outs, results):
+        print(f"  {os.path.basename(out)}: {status}")
     print(f"sweep finished: {len(jobs)} runs under {out_root}")
     return max((code for code, _ in results), default=0)
 
@@ -193,12 +182,14 @@ def _doublings(first: float, last: float) -> list[float]:
 
 def _cmd_verify(args) -> int:
     # every input error surfaces before the output directory is made
-    out_dir = args.out or os.path.join(default_out_root(), "verify")
+    given = parse_values(_given(args, VERIFY_KEYS))
+    out_dir = given.pop("out", "") or os.path.join(default_out_root(), "verify")
     csv_path = os.path.join(out_dir, f"{args.mode}.csv")
+    gamma = given.pop("gamma", SolverConfig.gamma)
+    p_max = given.pop("p_max", SolverConfig.p_max)
+    n_set = _doublings(2.0, given.pop("nmax", NMAX))
     if args.mode == "sharpness":
-        if args.pmax < 4:
-            raise ConfigError("sharpness needs --pmax >= 4")
-        rows = sharpness_curve(_doublings(4.0, args.pmax))
+        rows = sharpness_curve(_doublings(4.0, p_max))
         os.makedirs(out_dir, exist_ok=True)
         write_sharpness_csv(rows, csv_path)
         print("== sharpness ==")
@@ -210,20 +201,16 @@ def _cmd_verify(args) -> int:
             )
         print(f"  csv -> {csv_path}")
         return 0
-    corpus = CorpusSpec(
-        kind="default", seed=args.seed, size=args.size, band=args.band, n=args.n
-    )
+    corpus = CorpusSpec(**given)  # n, seed, size and band as given
     if args.mode == "embedding":
-        report = check_embedding(corpus, args.pmax)
+        report = check_embedding(corpus, p_max)
     elif args.mode == "loginterp":
-        report = check_log_interpolation(corpus, args.gamma, args.pmax)
+        report = check_log_interpolation(corpus, gamma, p_max)
     elif args.mode == "multiplier":
-        report = check_multiplier_bound(
-            args.gamma, _doublings(2.0, args.nmax), (2.0, float("inf")), corpus
-        )
+        report = check_multiplier_bound(gamma, n_set, (2.0, float("inf")), corpus)
     else:  # bernstein
         pairs = ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf")))
-        report = check_bernstein(corpus, _doublings(2.0, args.nmax), pairs)
+        report = check_bernstein(corpus, n_set, pairs)
     os.makedirs(out_dir, exist_ok=True)
     write_inequality_csv(report, csv_path)
     print(f"== {report.name} ==")
@@ -297,14 +284,10 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    commands = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
+                "verify": _cmd_verify, "report": _cmd_report}
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_report(args)
+        return commands[args.command](args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

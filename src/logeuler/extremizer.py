@@ -214,6 +214,8 @@ def sharpness_curve(p_list: Sequence[float]) -> list[SharpnessRow]:
     The embedding ratio decays no faster than a constant times
     1/sqrt(log p); the comparison column makes that visible directly.
     """
+    if not p_list:
+        raise ValueError("sharpness needs at least one p >= 4")
     rows = []
     for p in p_list:
         profile = build_extremizer(p)

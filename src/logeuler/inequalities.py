@@ -196,6 +196,8 @@ def _lp_and_h1(corpus: CorpusSpec, p_max: int):
 
 
 def _check_dyadic(N_set: Sequence[float]) -> None:
+    if not N_set:  # a check over no block would read as met
+        raise ValueError("N_set must hold at least one dyadic block")
     for N in N_set:
         if not is_dyadic(N):
             raise ValueError(f"N_set must be dyadic, got {N!r}")

@@ -7,11 +7,11 @@ separator, so re-parsing a written file reproduces every float64 exactly.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +25,13 @@ __all__ = [
     "SnapshotError",
     "RunSettings",
     "Snapshot",
-    "CONFIG_DEFAULTS",
+    "KEYS",
+    "RUN_KEYS",
     "DIAG_HEADER",
+    "parse_value",
+    "parse_values",
+    "read_config_file",
+    "run_values",
     "parse_config",
     "write_config_echo",
     "write_diagnostics_csv",
@@ -54,27 +59,6 @@ _HEADER = struct.Struct("<4sIIddQ")  # magic, version, n, gamma, time, step_coun
 
 DIAG_HEADER = "t,dt,l2,l4,l8,h1dot,hm1dot,sup_p_ratio,grad_u_sup,energy_gamma"
 
-# every key is optional; values shown are the documented defaults
-CONFIG_DEFAULTS: Mapping[str, object] = {
-    "n": 256,
-    "gamma": 1.5,
-    "t_max": 1.0,
-    "cfl": 0.5,
-    "mollify": "auto",
-    "ic": "random_band",
-    "ic_mode": "1,0",
-    "ic_band": 0,
-    "ic_amplitude": 1.0,
-    "ic_width": 0.4,
-    "ic_separation": math.pi / 2,
-    "seed": 0,
-    "p_max": 64,
-    "diag_every": 10,
-    "snap_every": 0,
-    "out": "",
-}
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -83,37 +67,71 @@ def default_out_root() -> str:
     return os.environ.get("LGEU_OUT", "runs")
 
 
+def _mollify(text: str) -> int | str:
+    return text if text in ("auto", "dealias") else int(text)
+
+
+def _pair(text: str) -> tuple[int, int]:
+    parts = tuple(int(p) for p in text.split(","))
+    if len(parts) != 2:
+        raise ValueError("expected two integers")
+    return parts
+
+
 @dataclass(frozen=True)
-class RunSettings:
-    """A fully resolved simulation configuration plus its output directory."""
+class Key:
+    """One input key.  ``field`` names the ``SolverConfig`` attribute that
+    holds a run key's value and default ("ic.<name>" for the initial data);
+    the flag is ``--`` and the key with ``-`` unless ``flag`` says otherwise.
+    Value rules live in the dataclasses, not here."""
 
-    solver: SolverConfig
-    out_dir: str
-    raw: Mapping[str, object]
+    parse: Callable[[str], object]
+    help: str
+    field: str = ""
+    flag: str = ""
 
 
-def _parse_value(key: str, text: str):
-    default = CONFIG_DEFAULTS[key]
-    text = text.strip()
+KEYS: Mapping[str, Key] = {
+    "n": Key(int, "grid points per side (power of two >= 8)", "n"),
+    "gamma": Key(float, "smoothing exponent (finite, >= 0)", "gamma"),
+    "t_max": Key(float, "integration time (finite, > 0)", "t_max", "--tmax"),
+    "cfl": Key(float, "CFL number in (0, 1]", "cfl"),
+    "mollify": Key(_mollify, "dyadic cutoff N | dealias | auto", "mollify"),
+    "ic": Key(str, "single_mode | shell | random_band | vortex_pair", "ic.kind"),
+    "ic_mode": Key(_pair, "single_mode wavevector k1,k2", "ic.mode"),
+    "ic_band": Key(int, "random_band cutoff, 0..n/3 (0 -> n/16)", "ic.band"),
+    "ic_amplitude": Key(float, "scale factor (random_band: L2 norm)", "ic.amplitude"),
+    "ic_width": Key(float, "vortex blob width", "ic.width"),
+    "ic_separation": Key(float, "vortex pair separation", "ic.separation"),
+    "seed": Key(int, "random seed (>= 0)", "ic.seed"),
+    "p_max": Key(int, "largest Lebesgue exponent", "p_max", "--pmax"),
+    "diag_every": Key(int, "steps between diagnostics records", "diag_interval"),
+    "snap_every": Key(int, "steps between snapshots (0 = off)", "snapshot_interval"),
+    "out": Key(str, "output directory"),
+    "size": Key(int, "corpus size"),
+    "band": Key(int, "corpus band (0 = n/4)"),
+    "nmax": Key(int, "largest dyadic block"),
+}
+# the keys of a config file: those of a run, then its output directory
+RUN_KEYS = tuple(name for name, key in KEYS.items() if key.field) + ("out",)
+
+
+def parse_value(name: str, text: str) -> object:
     try:
-        if key == "mollify":
-            return text if text in ("auto", "dealias") else int(text)
-        if key == "ic_mode":
-            parts = [int(p) for p in text.split(",")]
-            if len(parts) != 2:
-                raise ValueError("expected two integers")
-            return f"{parts[0]},{parts[1]}"
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        return text
+        return KEYS[name].parse(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"config key '{key}': cannot parse {text!r} ({exc})")
+        raise ConfigError(f"config key '{name}': cannot parse {text!r} ({exc})")
 
 
-def _read_config_file(path: str) -> dict[str, object]:
-    values: dict[str, object] = {}
+def parse_values(given: Mapping[str, object]) -> dict[str, object]:
+    """Parse the text values of ``given``; other values pass as they are."""
+    return {name: parse_value(name, value) if isinstance(value, str) else value
+            for name, value in given.items()}
+
+
+def read_config_file(path: str) -> dict[str, str]:
+    """The unparsed ``key = value`` texts of a config file."""
+    texts: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -122,10 +140,24 @@ def _read_config_file(path: str) -> dict[str, object]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_DEFAULTS:
+            if key not in RUN_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-            values[key] = _parse_value(key, text)
-    return values
+            texts[key] = text
+    return texts
+
+
+def run_values(solver: SolverConfig) -> dict[str, object]:
+    """The value of every run key except ``out`` in a resolved config."""
+    return {name: attrgetter(key.field)(solver)
+            for name, key in KEYS.items() if key.field}
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """A fully resolved simulation configuration plus its output directory."""
+
+    solver: SolverConfig
+    out_dir: str
 
 
 def parse_config(
@@ -133,50 +165,28 @@ def parse_config(
 ) -> RunSettings:
     """Resolve a simulation configuration.
 
-    File values override defaults, explicit overrides (CLI flags) override
-    the file.  Unknown keys and out-of-range values raise ``ConfigError``
-    naming the offending key.
+    Explicit overrides (CLI flags) override the file, and a key given in
+    neither takes its ``SolverConfig`` or ``InitialConditionSpec`` default.
+    Unknown keys and out-of-range values raise ``ConfigError`` naming the key.
     """
-    values = dict(CONFIG_DEFAULTS)
-    if path is not None:
-        values.update(_read_config_file(path))
-    for key, val in (overrides or {}).items():
-        if val is None:
+    values = parse_values(read_config_file(path)) if path is not None else {}
+    for name, value in (overrides or {}).items():
+        if value is None:
             continue
-        if key not in CONFIG_DEFAULTS:
-            raise ConfigError(f"unknown config key '{key}'")
-        values[key] = _parse_value(key, str(val)) if isinstance(val, str) else val
-
-    mode = tuple(int(p) for p in str(values["ic_mode"]).split(","))
+        if name not in RUN_KEYS:
+            raise ConfigError(f"unknown config key '{name}'")
+        values.update(parse_values({name: value}))
+    out = str(values.pop("out", ""))
+    fields = {KEYS[name].field: value for name, value in values.items()}
+    ic = {f[3:]: fields.pop(f) for f in list(fields) if f.startswith("ic.")}
     try:
-        ic = InitialConditionSpec(
-            kind=str(values["ic"]),
-            mode=(mode[0], mode[1]),
-            band=int(values["ic_band"]),
-            seed=int(values["seed"]),
-            amplitude=float(values["ic_amplitude"]),
-            width=float(values["ic_width"]),
-            separation=float(values["ic_separation"]),
-        )
-        solver = SolverConfig(
-            n=int(values["n"]),
-            gamma=float(values["gamma"]),
-            t_max=float(values["t_max"]),
-            cfl=float(values["cfl"]),
-            mollify=values["mollify"],
-            ic=ic,
-            p_max=int(values["p_max"]),
-            diag_interval=int(values["diag_every"]),
-            snapshot_interval=int(values["snap_every"]),
-        )
+        solver = SolverConfig(**fields, ic=InitialConditionSpec(**ic))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    out = str(values["out"])
     if not out:
-        name = f"sim-g{solver.gamma:g}-n{solver.n}-seed{ic.seed}"
+        name = f"sim-g{solver.gamma:g}-n{solver.n}-seed{solver.ic.seed}"
         out = os.path.join(default_out_root(), name)
-    return RunSettings(solver, out, values)
+    return RunSettings(solver, out)
 
 
 def write_config_echo(settings: RunSettings, path: str) -> None:
@@ -186,12 +196,14 @@ def write_config_echo(settings: RunSettings, path: str) -> None:
     identical runs must produce identical files wherever they land.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(settings.raw):
-            if key == "out":
-                continue
-            value = settings.raw[key]
-            text = _fmt(value) if isinstance(value, float) else str(value)
-            fh.write(f"{key} = {text}\n")
+        for name, value in sorted(run_values(settings.solver).items()):
+            if isinstance(value, float):
+                text = _fmt(value)
+            elif isinstance(value, tuple):
+                text = ",".join(map(str, value))
+            else:
+                text = str(value)
+            fh.write(f"{name} = {text}\n")
 
 
 # ---------------------------------------------------------------------------

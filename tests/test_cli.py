@@ -135,6 +135,44 @@ def test_sweep_takes_missing_lists_from_the_config_file(tmp_path, flags, expecte
     assert sorted(p.name for p in out.iterdir()) == expected
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [([], ["g0.5_n16", "g0.5_n32", "g0_n16", "g0_n32"]),
+     (["--n", "32"], ["g0.5_n32", "g0_n32"]),
+     (["--gamma", "1"], ["g1_n16", "g1_n32"])],
+)
+def test_sweep_takes_the_lists_in_the_config_file(tmp_path, flags, expected):
+    cfg = tmp_path / "lists.cfg"
+    cfg.write_text("gamma = 0,0.5\nn = 16,32\nt_max = 0.02\nic = shell\n")
+    out = tmp_path / "sweep"
+    rc = run_cli(["sweep", "--config", str(cfg), *flags, "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == expected
+
+
+@pytest.mark.parametrize("key, text", [("gamma", "0,0.5"), ("n", "16,32")])
+def test_simulate_rejects_a_list_in_the_config_file(tmp_path, capsys, key, text):
+    cfg = tmp_path / "lists.cfg"
+    cfg.write_text(f"{key} = {text}\nt_max = 0.02\nic = shell\n")
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"config key '{key}': cannot parse '{text}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "gammas, shared", [("0.1234567,0.1234568", "g0.123457_n16"), ("1.5,1.50", "g1.5_n16")]
+)
+def test_sweep_rejects_runs_that_share_a_directory(tmp_path, capsys, gammas, shared):
+    # both runs used to write one directory at once and report "2 runs"
+    out = tmp_path / "sweep"
+    rc = run_cli(["sweep", "--gamma", gammas, "--n", "16", "--tmax", "0.02",
+                  "--ic", "shell", "--jobs", "2", "--out", str(out)])
+    assert rc == 1
+    assert f"sweep runs would share a directory: {shared}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("root", ["flag", "file", "default"])
 def test_sweep_output_root_is_the_flag_then_the_file_then_the_default(
     tmp_path, monkeypatch, root
@@ -231,7 +269,13 @@ def test_verify_embedding_small_corpus(tmp_path):
      (["embedding", "--seed", "-1"], "corpus seed must be >= 0, got -1"),
      # a nan gamma used to exit 0 with "max ratio = nan"
      *((["multiplier", "--gamma", g], "gamma must be finite and >= 0")
-       for g in ("-0.1", "nan", "inf"))],
+       for g in ("-0.1", "nan", "inf")),
+     # --nmax 1 gives no dyadic block; it used to exit 0 with rows = 0
+     *(([mode, "--nmax", "1"], "N_set must hold at least one dyadic block")
+       for mode in ("multiplier", "bernstein")),
+     (["sharpness", "--pmax", "3"], "sharpness needs"),
+     # used to be argparse's exit 2
+     (["embedding", "--n", "abc"], "config key 'n': cannot parse 'abc'")],
 )
 def test_verify_bad_input_writes_nothing(tmp_path, capsys, flags, message):
     out = tmp_path / "v"

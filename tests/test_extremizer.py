@@ -135,6 +135,10 @@ class TestSharpnessCurve:
         with pytest.raises(ValueError):
             sharpness_curve([2.0, 8.0])
 
+    def test_rejects_an_empty_p_list(self):
+        with pytest.raises(ValueError, match="at least one p >= 4"):
+            sharpness_curve([])
+
 
 def test_quadrature_stack_loads_only_for_the_sharpness_table():
     # importing the package and its cli must not pull in scipy.integrate

@@ -246,6 +246,14 @@ class TestMultiplierBound:
         with pytest.raises(ValueError):
             check_multiplier_bound(1.5, (3.0,), (2.0,), CorpusSpec(n=64, size=20))
 
+    def test_rejects_an_empty_block_set(self):
+        # a check over no block used to report no rows, as if it were met
+        spec = CorpusSpec(n=64, size=20)
+        with pytest.raises(ValueError, match="at least one dyadic block"):
+            check_multiplier_bound(1.5, (), (2.0,), spec)
+        with pytest.raises(ValueError, match="at least one dyadic block"):
+            check_bernstein(spec, [], ((2.0, 2.0),))
+
     def test_empty_corpus_gives_no_rows(self):
         spec = CorpusSpec(kind="random_band", n=64, size=0)
         assert check_multiplier_bound(1.5, (4.0,), (2.0,), spec).rows == ()

@@ -1,17 +1,22 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from logeuler.norms import NormBundle
 from logeuler.runio import (
+    RUN_KEYS,
     ConfigError,
     Snapshot,
     SnapshotError,
     parse_config,
+    parse_values,
+    read_config_file,
     read_diagnostics_csv,
     read_snapshot,
     records_from_rows,
+    run_values,
     write_config_echo,
     write_diagnostics_csv,
     write_snapshot,
@@ -176,6 +181,17 @@ def test_config_echo_bytes(tmp_path, config, expected):
     echo = tmp_path / "config.txt"
     write_config_echo(parse_config(path), str(echo))
     assert echo.read_bytes() == expected.encode("utf-8")
+
+
+def test_readme_defaults_block_is_the_default_config(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config keys and defaults", 1)[1].split("```")[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    values = parse_values(read_config_file(str(path)))
+    assert list(values) == list(RUN_KEYS)
+    assert values.pop("out") == ""  # empty -> a name derived from the run
+    assert values == run_values(parse_config().solver)
 
 
 class TestDiagnosticsCsv:
