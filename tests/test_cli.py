@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from logeuler.cli import run_cli
+from logeuler.runio import read_diagnostics_csv
 
 
 def test_simulate_writes_outputs(tmp_path):
@@ -222,7 +225,7 @@ def test_sweep_runs_the_valid_resolutions_when_one_is_invalid(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
-def test_simulate_blowup_writes_marker(tmp_path):
+def test_simulate_blowup_writes_marker(tmp_path, capsys):
     cfg = tmp_path / "blow.cfg"
     cfg.write_text(
         "n = 32\nic = random_band\nic_band = 4\nic_amplitude = 1e160\n"
@@ -233,6 +236,14 @@ def test_simulate_blowup_writes_marker(tmp_path):
     assert rc == 1
     assert (out / "blowup.txt").exists()
     assert (out / "diagnostics.csv").exists()  # partial results preserved
+    marker = re.fullmatch(r"blow-up at t = (\S+), step (\d+)\n",
+                          (out / "blowup.txt").read_text())
+    assert marker, (out / "blowup.txt").read_text()
+    t, step = float(marker[1]), int(marker[2])
+    assert repr(t) == marker[1]
+    rows = read_diagnostics_csv(str(out / "diagnostics.csv"))
+    assert rows and all(row["t"] < t for row in rows)
+    assert f"BLOW-UP at t = {t:.6g} (step {step}); " in capsys.readouterr().err
 
 
 def test_verify_sharpness_writes_table(tmp_path):
