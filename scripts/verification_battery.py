@@ -1,60 +1,20 @@
 #!/usr/bin/env python3
-"""Run the full inequality-verification battery with one command.
+"""The inequality-verification battery: ``logeuler verify`` for each check
+with the defaults below, one CSV each.  Extra arguments are verify flags
+and override the defaults."""
 
-Covers the dyadic multiplier bound, the sqrt(p) embedding, the log
-interpolation estimate, the Bernstein estimates and the radial sharpness
-table; writes one CSV per check and prints the worst observed ratios.
-"""
+import sys
 
-import argparse
-import os
+from logeuler.cli import run_cli
 
-from logeuler.extremizer import sharpness_curve
-from logeuler.inequalities import (
-    CorpusSpec,
-    check_bernstein,
-    check_embedding,
-    check_log_interpolation,
-    check_multiplier_bound,
-)
-from logeuler.runio import write_inequality_csv, write_sharpness_csv
+DEFAULTS = ["--n", "256", "--nmax", "64", "--out", "runs/battery"]
+RUNS = [["embedding"], ["loginterp"], ["multiplier"], ["bernstein"],
+        ["sharpness", "--pmax", "256"]]
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=256, help="corpus grid size")
-    parser.add_argument("--gamma", type=float, default=1.5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pmax", type=int, default=64)
-    parser.add_argument("--out", default="runs/battery")
-    args = parser.parse_args()
-    os.makedirs(args.out, exist_ok=True)
-
-    corpus = CorpusSpec(kind="default", n=args.n, seed=args.seed)
-    n_set = [2.0**j for j in range(1, 7)]
-
-    reports = [
-        check_embedding(corpus, args.pmax),
-        check_log_interpolation(corpus, args.gamma, args.pmax),
-        check_multiplier_bound(args.gamma, n_set, (2.0, float("inf")), corpus),
-        check_bernstein(
-            corpus, n_set, ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")))
-        ),
-    ]
-    for report in reports:
-        path = os.path.join(args.out, f"{report.name}.csv")
-        write_inequality_csv(report, path)
-        print(
-            f"{report.name:18s} max ratio {report.max_ratio:.6f} "
-            f"(worst: {report.attaining_id})  -> {path}"
-        )
-
-    rows = sharpness_curve([4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
-    path = os.path.join(args.out, "sharpness.csv")
-    write_sharpness_csv(rows, path)
-    floor = min(row.embed_ratio / row.inv_sqrt_log_p for row in rows)
-    print(f"{'sharpness':18s} ratio*sqrt(log p) >= {floor:.4f}  -> {path}")
+def main(argv: list[str]) -> int:
+    return max([run_cli(["verify", *run, *DEFAULTS, *argv]) for run in RUNS])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

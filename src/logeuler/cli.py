@@ -8,6 +8,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from .extremizer import sharpness_curve
 from .inequalities import (
@@ -24,6 +25,7 @@ from .runio import (
     DIAG_HEADER,
     RunSettings,
     default_out_root,
+    diagnostics_row,
     parse_config,
     parse_value,
     parse_values,
@@ -31,14 +33,13 @@ from .runio import (
     read_diagnostics_csv,
     records_from_rows,
     write_config_echo,
-    write_diagnostics_csv,
     write_inequality_csv,
     write_sharpness_csv,
     write_snapshot,
 )
-from .solver import SolverConfig, gronwall_envelope, run
+from .solver import BlowUpError, SolverConfig, gronwall_envelope, run
 
-__all__ = ["main", "run_cli"]
+__all__ = ["build_parser", "run_cli"]
 
 
 VERIFY_KEYS = ("gamma", "n", "seed", "size", "band", "p_max", "nmax", "out")
@@ -52,7 +53,7 @@ def _add_keys(parser: argparse.ArgumentParser, names) -> None:
                             dest=name, help=key.help)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logeuler",
         description="Pseudo-spectral log-regularized 2D Euler solver and "
@@ -92,52 +93,61 @@ def _given(args, names) -> dict[str, str]:
             if getattr(args, name) is not None}
 
 
-def _execute_run(settings: RunSettings) -> int:
+def _execute_run(settings: RunSettings) -> tuple[int, str]:
+    """Run one configuration as (exit status, closing line: stdout's, or
+    stderr's after a blow-up), writing the config echo first, each CSV row
+    flushed as made and each snapshot renamed into place once whole."""
     out = settings.out_dir
     os.makedirs(out, exist_ok=True)
-    result = run(settings.solver)
     write_config_echo(settings, os.path.join(out, "config.txt"))
-    if result.records:
-        write_diagnostics_csv(result.records, os.path.join(out, "diagnostics.csv"))
-    if result.snapshots:
-        snap_dir = os.path.join(out, "snapshots")
-        os.makedirs(snap_dir, exist_ok=True)
-        for snap in result.snapshots:
-            write_snapshot(
-                snap, os.path.join(snap_dir, f"step_{snap.step_count:08d}.lgeu")
-            )
-    if result.blown_up:
-        with open(os.path.join(out, "blowup.txt"), "w", encoding="utf-8") as fh:
-            fh.write(f"blow-up at t = {result.blowup_t!r}, step {result.blowup_step}\n")
-        print(
-            f"BLOW-UP at t = {result.blowup_t:.6g} (step {result.blowup_step}); "
-            f"partial results in {out}",
-            file=sys.stderr,
-        )
-        return 1
-    final = result.records[-1]
-    print(
-        f"run finished: t = {final.t:.6g}, records = {len(result.records)}, "
-        f"l2 = {final.norms.l2:.9g}, energy = {final.norms.energy_gamma:.9g} "
-        f"-> {out}"
-    )
-    return 0
+    count, final = 0, None
+
+    def on_record(rec) -> None:
+        nonlocal count, final
+        csv.write(diagnostics_row(rec))
+        csv.flush()
+        count, final = count + 1, rec
+
+    def on_snapshot(snap) -> None:
+        path = os.path.join(out, "snapshots", f"step_{snap.step_count:08d}.lgeu")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_snapshot(snap, path + ".tmp")
+        os.replace(path + ".tmp", path)
+
+    with open(os.path.join(out, "diagnostics.csv"), "w", encoding="utf-8",
+              newline="\n") as csv:
+        csv.write(DIAG_HEADER + "\n")
+        try:
+            run(settings.solver, on_record, on_snapshot)
+        except BlowUpError as exc:
+            with open(os.path.join(out, "blowup.txt"), "w", encoding="utf-8") as fh:
+                fh.write(f"blow-up at t = {exc.t!r}, step {exc.step_count}\n")
+            return 1, (f"BLOW-UP at t = {exc.t:.6g} (step {exc.step_count}); "
+                       f"partial results in {out}")
+    return 0, (f"run finished: t = {final.t:.6g}, records = {count}, "
+               f"l2 = {final.norms.l2:.9g}, energy = {final.norms.energy_gamma:.9g} "
+               f"-> {out}")
 
 
 def _cmd_simulate(args) -> int:
-    return _execute_run(parse_config(args.config, _given(args, RUN_KEYS)))
+    code, line = _execute_run(parse_config(args.config, _given(args, RUN_KEYS)))
+    print(line, file=sys.stderr if code else sys.stdout)
+    return code
 
 
-def _sweep_worker(values: dict) -> tuple[int, str]:
-    """One sweep run as (exit status, status line); an error fails only it."""
+def _sweep_worker(values: dict) -> tuple[int, str, str]:
+    """One sweep run as (exit status, status line, closing line), printed by
+    the caller in job order; an error fails only this run."""
     try:
-        code = _execute_run(parse_config(None, values))
+        code, line = _execute_run(parse_config(None, values))
     except (ConfigError, OSError, ValueError) as exc:
-        return 1, f"error: {exc}"
-    return code, "ok" if code == 0 else f"exit {code}"
+        return 1, f"error: {exc}", ""
+    return code, "ok" if code == 0 else f"exit {code}", line
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     given = read_config_file(args.config) if args.config else {}
     given.update(_given(args, RUN_KEYS))  # flags override the file
 
@@ -156,15 +166,18 @@ def _cmd_sweep(args) -> int:
     shared = sorted({os.path.basename(out) for out in outs if outs.count(out) > 1})
     if shared:
         raise ConfigError(f"sweep runs would share a directory: {', '.join(shared)}")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = list(map(_sweep_worker, jobs))
+    workers = min(args.jobs, len(jobs))
+    results = []
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        for code, status, line in (pool.map if pool else map)(_sweep_worker, jobs):
+            if line:
+                print(line, file=sys.stderr if code else sys.stdout)
+            results.append((code, status))
     for out, (_, status) in zip(outs, results):
         print(f"  {os.path.basename(out)}: {status}")
     print(f"sweep finished: {len(jobs)} runs under {out_root}")
-    return max((code for code, _ in results), default=0)
+    return max(code for code, _ in results)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +292,7 @@ def _cmd_report(args) -> int:
 
 def run_cli(argv=None) -> int:
     """Dispatch one CLI invocation; returns the process exit status."""
-    parser = _build_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -293,9 +306,5 @@ def run_cli(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

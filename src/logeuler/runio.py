@@ -34,6 +34,7 @@ __all__ = [
     "run_values",
     "parse_config",
     "write_config_echo",
+    "diagnostics_row",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
     "records_from_rows",
@@ -210,19 +211,21 @@ def write_config_echo(settings: RunSettings, path: str) -> None:
 # diagnostics CSV
 # ---------------------------------------------------------------------------
 
+def diagnostics_row(rec: DiagnosticsRecord) -> str:
+    """One CSV line of ``rec`` under ``DIAG_HEADER``, full float64 precision."""
+    b = rec.norms
+    row = (rec.t, rec.dt_used, b.l2, b.lp[4], b.lp[8], b.h1dot, b.hm1dot,
+           b.sup_p_ratio, b.grad_u_sup, b.energy_gamma)
+    return ",".join(_fmt(v) for v in row) + "\n"
+
+
 def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path: str) -> None:
-    """One row per record under the fixed header, full float64 precision."""
+    """One row per record under the fixed header."""
     if not records:
         raise ValueError("no diagnostics records to write")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(DIAG_HEADER + "\n")
-        for rec in records:
-            b = rec.norms
-            row = (
-                rec.t, rec.dt_used, b.l2, b.lp[4], b.lp[8], b.h1dot, b.hm1dot,
-                b.sup_p_ratio, b.grad_u_sup, b.energy_gamma,
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(diagnostics_row, records))
 
 
 def read_diagnostics_csv(path: str) -> list[dict[str, float]]:

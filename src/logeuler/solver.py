@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "SolverState",
     "DiagnosticsRecord",
     "Snapshot",
-    "RunResult",
     "EnvelopeReport",
     "BlowUpError",
     "make_ic",
@@ -68,8 +68,7 @@ class BlowUpError(RuntimeError):
 
     def __init__(self, t: float, step_count: int):
         super().__init__(f"non-finite vorticity at t = {t:.6g} (step {step_count})")
-        self.t = t
-        self.step_count = step_count
+        self.t, self.step_count = t, step_count
 
 
 @dataclass(frozen=True)
@@ -208,15 +207,6 @@ class Snapshot:
     time: float
     step_count: int
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class RunResult:
-    records: list[DiagnosticsRecord]
-    snapshots: list[Snapshot]
-    blown_up: bool = False
-    blowup_t: float | None = None
-    blowup_step: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +426,20 @@ def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -
     return SolverState(t, SpectralField(grid, h.copy()), step)
 
 
-def run(config: SolverConfig) -> RunResult:
+def run(config: SolverConfig, on_record: Callable, on_snapshot: Callable) -> None:
     """Integrate ``config.ic`` from t = 0 to t_max under the adaptive CFL
-    constraint.
+    constraint, handing each diagnostics record to ``on_record`` and each
+    snapshot to ``on_snapshot`` as it is made.
 
-    A state at step s gets a diagnostics record when s % diag_interval == 0
-    or it is the final state, and a snapshot by the same rule with
-    ``snapshot_interval`` (0 disables snapshots).  If the step size or the
-    next state is non-finite the run stops and returns what it has, with
-    the blow-up marker set.
+    A state at step s gets a record when s % diag_interval == 0 or it is the
+    final state, and a snapshot by the same rule with ``snapshot_interval``
+    (0 disables snapshots).  A non-finite step size or state raises
+    ``BlowUpError`` with the time and step of the failure.
     """
     grid = Grid(config.n)
     h = dealias(project_zero_mean(make_ic(config.ic, grid))).coeffs
     ws = _workspace(grid, config.gamma, config.mollify_n)
     t_end, snap = config.t_max, config.snapshot_interval
-    records: list[DiagnosticsRecord] = []
-    snapshots: list[Snapshot] = []
     t, step, dt_used = 0.0, 0, 0.0
     while True:
         # the velocity, and a record's RHS as the step's first RK4 stage,
@@ -462,18 +450,18 @@ def run(config: SolverConfig) -> RunResult:
         if step % config.diag_interval == 0 or final:
             k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.trunc.k1, want_diag=True)
             bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma, config.p_max)
-            records.append(DiagnosticsRecord(t, bundle, dt_used, discarded))
+            on_record(DiagnosticsRecord(t, bundle, dt_used, discarded))
         if snap > 0 and (step % snap == 0 or final):
             phys = dft_inverse(SpectralField(grid, h)).values
-            snapshots.append(Snapshot(grid.n, config.gamma, t, step, phys))
+            on_snapshot(Snapshot(grid.n, config.gamma, t, step, phys))
         if final:
-            return RunResult(records, snapshots)
+            return
         dt = min(_cfl_dt(uv, config.cfl, grid.dx), t_end - t)
         if not (dt > 0 and math.isfinite(dt)):
-            return RunResult(records, snapshots, True, t, step)
+            raise BlowUpError(t, step)
         h = _rk4_half(h, dt, ws, uv=uv, k1=k1)
         if not np.all(np.isfinite(h)):
-            return RunResult(records, snapshots, True, t + dt, step + 1)
+            raise BlowUpError(t + dt, step + 1)
         t, step, dt_used = t + dt, step + 1, dt
 
 

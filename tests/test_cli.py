@@ -1,9 +1,23 @@
+import os
 import re
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from logeuler import cli
 from logeuler.cli import run_cli
-from logeuler.runio import read_diagnostics_csv
+from logeuler.runio import (
+    parse_config,
+    read_diagnostics_csv,
+    read_snapshot,
+    write_config_echo,
+)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_simulate_writes_outputs(tmp_path):
@@ -121,6 +135,55 @@ def test_sweep_parallel_jobs(tmp_path):
     )
     assert rc == 0
     assert sorted(p.name for p in out.iterdir()) == ["g0.5_n32", "g1.5_n32"]
+
+
+def test_sweep_prints_in_job_order_whatever_the_jobs(tmp_path, capfd):
+    # the n = 16 run ends first; its worker used to print its line first
+    args = ["sweep", "--gamma", "0", "--n", "128,16", "--out", str(tmp_path)]
+    stdout = []
+    for jobs in ("1", "2"):
+        assert run_cli([*args, "--jobs", jobs]) == 0
+        stdout.append(capfd.readouterr().out)
+    assert stdout[1] == stdout[0]
+    assert [line.split(": ")[0] for line in stdout[0].splitlines()] == [
+        "run finished", "run finished", "  g0_n128", "  g0_n16",
+        "sweep finished"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    rc = run_cli(["sweep", "--gamma", "0", "--n", "16", "--tmax", "0.02",
+                  "--jobs", jobs, "--out", str(out)])
+    assert rc == 1
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs, gammas, started", [("5000", "0,0.5", [2]),
+                                                   ("2", "0", [])])
+def test_sweep_starts_at_most_one_worker_per_run(tmp_path, monkeypatch, jobs,
+                                                 gammas, started):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    rc = run_cli(["sweep", "--gamma", gammas, "--n", "16", "--tmax", "0.02",
+                  "--jobs", jobs, "--out", str(tmp_path / "sweep")])
+    assert rc == 0
+    assert pools == started
 
 
 @pytest.mark.parametrize(
@@ -244,6 +307,58 @@ def test_simulate_blowup_writes_marker(tmp_path, capsys):
     rows = read_diagnostics_csv(str(out / "diagnostics.csv"))
     assert rows and all(row["t"] < t for row in rows)
     assert f"BLOW-UP at t = {t:.6g} (step {step}); " in capsys.readouterr().err
+
+
+def test_simulate_memory_does_not_grow_with_the_run(tmp_path):
+    # shell data is steady, so each run takes ceil(t_max / dt) equal steps
+    args = ["simulate", "--n", "32", "--diag-every", "1", "--snap-every", "1",
+            "--ic", "shell", "--ic-amplitude", "10", "--pmax", "8"]
+    assert run_cli([*args, "--tmax", "0.5", "--out", str(tmp_path / "warm")]) == 0
+    peaks, records = [], []
+    for t_max in ("3", "30"):  # 41 and 404 steps
+        out = tmp_path / t_max
+        tracemalloc.start()
+        try:
+            assert run_cli([*args, "--tmax", t_max, "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        records.append(len(read_diagnostics_csv(str(out / "diagnostics.csv"))))
+    assert records[0] > 35 and records[1] > 9 * records[0]
+    # one 32 x 32 snapshot takes 8 KiB
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
+def test_killed_run_leaves_valid_output(tmp_path):
+    # at amplitude 100 the run takes some 10^4 steps; it is killed after 3
+    flags = ["--n", "64", "--tmax", "100", "--diag-every", "1", "--snap-every", "1",
+             "--ic-amplitude", "100"]
+    out = tmp_path / "run"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logeuler.cli", "simulate", *flags, "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    csv, snaps = out / "diagnostics.csv", out / "snapshots"
+    try:
+        deadline = time.monotonic() + 60
+        while not (csv.exists() and len(csv.read_text().splitlines()) >= 1 + 3
+                   and len(list(snaps.glob("step_*.lgeu"))) >= 2):
+            assert proc.poll() is None, "the run ended before it was killed"
+            assert time.monotonic() < deadline, "too little output after 60 s"
+            time.sleep(0.02)
+    finally:
+        proc.kill()
+        proc.wait()
+    echo = tmp_path / "echo.txt"
+    given = {"n": "64", "t_max": "100", "diag_every": "1", "snap_every": "1",
+             "ic_amplitude": "100"}  # the flags above
+    write_config_echo(parse_config(None, given), str(echo))
+    assert (out / "config.txt").read_bytes() == echo.read_bytes()
+    assert len(read_diagnostics_csv(str(csv))) >= 3
+    for path in snaps.glob("step_*.lgeu"):
+        assert read_snapshot(str(path)).n == 64
 
 
 def test_verify_sharpness_writes_table(tmp_path):

@@ -245,7 +245,9 @@ class TestSnapshots:
     def test_run_snapshots_are_written_as_they_are(self, tmp_path):
         cfg = SolverConfig(n=16, gamma=0.5, t_max=0.05, snapshot_interval=1,
                            ic=InitialConditionSpec(kind="shell"))
-        snap = run(cfg).snapshots[-1]
+        records, snapshots = [], []
+        run(cfg, records.append, snapshots.append)
+        snap = snapshots[-1]
         assert isinstance(snap, Snapshot)
         path = tmp_path / "s.lgeu"
         write_snapshot(snap, str(path))

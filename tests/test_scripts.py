@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 REPORT_HEADERS = {
     "embedding.csv": "function_id,p,ratio",
-    "log_interpolation.csv": "function_id,gamma,ratio",
-    "multiplier_bound.csv": "function_id,N,q,ratio",
+    "loginterp.csv": "function_id,gamma,ratio",
+    "multiplier.csv": "function_id,N,q,ratio",
     "bernstein.csv": "function_id,N,p,q,ratio",
     "sharpness.csv": "p,l2,h1dot,lp,embed_ratio,inv_sqrt_log_p,c_h1,c_lp",
 }
@@ -36,11 +36,11 @@ def test_gamma_conservation_study_short_run(tmp_path):
     # envelope fits; the script reports that and goes on
     stdout = run_script(
         "gamma_conservation_study.py", "--n", "32", "--tmax", "0.05",
-        "--gammas", "0,1.5", "--out", str(tmp_path),
+        "--gamma", "0,1.5", "--out", str(tmp_path),
     )
     assert "need at least 3 records" in stdout
     for gamma in ("0", "1.5"):
-        rows = read_diagnostics_csv(str(tmp_path / f"gamma_{gamma}.csv"))
+        rows = read_diagnostics_csv(str(tmp_path / f"g{gamma}_n32" / "diagnostics.csv"))
         assert len(rows) >= 2
         assert rows[0]["t"] == 0.0
 

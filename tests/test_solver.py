@@ -37,6 +37,13 @@ def l2_of(field: SpectralField) -> float:
     return half_spectrum_l2(field.coeffs)
 
 
+def collect(cfg: SolverConfig):
+    """The records and snapshots that ``run(cfg)`` hands out, in order."""
+    records, snapshots = [], []
+    run(cfg, records.append, snapshots.append)
+    return records, snapshots
+
+
 INVALID_CONFIGS = [
     {"n": 12},
     {"gamma": -0.1},
@@ -294,10 +301,10 @@ class TestTransformPlanPath:
                 assert not np.shares_memory(x, y)
         out = rhs(f, 1.5)
         assert not np.shares_memory(out.coeffs, rhs(a.omega, 1.5).coeffs)
-        snaps = run(SolverConfig(
+        _, snaps = collect(SolverConfig(
             n=32, t_max=0.2, snapshot_interval=1,
             ic=InitialConditionSpec(kind="random_band", amplitude=20.0),
-        )).snapshots
+        ))
         assert len(snaps) > 2
         for i, x in enumerate(snaps):
             for y in snaps[i + 1:]:
@@ -344,7 +351,7 @@ class TestCflDt:
         # no dealias tables, no RK4 buffers
         assert solver._truncation.cache_info().currsize == 0
         table = solver._velocity(32, 1.25)
-        run(SolverConfig(n=32, gamma=1.25, t_max=0.01, mollify="auto"))
+        collect(SolverConfig(n=32, gamma=1.25, t_max=0.01, mollify="auto"))
         assert solver._velocity.cache_info().misses == 1
         assert solver._velocity(32, 1.25) is table
         assert solver._truncation.cache_info().currsize == 1
@@ -354,9 +361,9 @@ class TestCflDt:
     def test_records_share_one_norm_table(self):
         norms._smoothed_inverse_k2.cache_clear()
         ic = InitialConditionSpec(band=4, seed=1, amplitude=20.0)
-        result = run(SolverConfig(n=32, gamma=1.25, t_max=0.2, cfl=0.05,
-                                  diag_interval=1, ic=ic))
-        assert len(result.records) > 10
+        records, _ = collect(SolverConfig(n=32, gamma=1.25, t_max=0.2, cfl=0.05,
+                                          diag_interval=1, ic=ic))
+        assert len(records) > 10
         assert norms._smoothed_inverse_k2.cache_info().misses == 1
 
     def test_smoothing_increases_dt(self):
@@ -428,23 +435,22 @@ class TestRun:
             n=64, gamma=1.5, t_max=0.5, diag_interval=1,
             ic=InitialConditionSpec(kind="single_mode"),
         )
-        result = run(cfg)
-        assert not result.blown_up
-        first = result.records[0].norms
-        for rec in result.records[1:]:
+        records, _ = collect(cfg)  # raises BlowUpError on a blow-up
+        first = records[0].norms
+        for rec in records[1:]:
             assert abs(rec.norms.l2 - first.l2) < 1e-8
             assert abs(rec.norms.h1dot - first.h1dot) < 1e-8
         # steady single-mode advection product is identically zero, so the
         # truncation removes nothing
-        assert all(rec.aliasing_energy_discarded < 1e-28 for rec in result.records)
+        assert all(rec.aliasing_energy_discarded < 1e-28 for rec in records)
 
     def test_time_column_and_final_time(self):
         cfg = SolverConfig(
             n=64, gamma=1.5, t_max=0.3, diag_interval=1, cfl=0.4,
             ic=InitialConditionSpec(kind="random_band", band=8, seed=4),
         )
-        result = run(cfg)
-        times = [rec.t for rec in result.records]
+        records, _ = collect(cfg)
+        times = [rec.t for rec in records]
         assert all(b > a for a, b in zip(times, times[1:]))
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.3, abs=1e-12)
@@ -455,9 +461,9 @@ class TestRun:
             diag_interval=1,
             ic=InitialConditionSpec(kind="random_band", band=8, seed=1),
         )
-        result = run(cfg)
-        l2s = [rec.norms.l2 for rec in result.records]
-        energies = [rec.norms.energy_gamma for rec in result.records]
+        records, _ = collect(cfg)
+        l2s = [rec.norms.l2 for rec in records]
+        energies = [rec.norms.energy_gamma for rec in records]
         assert (max(l2s) - min(l2s)) / l2s[0] < 1e-10
         assert (max(energies) - min(energies)) / energies[0] < 1e-10
 
@@ -466,9 +472,9 @@ class TestRun:
             n=32, t_max=0.2, diag_interval=1,
             ic=InitialConditionSpec(kind="random_band", band=4, seed=11),
         )
-        a = run(cfg)
-        b = run(cfg)
-        for ra, rb in zip(a.records, b.records):
+        a, _ = collect(cfg)
+        b, _ = collect(cfg)
+        for ra, rb in zip(a, b):
             assert ra.t == rb.t
             assert ra.norms.l2 == rb.norms.l2
 
@@ -477,8 +483,8 @@ class TestRun:
             n=32, t_max=0.2, diag_interval=1, snapshot_interval=2, cfl=0.1,
             ic=InitialConditionSpec(kind="shell"),
         )
-        result = run(cfg)
-        steps = [snap.step_count for snap in result.snapshots]
+        _, snapshots = collect(cfg)
+        steps = [snap.step_count for snap in snapshots]
         assert steps[0] == 0
         assert steps == sorted(steps)
         assert all(
@@ -491,29 +497,30 @@ class TestRun:
         # stage; recording every step or every other step must not change
         # a single bit of the trajectory or of the records
         runs = [
-            run(SolverConfig(
+            collect(SolverConfig(
                 n=32, gamma=1.5, t_max=0.8, cfl=0.3, mollify=mollify,
                 ic=InitialConditionSpec(kind="random_band", amplitude=20.0, seed=5),
                 diag_interval=interval, snapshot_interval=3,
             ))
             for interval in (1, 2)
         ]
-        every = {rec.t: rec for rec in runs[0].records}
-        assert len(runs[0].records) > 6
-        assert len(runs[1].records) > 3
-        for rec in runs[1].records:
+        (records, snaps_every), (records_other, snaps_other) = runs
+        every = {rec.t: rec for rec in records}
+        assert len(records) > 6
+        assert len(records_other) > 3
+        for rec in records_other:
             ref = every[rec.t]
             assert rec.dt_used == ref.dt_used
             assert rec.norms == ref.norms
             assert rec.aliasing_energy_discarded == ref.aliasing_energy_discarded
-        assert runs[0].records[-1].t == runs[1].records[-1].t
+        assert records[-1].t == records_other[-1].t
         # the first record is the public bundle of the dealiased initial
         # field, to the last bit
         ic = make_ic(InitialConditionSpec(kind="random_band", amplitude=20.0,
                                           seed=5), Grid(32))
         omega0 = dealias(project_zero_mean(ic))
-        assert runs[0].records[0].norms == compute_norm_bundle(omega0, 1.5, 64)
-        snaps = [r.snapshots for r in runs]
+        assert records[0].norms == compute_norm_bundle(omega0, 1.5, 64)
+        snaps = [snaps_every, snaps_other]
         assert [s.step_count for s in snaps[0]] == [s.step_count for s in snaps[1]]
         for a, b in zip(*snaps):
             assert a.time == b.time
@@ -522,7 +529,7 @@ class TestRun:
     @staticmethod
     def _cadence_run(diag_interval, snapshot_interval):
         # 14 adaptive steps to t_max
-        return run(SolverConfig(
+        return collect(SolverConfig(
             n=32, t_max=0.6, cfl=0.3, diag_interval=diag_interval,
             snapshot_interval=snapshot_interval,
             ic=InitialConditionSpec(kind="random_band", amplitude=20.0),
@@ -530,16 +537,16 @@ class TestRun:
 
     @pytest.mark.parametrize("interval", [1, 2, 3, 5, 14, 20])
     def test_records_and_snapshots_follow_one_rule(self, interval):
-        result = self._cadence_run(interval, interval)
-        assert [r.t for r in result.records] == [s.time for s in result.snapshots]
+        records, snapshots = self._cadence_run(interval, interval)
+        assert [r.t for r in records] == [s.time for s in snapshots]
 
     def test_snapshot_steps_are_the_cadence_plus_the_final_step_once(self):
-        final = self._cadence_run(1, 1).snapshots[-1].step_count
+        final = self._cadence_run(1, 1)[1][-1].step_count
         on = [d for d in range(2, final) if final % d == 0]
         off = [d for d in range(2, final) if final % d != 0]
         assert on and off
         for d in (*on, *off[:3], final + 3):
-            steps = [s.step_count for s in self._cadence_run(10, d).snapshots]
+            steps = [s.step_count for s in self._cadence_run(10, d)[1]]
             expected = list(range(0, final + 1, d))
             if final % d != 0:
                 expected.append(final)
@@ -548,20 +555,21 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_blown_up_run_keeps_nothing_from_the_blowup_on(self):
-        result = run(SolverConfig(
-            n=32, t_max=1.0, diag_interval=1, snapshot_interval=1,
-            ic=InitialConditionSpec(kind="random_band", band=4, amplitude=1e160),
-        ))
-        assert result.blown_up
-        assert result.records
-        assert all(r.t < result.blowup_t for r in result.records)
-        assert all(s.step_count < result.blowup_step for s in result.snapshots)
+        records, snapshots = [], []
+        with pytest.raises(BlowUpError) as err:
+            run(SolverConfig(
+                n=32, t_max=1.0, diag_interval=1, snapshot_interval=1,
+                ic=InitialConditionSpec(kind="random_band", band=4, amplitude=1e160),
+            ), records.append, snapshots.append)
+        assert records
+        assert all(r.t < err.value.t for r in records)
+        assert all(s.step_count < err.value.step_count for s in snapshots)
 
     def test_ic_seed_is_the_run_seed(self):
         def h1dot(seed):
             cfg = SolverConfig(n=32, t_max=0.05, diag_interval=1,
                                ic=InitialConditionSpec(kind="random_band", seed=seed))
-            return [rec.norms.h1dot for rec in run(cfg).records]
+            return [rec.norms.h1dot for rec in collect(cfg)[0]]
 
         assert h1dot(5) != h1dot(0)
         assert h1dot(5) == h1dot(5)
@@ -574,15 +582,16 @@ class TestRun:
             ic=InitialConditionSpec(kind="random_band", band=4, amplitude=1e160,
                                     seed=2),
         )
-        result = run(cfg)
-        assert result.blown_up
-        assert result.blowup_step is not None
-        assert len(result.records) >= 1
+        records, snapshots = [], []
+        with pytest.raises(BlowUpError) as err:
+            run(cfg, records.append, snapshots.append)
+        assert err.value.step_count is not None
+        assert len(records) >= 1
 
 
 class TestGronwallEnvelope:
     def _records(self, cfg):
-        return run(cfg).records
+        return collect(cfg)[0]
 
     def test_stationary_constants_vanish(self):
         cfg = SolverConfig(
