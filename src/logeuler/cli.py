@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
@@ -135,14 +136,19 @@ def _cmd_simulate(args) -> int:
     return code
 
 
-def _sweep_worker(values: dict) -> tuple[int, str, str]:
-    """One sweep run as (exit status, status line, closing line), printed by
-    the caller in job order; an error fails only this run."""
-    try:
-        code, line = _execute_run(parse_config(None, values))
-    except (ConfigError, OSError, ValueError) as exc:
-        return 1, f"error: {exc}", ""
-    return code, "ok" if code == 0 else f"exit {code}", line
+def _sweep_worker(values: dict) -> tuple[int, str, str, str]:
+    """One sweep run as (exit status, status line, the text of its warnings,
+    closing line), printed by the caller in job order; an error fails only
+    this run."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, line = _execute_run(parse_config(None, values))
+            status = "ok" if code == 0 else f"exit {code}"
+        except (ConfigError, OSError, ValueError) as exc:
+            code, status, line = 1, f"error: {exc}", ""
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename,
+                                           w.lineno, w.line) for w in caught)
+    return code, status, shown, line
 
 
 def _cmd_sweep(args) -> int:
@@ -170,7 +176,9 @@ def _cmd_sweep(args) -> int:
     results = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
-        for code, status, line in (pool.map if pool else map)(_sweep_worker, jobs):
+        for code, status, shown, line in (pool.map if pool else map)(
+                _sweep_worker, jobs):
+            sys.stderr.write(shown)
             if line:
                 print(line, file=sys.stderr if code else sys.stdout)
             results.append((code, status))
@@ -243,6 +251,9 @@ def _summarize_diagnostics(path: str) -> int:
     rows = read_diagnostics_csv(path)
     records = records_from_rows(rows)
     print(f"== diagnostics: {path} ({len(rows)} records) ==")
+    if not rows:  # a run stopped before its first record
+        print("  no records: nothing to summarize")
+        return 0
     for col in ("l2", "l4", "l8", "energy_gamma"):
         series = [row[col] for row in rows]
         lo, hi = min(series), max(series)

@@ -17,8 +17,10 @@ from .multipliers import check_gamma, is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
     grad_u_sup,
     lp_norm,
-    lp_norm_map,
+    lp_sweep,
+    out_of_reach,
     sobolev_norm,
+    sup_over_p,
 )
 from .spectral import (
     Grid,
@@ -184,15 +186,13 @@ class InequalityReport:
         return max(self.rows, key=lambda row: row.ratio).function_id
 
 
-def _lp_and_h1(corpus: CorpusSpec, p_max: int):
-    """(id, member, {p: ||f||_p for p = 2..p_max}, ||f||_2 + ||f||_H1dot)
-    over the corpus; the sup over p needs p_max >= 2."""
+def _physical_members(corpus: CorpusSpec, p_max: int):
+    """(id, member, its physical samples) over the corpus; the sup over p
+    needs p_max >= 2."""
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
     for fid, f in build_corpus(corpus):
-        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
-        lp = lp_norm_map(phys, range(2, p_max + 1))
-        yield fid, f, lp, lp[2] + sobolev_norm(f, 1.0)
+        yield fid, f, RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
 
 
 def _check_dyadic(N_set: Sequence[float]) -> None:
@@ -210,13 +210,22 @@ def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
     which the per-function maximum is attained.
     """
     rows = []
-    for fid, _, lp, denom_base in _lp_and_h1(corpus, p_max):
+    for fid, f, phys in _physical_members(corpus, p_max):
+        h1 = sobolev_norm(f, 1.0)
+        for p, norm, cap in lp_sweep(phys):
+            if p == 2:
+                denom_base = norm + h1
+                if denom_base == 0.0:
+                    break
+            ratio = norm / (math.sqrt(p) * denom_base)
+            if p == 2 or ratio > best:
+                best_p, best = p, ratio
+            if p >= p_max or out_of_reach(
+                cap / (math.sqrt(p + 1) * denom_base), best
+            ):
+                break
         if denom_base == 0.0:
             continue
-        best_p, best = max(
-            ((p, lp[p] / (math.sqrt(p) * denom_base)) for p in lp),
-            key=lambda item: item[1],
-        )
         rows.append(ReportRow(fid, (("p", float(best_p)),), best))
     params = {"p_max": p_max, "n": corpus.n, "seed": corpus.seed,
               "band": corpus.resolved_band, "size": corpus.size}
@@ -234,10 +243,11 @@ def check_log_interpolation(
     """
     check_gamma(gamma)
     rows = []
-    for fid, f, lp, h1 in _lp_and_h1(corpus, p_max):
-        spr = max(lp[p] / np.sqrt(p) for p in lp)  # sup_p ||f||_p / sqrt(p)
+    for fid, f, phys in _physical_members(corpus, p_max):
+        lp, spr = sup_over_p(phys, p_max)  # sup_p ||f||_p / sqrt(p)
         if spr == 0.0:
             continue
+        h1 = lp[2] + sobolev_norm(f, 1.0)
         denom = math.log(h1 + math.e) * spr
         rows.append(
             ReportRow(fid, (("gamma", gamma),), grad_u_sup(f, gamma) / denom)

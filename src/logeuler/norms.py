@@ -10,15 +10,22 @@ Spectral functionals read the rfft half of the coefficients (columns
 0..n/2), which holds all the data of a real field: Plancherel sums weight
 columns 0 and n/2 by 1 and the others by 2, and the physical fields (the
 vorticity, three components of grad u) come from the grid's transform plan,
-into its slots "omega" and "grad"; ``lp_norm_map`` sweeps its powers in the
-slots "lp_base" and "lp_acc".
+into its slots "lp_base" and "grad"; ``lp_sweep`` makes the powers |f/m|^p,
+p = 2, 3, ..., in the slots "lp_base" and "lp_acc".
+
+Holder's early stop: with m = max|f|, ||f||_p <= m (4 pi^2)^(1/p), and that
+bound over sqrt(p) falls strictly in p.  So a sweep for sup_p ||f||_p/sqrt(p)
+stops at p once the bound at p + 1, taken through the same ratio and raised by
+a relative 1e-12 for the rounding of the computed norms, is below the best
+ratio so far: no later p can win, and the maximum and its p are the floats of
+the full sweep.  ``NormBundle.lp`` holds exactly p = 2..8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -36,7 +43,10 @@ __all__ = [
     "NormBundle",
     "lp_norm",
     "lp_norm_map",
+    "lp_sweep",
+    "out_of_reach",
     "sobolev_norm",
+    "sup_over_p",
     "sup_p_ratio",
     "grad_u_sup",
     "generalized_energy",
@@ -64,6 +74,30 @@ def _smoothed_inverse_k2(n: int, gamma: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
+def _grad_symbols(n: int) -> tuple[np.ndarray, ...]:
+    """The integer symbols -k1 k2, -k2^2 and k1^2 of d1 u1, d2 u1 and d1 u2
+    on the rfft half of grid size n, the last two as the row and column
+    they are constant along; read-only."""
+    k1 = Grid(n).k1
+    kx, ky = k1[:, None], k1[None, : n // 2 + 1]
+    symbols = (-kx * ky, -ky * ky, kx * kx)
+    for symbol in symbols:
+        symbol.flags.writeable = False
+    return symbols
+
+
+@lru_cache(maxsize=4)
+def _sobolev_weight(n: int, order: float) -> np.ndarray:
+    """|k|^(2 order) on the rfft half of grid size n, 1 at the origin (which
+    the Sobolev sums leave out); read-only."""
+    kmod = Grid(n).kmod.copy()
+    kmod[0, 0] = 1.0
+    out = kmod ** (2.0 * order)
+    out.flags.writeable = False
+    return out
+
+
 def lp_norm(f: RealField, p) -> float:
     """Lebesgue norm (sum_j |f|^p dx^2)^(1/p); p = inf gives the grid max.
 
@@ -83,27 +117,52 @@ def lp_norm(f: RealField, p) -> float:
     return m * total ** (1.0 / p)
 
 
+def lp_sweep(f: RealField) -> Iterator[tuple[int, float, float]]:
+    """(p, ||f||_p, cap) for p = 2, 3, ... from one power sweep, where
+    cap = m (4 pi^2)^(1/(p+1)) is Holder's bound on ||f||_{p+1}, m = max|f|.
+
+    Each power costs one multiply and one sum, made only when asked for; the
+    caller ends the sweep with ``break``.  The powers live in the plan's slots
+    "lp_base" and "lp_acc", so one sweep per grid size runs at a time; f may
+    itself be slot "lp_base", which the sweep then overwrites.
+    """
+    m = _sup_abs(f.values)
+    p = 2
+    if m == 0.0:
+        while True:
+            yield p, 0.0, 0.0
+            p += 1
+    plan = f.grid.plan
+    base = np.abs(f.values, out=plan.real("lp_base"))
+    base /= m
+    dx2 = f.grid.dx**2
+    acc = np.multiply(base, base, out=plan.real("lp_acc"))
+    while True:
+        yield (p, m * (float(np.sum(acc)) * dx2) ** (1.0 / p),
+               m * FOUR_PI_SQ ** (1.0 / (p + 1)))
+        np.multiply(acc, base, out=acc)
+        p += 1
+
+
+def out_of_reach(cap_ratio: float, best: float) -> bool:
+    """Whether Holder's bound on every later ratio, ``cap_ratio``, stays
+    below ``best`` with a relative 1e-12 to spare for rounding."""
+    return cap_ratio * (1.0 + 1e-12) < best
+
+
 def lp_norm_map(f: RealField, p_values) -> dict[int, float]:
     """L^p norms for a set of integer exponents >= 2, sharing one power sweep."""
     ps = sorted(set(int(p) for p in p_values))
     if ps and ps[0] < 2:
         raise ValueError(f"p must be >= 2, got {ps[0]}")
     out: dict[int, float] = {}
-    m = _sup_abs(f.values)
-    if m == 0.0:
-        return {p: 0.0 for p in ps}
-    plan = f.grid.plan
-    base = np.abs(f.values, out=plan.real("lp_base"))
-    base /= m
-    dx2 = f.grid.dx**2
-    acc = np.multiply(base, base, out=plan.real("lp_acc"))
-    power = 2
-    for p in ps:
-        while power < p:
-            np.multiply(acc, base, out=acc)
-            power += 1
-        out[p] = m * (float(np.sum(acc)) * dx2) ** (1.0 / p)
-    return out
+    if not ps:
+        return out
+    for p, norm, _ in lp_sweep(f):
+        if p in ps:
+            out[p] = norm
+        if p == ps[-1]:
+            return out
 
 
 def sobolev_norm(s: SpectralField, order: float) -> float:
@@ -113,19 +172,36 @@ def sobolev_norm(s: SpectralField, order: float) -> float:
     """
     if order < 0:
         check_zero_mean(s, f"Sobolev norm of order {order}")
-    kmod = s.grid.kmod.copy()
-    kmod[0, 0] = 1.0  # origin excluded from the sum below
-    power = np.abs(s.coeffs) ** 2 * kmod ** (2.0 * order)
+    power = np.abs(s.coeffs) ** 2 * _sobolev_weight(s.grid.n, order)
     power[0, 0] = 0.0
     return float(np.sqrt(FOUR_PI_SQ * half_sum(power)))
 
 
-def sup_p_ratio(f: RealField, p_max: int) -> float:
-    """max over integer p in {2, ..., p_max} of ||f||_p / sqrt(p)."""
+def sup_over_p(
+    f: RealField, p_max: int, p_keep: int = 2
+) -> tuple[dict[int, float], float]:
+    """({p: ||f||_p}, max over p in {2, ..., p_max} of ||f||_p / sqrt(p)).
+
+    The map holds p = 2..p_keep and every p the sweep reached past it: it
+    stops at p_max or once Holder's bound shows no later p can win.
+    """
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
-    norms = lp_norm_map(f, range(2, p_max + 1))
-    return max(norms[p] / np.sqrt(p) for p in norms)
+    lp: dict[int, float] = {}
+    for p, norm, cap in lp_sweep(f):
+        lp[p] = norm
+        if p <= p_max:
+            ratio = norm / np.sqrt(p)
+            best = ratio if p == 2 else max(best, ratio)
+        if p >= p_keep and (
+            p >= p_max or out_of_reach(cap / np.sqrt(p + 1), best)
+        ):
+            return lp, best
+
+
+def sup_p_ratio(f: RealField, p_max: int) -> float:
+    """max over integer p in {2, ..., p_max} of ||f||_p / sqrt(p)."""
+    return sup_over_p(f, p_max)[1]
 
 
 def grad_u_sup(omega: SpectralField, gamma: float) -> float:
@@ -138,9 +214,8 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
     check_zero_mean(omega, "velocity-gradient sup")
     g = omega.grid
     psi = omega.coeffs * _smoothed_inverse_k2(g.n, gamma)
-    kx, ky = g.kx, g.ky
     worst = 0.0
-    for symbol in (-kx * ky, -ky * ky, kx * kx):
+    for symbol in _grad_symbols(g.n):
         d = g.plan.inverse(symbol, psi, "grad", norm="forward")
         worst = max(worst, _sup_abs(d))
     return worst
@@ -175,15 +250,14 @@ def compute_norm_bundle(
 ) -> NormBundle:
     """Evaluate the full norm bundle of a zero-mean vorticity field."""
     g = omega.grid
-    phys = RealField(g, g.plan.inverse(None, omega.coeffs, "omega", norm="forward"))
-    p_grid = range(2, max(p_max, 8) + 1)  # always include p = 4, 8 for reports
-    lp = lp_norm_map(phys, p_grid)
-    ratio = max(lp[p] / np.sqrt(p) for p in range(2, p_max + 1))
+    # the sweep turns these samples into |f|/m in place: no slot of their own
+    phys = RealField(g, g.plan.inverse(None, omega.coeffs, "lp_base", norm="forward"))
+    lp, ratio = sup_over_p(phys, p_max, p_keep=8)  # p = 4, 8 for the CSV
     return NormBundle(
         l2=lp[2],
         h1dot=sobolev_norm(omega, 1.0),
         hm1dot=sobolev_norm(omega, -1.0),
-        lp=lp,
+        lp={p: lp[p] for p in range(2, 9)},
         sup_p_ratio=ratio,
         grad_u_sup=grad_u_sup(omega, gamma),
         energy_gamma=generalized_energy(omega, gamma),

@@ -11,6 +11,7 @@ import pytest
 from logeuler import cli
 from logeuler.cli import run_cli
 from logeuler.runio import (
+    DIAG_HEADER,
     parse_config,
     read_diagnostics_csv,
     read_snapshot,
@@ -286,6 +287,30 @@ def test_sweep_runs_the_valid_resolutions_when_one_is_invalid(tmp_path, capsys):
     assert (out / "g1.5_n32" / "diagnostics.csv").exists()
 
 
+def test_sweep_stderr_is_the_same_whatever_the_jobs(tmp_path):
+    # both runs blow up; their numpy warnings used to interleave under --jobs 2
+    cfg = tmp_path / "blow.cfg"
+    cfg.write_text("ic = random_band\nic_band = 4\nic_amplitude = 1e160\n"
+                   "t_max = 1.0\ndiag_every = 1\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    stderr = []
+    for jobs in ("2", "2", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "logeuler.cli", "sweep", "--config", str(cfg),
+             "--gamma", "1.5", "--n", "32,64", "--jobs", jobs,
+             "--out", str(tmp_path / "sweep")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        stderr.append(proc.stderr)
+    assert stderr[0] == stderr[1] == stderr[2]
+    blowups = [line for line in stderr[0].splitlines() if line.startswith("BLOW-UP")]
+    assert [line.split("partial results in ")[1] for line in blowups] == [
+        str(tmp_path / "sweep" / "g1.5_n32"), str(tmp_path / "sweep" / "g1.5_n64")]
+    assert "RuntimeWarning" in stderr[0]
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_simulate_blowup_writes_marker(tmp_path, capsys):
@@ -436,6 +461,15 @@ def test_report_on_run_directory(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "envelope fits" in captured.out
+
+
+def test_report_on_a_header_only_diagnostics_csv(tmp_path, capsys):
+    # what a run killed between its header and its first row leaves
+    (tmp_path / "diagnostics.csv").write_text(DIAG_HEADER + "\n")
+    assert run_cli(["report", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "(0 records)" in out
+    assert "no records" in out
 
 
 def test_report_on_inequality_csv(tmp_path, capsys):

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     apply_multiplier,
     full_inverse,
@@ -19,6 +21,7 @@ from logeuler import inequalities
 from logeuler.inequalities import (
     _SHELL_RADII_SQ,
     CorpusSpec,
+    ReportRow,
     _annuli,
     _block_inverse,
     _single_modes_for,
@@ -29,8 +32,14 @@ from logeuler.inequalities import (
     check_multiplier_bound,
 )
 from logeuler.multipliers import mtilde, tgamma_eval
-from logeuler.norms import FOUR_PI_SQ, lp_norm
-from logeuler.spectral import Grid
+from logeuler.norms import FOUR_PI_SQ, grad_u_sup, lp_norm, lp_norm_map, sobolev_norm
+from logeuler.spectral import (
+    Grid,
+    RealField,
+    SpectralField,
+    dft_forward,
+    dft_inverse,
+)
 
 # closed-form single-mode values, frozen from 40-digit evaluation
 EMBED_SINGLE_MODE = 0.3535533905932737622004221810524245196424  # 1/(2 sqrt 2)
@@ -193,6 +202,69 @@ class TestEmbedding:
             for s in (0, 1)
         ]
         assert abs(maxima[1] - maxima[0]) <= 0.05 * maxima[0]
+
+
+def _full_sweep_rows(members, p_max, gamma):
+    """Embedding and log-interpolation rows rebuilt from a full sweep of
+    p = 2..p_max, as the checks made them before the early stop."""
+    embedding, loginterp = [], []
+    for fid, f in members:
+        lp = lp_norm_map(dft_inverse(f), range(2, p_max + 1))
+        denom_base = lp[2] + sobolev_norm(f, 1.0)
+        if denom_base != 0.0:
+            best_p, best = max(
+                ((p, lp[p] / (math.sqrt(p) * denom_base)) for p in lp),
+                key=lambda item: item[1],
+            )
+            embedding.append(ReportRow(fid, (("p", float(best_p)),), best))
+        spr = max(lp[p] / np.sqrt(p) for p in lp)
+        if spr != 0.0:
+            denom = math.log(denom_base + math.e) * spr
+            loginterp.append(
+                ReportRow(fid, (("gamma", gamma),), grad_u_sup(f, gamma) / denom)
+            )
+    return tuple(embedding), tuple(loginterp)
+
+
+class TestHolderStop:
+    """Rows of the early-stopped checks equal rows from the full sweep: the
+    same maximum and, for the embedding, the same argmax p."""
+
+    def _assert_rows_equal_full_sweep(self, spec, p_max, gamma=1.5):
+        embedding, loginterp = _full_sweep_rows(build_corpus(spec), p_max, gamma)
+        assert check_embedding(spec, p_max).rows == embedding
+        assert check_log_interpolation(spec, gamma, p_max).rows == loginterp
+
+    def test_default_corpus(self):
+        self._assert_rows_equal_full_sweep(CorpusSpec(n=128, size=40), 64)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([32, 64, 128]),
+        seed=st.integers(0, 10_000),
+        band=st.integers(1, 42),
+        p_max=st.integers(2, 64),
+    )
+    def test_random_band_corpora(self, n, seed, band, p_max):
+        spec = CorpusSpec(kind="random_band", n=n, seed=seed, size=3,
+                          band=min(band, n // 3))
+        self._assert_rows_equal_full_sweep(spec, p_max)
+
+    def test_zero_field_and_one_point_spike(self, monkeypatch):
+        g = Grid(256)
+        spike = np.zeros((256, 256))
+        spike[17, 91] = 5.0
+        coeffs = dft_forward(RealField(g, spike)).coeffs
+        coeffs[0, 0] = 0.0  # zero mean, as the gradient sup needs
+        members = [("zero", SpectralField(g, np.zeros_like(coeffs))),
+                   ("spike", SpectralField(g, coeffs))]
+        monkeypatch.setattr(inequalities, "build_corpus", lambda spec: members)
+        embedding, loginterp = _full_sweep_rows(members, 64, 1.5)
+        assert [row.function_id for row in embedding] == ["spike"]
+        assert dict(embedding[0].params)["p"] == 15.0
+        spec = CorpusSpec(n=256, size=20)
+        assert check_embedding(spec, 64).rows == embedding
+        assert check_log_interpolation(spec, 1.5, 64).rows == loginterp
 
 
 class TestLogInterpolation:

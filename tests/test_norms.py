@@ -23,7 +23,9 @@ from logeuler.norms import (
     grad_u_sup,
     lp_norm,
     lp_norm_map,
+    lp_sweep,
     sobolev_norm,
+    sup_over_p,
     sup_p_ratio,
 )
 from logeuler.spectral import (
@@ -32,6 +34,7 @@ from logeuler.spectral import (
     SpectralField,
     dft_forward,
     dft_inverse,
+    random_band_half,
 )
 
 TGAMMA_11 = 0.2693113659868460808208717851341425549658
@@ -188,6 +191,12 @@ class TestGeneralizedEnergy:
         assert generalized_energy(s, 1.5) == 0.0
 
 
+def _full_sup(f, p_max):
+    """max of ||f||_p / sqrt(p) over a full sweep of p = 2..p_max."""
+    lp = lp_norm_map(f, range(2, p_max + 1))
+    return max(lp[p] / np.sqrt(p) for p in lp)
+
+
 class TestNormBundle:
     def test_bundle_consistency(self):
         s = random_zero_mean(64, 12, 12)
@@ -195,10 +204,10 @@ class TestNormBundle:
         assert bundle.l2 == pytest.approx(sobolev_norm(s, 0.0), rel=1e-10)
         assert bundle.h1dot == pytest.approx(sobolev_norm(s, 1.0), rel=1e-13)
         assert bundle.hm1dot == pytest.approx(sobolev_norm(s, -1.0), rel=1e-13)
-        assert set(range(2, 17)).issubset(bundle.lp.keys())
-        assert bundle.sup_p_ratio == pytest.approx(
-            max(bundle.lp[p] / np.sqrt(p) for p in range(2, 17)), rel=1e-13
-        )
+        assert bundle.lp.keys() == set(range(2, 9))
+        lp = lp_norm_map(dft_inverse(s), range(2, 17))
+        assert bundle.sup_p_ratio == max(lp[p] / np.sqrt(p) for p in lp)
+        assert bundle.lp == {p: lp[p] for p in range(2, 9)}
         assert bundle.grad_u_sup > 0
         assert bundle.energy_gamma > 0
 
@@ -217,6 +226,21 @@ class TestNormBundle:
         with pytest.raises(ValueError):
             table[1, 1] = 0.0
 
+    def test_grad_symbols_and_sobolev_weights_are_shared_read_only_tables(self):
+        symbols = norms._grad_symbols(16)
+        weight = norms._sobolev_weight(16, -1.0)
+        assert norms._grad_symbols.cache_info().maxsize == 4
+        assert norms._sobolev_weight.cache_info().maxsize == 4
+        assert norms._grad_symbols(16) is symbols
+        assert norms._sobolev_weight(16, -1.0) is weight
+        g = Grid(16)
+        for table, expected in zip(symbols, (-g.kx * g.ky, -g.ky * g.ky, g.kx * g.kx)):
+            assert np.array_equal(np.broadcast_to(table, expected.shape), expected)
+        assert weight[0, 0] == 1.0
+        for table in (*symbols, weight):
+            with pytest.raises(ValueError):
+                table[1, 1] = 0.0
+
     def test_zero_field_bundle(self):
         g = Grid(16)
         s = SpectralField(g, np.zeros((16, 9), dtype=complex))
@@ -225,6 +249,78 @@ class TestNormBundle:
         assert bundle.sup_p_ratio == 0.0
         assert bundle.grad_u_sup == 0.0
         assert bundle.energy_gamma == 0.0
+
+
+class TestHolderStop:
+    """The early-stopped sup over p is the full sweep's maximum, as a float."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([32, 64, 128]),
+        seed=st.integers(0, 10_000),
+        band=st.integers(1, 42),
+        scale=st.floats(1e-3, 1e3),
+        p_max=st.integers(2, 64),
+        p_keep=st.integers(2, 8),
+    )
+    def test_random_band_fields(self, n, seed, band, scale, p_max, p_keep):
+        g = Grid(n)
+        half = random_band_half(g, np.random.default_rng(seed), min(band, n // 3))
+        s = SpectralField(g, scale * half)
+        f = dft_inverse(s)
+        full = _full_sup(f, p_max)
+        lp, best = sup_over_p(f, p_max, p_keep)
+        assert best == full
+        assert lp == lp_norm_map(f, range(2, max(lp) + 1))
+        assert set(range(2, p_keep + 1)) <= lp.keys()
+        assert sup_p_ratio(f, p_max) == full
+        if p_max >= 8:  # the solver's lower bound on p_max
+            assert compute_norm_bundle(s, 1.5, p_max).sup_p_ratio == full
+
+    def test_zero_field(self):
+        f = RealField(Grid(32), np.zeros((32, 32)))
+        assert sup_over_p(f, 64)[1] == _full_sup(f, 64) == 0.0
+
+    def test_constant_modulus_field_stops_at_p3(self):
+        # |f| = m everywhere attains Holder's bound at every p; the bound on
+        # the ratio at p = 3 is below the ratio at 2, so ||f||_3 is never made
+        n = 64
+        i = np.arange(n)
+        f = RealField(Grid(n), 3.0 * (-1.0) ** (i[:, None] + i[None, :]))
+        lp, best = sup_over_p(f, 64)
+        assert best == _full_sup(f, 64)
+        assert lp.keys() == {2}
+        cap = None
+        for p, norm, next_cap in lp_sweep(f):
+            if cap is not None:
+                assert norm <= cap * (1.0 + 1e-12)
+                assert norm >= cap * (1.0 - 1e-12)
+            if p == 64:
+                break
+            cap = next_cap
+
+    def test_the_stop_spares_a_relative_1e_12(self):
+        assert not norms.out_of_reach(1.0, 1.0)
+        assert not norms.out_of_reach(1.0, 1.0 + 5e-13)
+        assert norms.out_of_reach(1.0, 1.0 + 5e-12)
+        assert not norms.out_of_reach(float("nan"), 1.0)
+
+    def test_one_point_spike_sweeps_past_its_maximum(self):
+        # ||f||_p / sqrt(p) = m dx^(2/p) / sqrt(p) peaks at p = 15 at n = 256,
+        # and the bound keeps the sweep going until p = 47
+        values = np.zeros((256, 256))
+        values[17, 91] = 5.0
+        f = RealField(Grid(256), values)
+        full = lp_norm_map(f, range(2, 65))
+        ratios = [full[p] / np.sqrt(p) for p in full]
+        assert 2 + ratios.index(max(ratios)) == 15
+        lp, best = sup_over_p(f, 64)
+        assert best == max(ratios)
+        assert max(lp) == 47
+
+    def test_rejects_p_max_below_two(self):
+        with pytest.raises(ValueError, match="p_max must be >= 2"):
+            sup_over_p(sine_field(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +406,14 @@ class TestHalfSpectrumOracle:
         s, full = _nyquist_field(n, 23, disc=True)
         bundle = compute_norm_bundle(s, gamma, p_max=16)
         lp = lp_norm_map(full_inverse(full), range(2, 17))
-        assert bundle.lp.keys() == lp.keys()
-        for p in lp:
+        assert bundle.lp.keys() == set(range(2, 9))
+        for p in bundle.lp:
             assert bundle.lp[p] == pytest.approx(lp[p], rel=RTOL)
         assert bundle.l2 == pytest.approx(lp[2], rel=RTOL)
         assert bundle.sup_p_ratio == pytest.approx(
             max(lp[p] / np.sqrt(p) for p in lp), rel=RTOL
         )
+        assert bundle.sup_p_ratio == _full_sup(dft_inverse(s), 16)
         assert bundle.h1dot == pytest.approx(_ref_sobolev(full, 1.0), rel=RTOL)
         assert bundle.hm1dot == pytest.approx(_ref_sobolev(full, -1.0), rel=RTOL)
         assert bundle.grad_u_sup == pytest.approx(
