@@ -272,11 +272,15 @@ def _summarize_diagnostics(path: str) -> int:
 
 
 def _summarize_generic_csv(path: str) -> int:
+    # ids such as single_mode[1,0] hold commas: split from the right
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = [line.strip().rsplit(",", len(header) - 1)
+                for line in fh if line.strip()]
     print(f"== {os.path.basename(path)}: {len(rows)} rows ==")
-    if "ratio" in header:
+    if not rows:
+        print("  no rows: nothing to summarize")
+    elif "ratio" in header:
         idx = header.index("ratio")
         ratios = [float(row[idx]) for row in rows]
         worst = max(range(len(ratios)), key=ratios.__getitem__)

@@ -286,15 +286,9 @@ def _multiplier_tables(grid: Grid, N_set: Sequence[float], gamma: float):
 
 
 def _block_inverse(half: np.ndarray, n: int) -> np.ndarray:
-    """Physical samples sum_k c(k) exp(i k.x) of a real field given by its
-    first K rfft-layout columns (the rest zero).
-
-    Equal bit for bit to ``scipy.fft.irfft2(half, s=(n, n), norm="forward")``:
-    the column transforms run on the K occupied columns only and the row
-    transforms zero-pad the rest.  The samples are the transform plan's
-    slot "block", valid until the next call.
-    """
-    return transform_plan(n).inverse(None, half, "block", norm="forward")
+    """Physical samples of the real field whose leading rfft-layout columns
+    are ``half`` (the rest zero), in the plan's slot "block"."""
+    return transform_plan(n).inverse(None, half, "block")
 
 
 def _block_norms(grid: Grid, half: np.ndarray, qs) -> dict:

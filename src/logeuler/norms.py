@@ -36,7 +36,8 @@ from .spectral import (
     RealField,
     SpectralField,
     check_zero_mean,
-    half_sum,
+    plancherel,
+    read_only,
 )
 
 __all__ = [
@@ -70,8 +71,7 @@ def _smoothed_inverse_k2(n: int, gamma: float) -> np.ndarray:
     k2[0, 0] = 1.0
     out = tgamma_eval(g.kmod, gamma) / k2
     out[0, 0] = 0.0
-    out.flags.writeable = False
-    return out
+    return read_only(out)
 
 
 @lru_cache(maxsize=4)
@@ -81,10 +81,7 @@ def _grad_symbols(n: int) -> tuple[np.ndarray, ...]:
     they are constant along; read-only."""
     k1 = Grid(n).k1
     kx, ky = k1[:, None], k1[None, : n // 2 + 1]
-    symbols = (-kx * ky, -ky * ky, kx * kx)
-    for symbol in symbols:
-        symbol.flags.writeable = False
-    return symbols
+    return tuple(map(read_only, (-kx * ky, -ky * ky, kx * kx)))
 
 
 @lru_cache(maxsize=4)
@@ -93,9 +90,7 @@ def _sobolev_weight(n: int, order: float) -> np.ndarray:
     the Sobolev sums leave out); read-only."""
     kmod = Grid(n).kmod.copy()
     kmod[0, 0] = 1.0
-    out = kmod ** (2.0 * order)
-    out.flags.writeable = False
-    return out
+    return read_only(kmod ** (2.0 * order))
 
 
 def lp_norm(f: RealField, p) -> float:
@@ -174,7 +169,7 @@ def sobolev_norm(s: SpectralField, order: float) -> float:
         check_zero_mean(s, f"Sobolev norm of order {order}")
     power = np.abs(s.coeffs) ** 2 * _sobolev_weight(s.grid.n, order)
     power[0, 0] = 0.0
-    return float(np.sqrt(FOUR_PI_SQ * half_sum(power)))
+    return float(np.sqrt(plancherel(power)))
 
 
 def sup_over_p(
@@ -216,7 +211,7 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
     psi = omega.coeffs * _smoothed_inverse_k2(g.n, gamma)
     worst = 0.0
     for symbol in _grad_symbols(g.n):
-        d = g.plan.inverse(symbol, psi, "grad", norm="forward")
+        d = g.plan.inverse(symbol, psi, "grad")
         worst = max(worst, _sup_abs(d))
     return worst
 
@@ -229,7 +224,7 @@ def generalized_energy(omega: SpectralField, gamma: float) -> float:
     """
     check_zero_mean(omega, "generalized energy")
     inv_k2 = _smoothed_inverse_k2(omega.grid.n, gamma)
-    return FOUR_PI_SQ * half_sum(inv_k2 * np.abs(omega.coeffs) ** 2)
+    return plancherel(inv_k2 * np.abs(omega.coeffs) ** 2)
 
 
 @dataclass(frozen=True)
@@ -251,7 +246,7 @@ def compute_norm_bundle(
     """Evaluate the full norm bundle of a zero-mean vorticity field."""
     g = omega.grid
     # the sweep turns these samples into |f|/m in place: no slot of their own
-    phys = RealField(g, g.plan.inverse(None, omega.coeffs, "lp_base", norm="forward"))
+    phys = RealField(g, g.plan.inverse(None, omega.coeffs, "lp_base"))
     lp, ratio = sup_over_p(phys, p_max, p_keep=8)  # p = 4, 8 for the CSV
     return NormBundle(
         l2=lp[2],

@@ -9,9 +9,9 @@ and dealiased.  Time stepping is classical RK4 under an adaptive CFL
 constraint.
 
 Vorticity is exchanged as ``SpectralField`` values, the rfft half of the
-coefficients; the stepping loop works on their bare arrays, in buffers and
-transform-plan slots reused from step to step, and the states it returns
-own fresh copies.
+coefficients; the multipliers are the bare symbols, in read-only tables.
+The stepping loop works on bare arrays in transform-plan slots reused from
+step to step, and the states it returns own fresh copies.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .multipliers import check_gamma, is_dyadic, phi_eval, tgamma_eval
-from .norms import FOUR_PI_SQ, NormBundle, compute_norm_bundle
+from .norms import NormBundle, compute_norm_bundle
 from .spectral import (
     Grid,
     RealField,
@@ -35,10 +35,10 @@ from .spectral import (
     dealias,
     dft_forward,
     dft_inverse,
-    half_sum,
     mode_sum,
-    project_zero_mean,
+    plancherel,
     random_band_half,
+    read_only,
 )
 
 __all__ = [
@@ -246,48 +246,37 @@ def make_ic(spec: InitialConditionSpec, grid: Grid) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 class _Velocity:
-    """rfft-layout multipliers taking the vorticity to the physical
-    velocity (u1, u2) through a backward-normalized inverse transform, for
-    one (n, gamma)."""
+    """Read-only rfft-layout multipliers i k2 T_gamma / |k|^2 and
+    -i k1 T_gamma / |k|^2 taking the vorticity to the velocity (u1, u2),
+    0 at the origin, for one (n, gamma)."""
 
     def __init__(self, grid: Grid, gamma: float):
         k2 = grid.k2.copy()
         k2[0, 0] = 1.0
-        n2 = float(grid.n * grid.n)
         m = tgamma_eval(grid.kmod, gamma)
-        self.u1_mult = 1j * grid.ky * m / k2 * n2
-        self.u2_mult = -1j * grid.kx * m / k2 * n2
-        self.u1_mult[0, 0] = 0.0
-        self.u2_mult[0, 0] = 0.0
+        self.u1_mult = 1j * grid.ky * m / k2
+        self.u2_mult = -1j * grid.kx * m / k2
+        for table in (self.u1_mult, self.u2_mult):
+            table[0, 0] = 0.0
+            read_only(table)
 
 
 class _Truncation:
-    """Truncation tables and RK4 buffers for one (n, mollify)."""
+    """Read-only truncation tables for one (n, mollify)."""
 
     def __init__(self, grid: Grid, mollify_n: int | None):
-        n = grid.n
-        n2 = float(n * n)
-        self.inv_n2 = 1.0 / n2
         sharp = grid.dealias_mask
         if mollify_n is None:
-            chi_inner = sharp.astype(float)
-            chi_outer = chi_inner
+            chi_inner = chi_outer = sharp.astype(float)
         else:
             chi_inner = phi_eval(grid.kmod / float(mollify_n))
             chi_outer = chi_inner * sharp
-        self.gx_mult = 1j * grid.kx * chi_inner * n2
-        self.gy_mult = 1j * grid.ky * chi_inner * n2
-        # outer truncation folded together with the forward-transform
-        # normalization and the minus sign of the advection term
-        self.neg_chi_scaled = -chi_outer * self.inv_n2
+        self.gx_mult = read_only(1j * grid.kx * chi_inner)
+        self.gy_mult = read_only(1j * grid.ky * chi_inner)
+        # outer truncation with the minus sign of the advection term
+        self.neg_chi = read_only(-chi_outer)
         # share of each mode's energy the outer truncation removes
-        self.removed_weight = 1.0 - chi_outer**2
-
-        # RK4: the first stage, the later stages in turn, a stage's
-        # argument h + c k, and two result buffers used in turn
-        half = (n, n // 2 + 1)
-        self.k1, self.k, self.stage = (np.empty(half, dtype=complex) for _ in range(3))
-        self.result = (np.empty(half, dtype=complex), np.empty(half, dtype=complex))
+        self.removed_weight = read_only(1.0 - chi_outer**2)
 
 
 @dataclass(frozen=True)
@@ -298,7 +287,7 @@ class _Workspace:
 
 
 # at n = 1024 a velocity part takes about 17 MB and a truncation part about
-# 67 MB, so a sweep over many (n, gamma, mollify) keeps at most four of each
+# 25 MB, so a sweep over many (n, gamma, mollify) keeps at most four of each
 @lru_cache(maxsize=4)
 def _velocity(n: int, gamma: float) -> _Velocity:
     return _Velocity(Grid(n), gamma)
@@ -336,12 +325,11 @@ def _rhs_half(h: np.ndarray, ws: _Workspace, uv=None, out=None,
     np.multiply(u2, wy, out=wy)
     wx += wy
     a = plan.forward(wx)
-    out = np.multiply(trunc.neg_chi_scaled, a, out=out)
+    out = np.multiply(trunc.neg_chi, a, out=out)
     out[0, 0] = 0.0
     discarded = None
     if want_diag:
-        removed = trunc.removed_weight * np.abs(a * trunc.inv_n2) ** 2
-        discarded = FOUR_PI_SQ * half_sum(removed)
+        discarded = plancherel(trunc.removed_weight * np.abs(a) ** 2)
     return out, discarded
 
 
@@ -373,17 +361,18 @@ def cfl_dt(omega: SpectralField, gamma: float, cfl: float, grid: Grid) -> float:
 def _rk4_half(
     h: np.ndarray, dt: float, ws: _Workspace, uv=None, k1=None
 ) -> np.ndarray:
-    """One RK4 step into the workspace result buffer that ``h`` is not;
+    """One RK4 step into the plan slot "rk4_a" or "rk4_b" that ``h`` is not;
     ``k1``, when given, is ``_rhs_half(h, ws)[0]``.
 
-    The operations and their order are those of
-    h + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with stage arguments h + c k.
+    The operations and their order are those of h + (dt/6) (k1 + 2 k2 +
+    2 k3 + k4), with the stages in the plan slots "k1" and "k" and their
+    arguments h + c k in "stage".
     """
-    t = ws.trunc
+    plan = ws.plan
     if k1 is None:
-        k1, _ = _rhs_half(h, ws, uv=uv, out=t.k1)
-    k, stage = t.k, t.stage
-    out = t.result[1] if h is t.result[0] else t.result[0]
+        k1, _ = _rhs_half(h, ws, uv=uv, out=plan.half("k1"))
+    k, stage = plan.half("k"), plan.half("stage")
+    out = plan.half("rk4_b") if h is plan.half("rk4_a") else plan.half("rk4_a")
     np.multiply(0.5 * dt, k1, out=stage)
     np.add(h, stage, out=stage)
     _rhs_half(stage, ws, out=k)  # k2
@@ -437,7 +426,7 @@ def run(config: SolverConfig, on_record: Callable, on_snapshot: Callable) -> Non
     ``BlowUpError`` with the time and step of the failure.
     """
     grid = Grid(config.n)
-    h = dealias(project_zero_mean(make_ic(config.ic, grid))).coeffs
+    h = dealias(make_ic(config.ic, grid)).coeffs
     ws = _workspace(grid, config.gamma, config.mollify_n)
     t_end, snap = config.t_max, config.snapshot_interval
     t, step, dt_used = 0.0, 0, 0.0
@@ -448,7 +437,7 @@ def run(config: SolverConfig, on_record: Callable, on_snapshot: Callable) -> Non
         final = not t < t_end * (1.0 - 1e-14)
         k1 = None
         if step % config.diag_interval == 0 or final:
-            k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.trunc.k1, want_diag=True)
+            k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.plan.half("k1"), want_diag=True)
             bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma, config.p_max)
             on_record(DiagnosticsRecord(t, bundle, dt_used, discarded))
         if snap > 0 and (step % snap == 0 or final):

@@ -7,14 +7,16 @@ n x (n//2 + 1) array of columns k2 = 0 .. n/2 in numpy fft order; Hermitian
 symmetry c(-k) = conj c(k) determines the rest.  Every array of ``Grid``
 has that shape.  The last (Nyquist) column keeps the fft frequency
 k2 = -n/2, so it is the first n//2 + 1 columns of the full lattice
-``fftfreq(n) * n``, not ``rfftfreq``.  The forward transform is normalized
-so that a coefficient equals the amplitude of its mode: the real field
-A*exp(i k.x) + conj has the coefficient A at k and conj A at -k.
+``fftfreq(n) * n``, not ``rfftfreq``.  One normalization holds everywhere:
+a coefficient is the amplitude of its mode (the real field A*exp(i k.x) +
+conj has the coefficient A at k), so the forward transform carries 1/n^2,
+the inverse no factor, and ``plancherel`` the 4 pi^2 of the torus.
 
 Every transform runs through a ``TransformPlan``, one per grid size, as two
 1-D passes into buffers the plan keeps: pocketfft's 2-D real transforms
 allocate temporaries on every call, and at n >= 256 faulting those pages
-in costs more than the transform itself.
+in costs more than the transform itself.  The plan is the one owner of
+mutable per-size scratch; tables cached elsewhere are ``read_only``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ __all__ = [
     "check_grid_size",
     "half_spectrum_weights",
     "half_spectrum_l2",
-    "half_sum",
+    "plancherel",
+    "read_only",
     "mode_sum",
     "random_band_half",
     "FOUR_PI_SQ",
@@ -109,30 +112,38 @@ class Grid:
 class TransformPlan:
     """Real 2-D transforms of one grid size n into buffers reused across calls.
 
-    The plan owns one complex rfft-half buffer and, per named slot, one
-    n x n float buffer.  An inverse transform overwrites its slot's buffer
-    and returns it, so a result stays valid only until the next call with
-    the same slot; callers that hand a result on copy it or pass
-    ``slot=None`` for a fresh array.  Both directions are the column pass
-    and the row pass of ``scipy.fft.irfft2`` / ``rfft2`` in the same order,
-    and give the same bits.  Plans are shared within a process, so calls
-    from several threads must not overlap.
+    The plan owns the package's mutable per-size scratch: one complex work
+    buffer and, per slot name, an n x n float buffer (``real``) and an
+    rfft-half complex buffer (``half``, e.g. the solver's RK4 stages).  An
+    inverse transform overwrites its slot's buffer and returns it, so a
+    result stays valid only until the next call with the same slot; callers
+    that hand a result on copy it or pass ``slot=None`` for a fresh array.
+    Both directions are the column and row passes of ``scipy.fft.irfft2`` /
+    ``rfft2`` in the same order, in the one normalization (forward 1/n^2,
+    inverse none), and give the same bits.  Plans are shared within a
+    process, so calls from several threads must not overlap.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._half = np.empty((n, n // 2 + 1), dtype=complex)
-        self._slots: dict[str, np.ndarray] = {}
+        self._work = np.empty((n, n // 2 + 1), dtype=complex)
+        self._slots: dict[tuple[str, type], np.ndarray] = {}
+
+    def _buffer(self, slot: str, shape, dtype) -> np.ndarray:
+        buf = self._slots.get((slot, dtype))
+        if buf is None:
+            buf = self._slots[slot, dtype] = np.empty(shape, dtype=dtype)
+        return buf
 
     def real(self, slot: str) -> np.ndarray:
         """The n x n float buffer of ``slot``, made on first use."""
-        buf = self._slots.get(slot)
-        if buf is None:
-            buf = self._slots[slot] = np.empty((self.n, self.n))
-        return buf
+        return self._buffer(slot, (self.n, self.n), float)
 
-    def inverse(self, mult, h: np.ndarray, slot: str | None,
-                norm: str = "backward") -> np.ndarray:
+    def half(self, slot: str) -> np.ndarray:
+        """The n x (n//2 + 1) complex buffer of ``slot``, made on first use."""
+        return self._buffer(slot, self._work.shape, complex)
+
+    def inverse(self, mult, h: np.ndarray, slot: str | None) -> np.ndarray:
         """Real samples of the field with rfft-layout coefficients mult*h.
 
         ``h`` may hold only the leading K columns, the rest taken as zero;
@@ -140,25 +151,25 @@ class TransformPlan:
         None (h itself) or broadcasts against h.  The samples go to
         ``slot``'s buffer, or to a fresh array when ``slot`` is None.
         """
-        c = self._half[:, : h.shape[1]]
+        c = self._work[:, : h.shape[1]]
         if mult is None:
-            np.fft.ifft(h, axis=0, norm=norm, out=c)
+            np.fft.ifft(h, axis=0, norm="forward", out=c)
         else:
             np.multiply(mult, h, out=c)
-            np.fft.ifft(c, axis=0, norm=norm, out=c)
+            np.fft.ifft(c, axis=0, norm="forward", out=c)
         out = None if slot is None else self.real(slot)
-        return np.fft.irfft(c, n=self.n, axis=1, norm=norm, out=out)
+        return np.fft.irfft(c, n=self.n, axis=1, norm="forward", out=out)
 
-    def forward(self, x: np.ndarray, norm: str = "backward") -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """rfft-layout coefficients of the real n x n samples ``x``, in the
-        plan's complex buffer (valid until the plan's next transform)."""
-        c = self._half
-        np.fft.rfft(x, axis=1, norm=norm, out=c)
-        return np.fft.fft(c, axis=0, norm=norm, out=c)
+        plan's work buffer (valid until the plan's next transform)."""
+        c = self._work
+        np.fft.rfft(x, axis=1, norm="forward", out=c)
+        return np.fft.fft(c, axis=0, norm="forward", out=c)
 
 
-# one plan per grid size; at n = 1024 its complex buffer is 8.4 MB and each
-# slot 8 MB, so a sweep over many sizes keeps only the latest few
+# one plan per grid size; at n = 1024 a real slot takes 8 MB and a complex
+# one 8.4 MB, so a sweep over many sizes keeps only the latest few
 @lru_cache(maxsize=4)
 def transform_plan(n: int) -> TransformPlan:
     """The shared ``TransformPlan`` of grid size n."""
@@ -193,6 +204,12 @@ class SpectralField:
             )
 
 
+def read_only(table: np.ndarray) -> np.ndarray:
+    """Mark a cached table read-only and return it."""
+    table.flags.writeable = False
+    return table
+
+
 def check_zero_mean(s: SpectralField, what: str) -> None:
     """Raise ValueError unless |coeff(0,0)| <= ZERO_MEAN_TOL."""
     mean = abs(s.coeffs[0, 0])
@@ -214,9 +231,9 @@ def half_spectrum_weights(n: int) -> np.ndarray:
     return w
 
 
-def half_sum(density: np.ndarray) -> float:
-    """Full-lattice sum of a density even in k, from its rfft half."""
-    return float(np.sum(half_spectrum_weights(density.shape[0]) * density))
+def plancherel(density: np.ndarray) -> float:
+    """4 pi^2 times the full-lattice sum of a density even in k, from its rfft half."""
+    return FOUR_PI_SQ * float(np.sum(half_spectrum_weights(density.shape[0]) * density))
 
 
 def half_spectrum_l2(half: np.ndarray) -> float:
@@ -257,14 +274,14 @@ def random_band_half(grid: Grid, rng: np.random.Generator, band: float) -> np.nd
 
 def dft_forward(f: RealField) -> SpectralField:
     """Forward transform: coeff(k) = (1/n^2) sum_j f(x_j) exp(-i k.x_j)."""
-    coeffs = f.grid.plan.forward(f.values, norm="forward")
+    coeffs = f.grid.plan.forward(f.values)
     return SpectralField(f.grid, coeffs.copy())
 
 
 def dft_inverse(s: SpectralField) -> RealField:
     """Inverse transform f(x_j) = sum_k coeff(k) exp(i k.x_j) over the whole
     lattice, the columns k2 < 0 taken as conj coeff(-k)."""
-    return RealField(s.grid, s.grid.plan.inverse(None, s.coeffs, None, norm="forward"))
+    return RealField(s.grid, s.grid.plan.inverse(None, s.coeffs, None))
 
 
 def dealias(s: SpectralField) -> SpectralField:

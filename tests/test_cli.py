@@ -473,18 +473,31 @@ def test_report_on_a_header_only_diagnostics_csv(tmp_path, capsys):
 
 
 def test_report_on_inequality_csv(tmp_path, capsys):
+    # function ids such as single_mode[1,0] hold commas: report must find
+    # the ratio column and the id that verify names
+    worst = re.compile(r"max ratio = (\S+)  \((?:worst|row): (.*)\)")
     out = tmp_path / "v"
-    assert run_cli(
-        [
-            "verify", "embedding", "--n", "32", "--size", "20", "--pmax", "8",
-            "--out", str(out),
-        ]
-    ) == 0
-    capsys.readouterr()
-    rc = run_cli(["report", str(out / "embedding.csv")])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert "max ratio" in captured.out
+    for mode, flag, value in (("embedding", "--pmax", "8"),
+                              ("multiplier", "--nmax", "4")):
+        assert run_cli(
+            [
+                "verify", mode, "--n", "32", "--size", "20", flag, value,
+                "--out", str(out),
+            ]
+        ) == 0
+        verified = worst.search(capsys.readouterr().out).groups()
+        rc = run_cli(["report", str(out / f"{mode}.csv")])
+        assert rc == 0
+        assert worst.search(capsys.readouterr().out).groups() == verified
+
+
+def test_report_on_a_header_only_inequality_csv(tmp_path, capsys):
+    path = tmp_path / "embedding.csv"
+    path.write_text("function_id,p,ratio\n")
+    assert run_cli(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "0 rows" in out
+    assert "no rows" in out
 
 
 def test_report_missing_path(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reference import direct_rhs, scipy_rhs
 
 from logeuler import norms, solver
+from logeuler.multipliers import phi_eval, tgamma_eval
 from logeuler.solver import (
     BlowUpError,
     InitialConditionSpec,
@@ -348,7 +349,7 @@ class TestCflDt:
         f = make_ic(InitialConditionSpec(kind="random_band", band=4, seed=1), g)
         cfl_dt(f, 1.25, 0.5, g)
         assert solver._velocity.cache_info().currsize == 1
-        # no dealias tables, no RK4 buffers
+        # no truncation tables
         assert solver._truncation.cache_info().currsize == 0
         table = solver._velocity(32, 1.25)
         collect(SolverConfig(n=32, gamma=1.25, t_max=0.01, mollify="auto"))
@@ -370,6 +371,76 @@ class TestCflDt:
         g = Grid(64)
         f = make_ic(InitialConditionSpec(kind="single_mode"), g)
         assert cfl_dt(f, 1.5, 0.5, g) > cfl_dt(f, 0.0, 0.5, g)
+
+
+def reachable_arrays(obj):
+    """Every ndarray reachable from ``obj`` through attributes and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from reachable_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from reachable_arrays(item)
+
+
+class TestTables:
+    """The solver's and the norms' cached tables are plain read-only
+    symbols; mutable per-size state lives only in the transform plan."""
+
+    def test_tables_are_the_bare_symbols(self):
+        n, gamma, g = 32, 1.5, Grid(32)
+        k2 = np.where(g.k2 == 0.0, 1.0, g.k2)
+        t = tgamma_eval(g.kmod, gamma)
+        u1, u2 = 1j * g.ky * t / k2, -1j * g.kx * t / k2
+        u1[0, 0] = u2[0, 0] = 0.0
+        vel = solver._velocity(n, gamma)
+        assert np.array_equal(vel.u1_mult, u1)
+        assert np.array_equal(vel.u2_mult, u2)
+        sharp = g.dealias_mask.astype(float)
+        smooth = phi_eval(g.kmod / 8.0)
+        for mollify_n, inner, outer in ((None, sharp, sharp),
+                                        (8, smooth, smooth * g.dealias_mask)):
+            trunc = solver._truncation(n, mollify_n)
+            assert np.array_equal(trunc.gx_mult, 1j * g.kx * inner)
+            assert np.array_equal(trunc.gy_mult, 1j * g.ky * inner)
+            assert np.array_equal(trunc.neg_chi, -outer)
+            assert np.array_equal(trunc.removed_weight, 1.0 - outer**2)
+
+    def test_cached_tables_are_read_only(self):
+        calls = {
+            solver._velocity: [(32, 0.0), (32, 1.5)],
+            solver._truncation: [(32, None), (32, 8)],
+            norms._smoothed_inverse_k2: [(32, 0.0), (32, 1.5)],
+            norms._grad_symbols: [(32,)],
+            norms._sobolev_weight: [(32, 1.0), (32, -1.0)],
+        }
+        # a new cache in either module must join this list
+        cached = {f for mod in (solver, norms) for f in vars(mod).values()
+                  if hasattr(f, "cache_info") and f.__module__ == mod.__name__}
+        assert cached == set(calls)
+        collect(SolverConfig(n=32, gamma=1.5, t_max=0.05, mollify=8))
+        for fn, arg_list in calls.items():
+            for args in arg_list:
+                arrays = list(reachable_arrays(fn(*args)))
+                assert arrays
+                assert not any(a.flags.writeable for a in arrays), fn.__name__
+
+    def test_runs_at_one_n_share_the_rk4_buffers(self):
+        plan = Grid(32).plan
+        ic = InitialConditionSpec(band=4, seed=1, amplitude=20.0)
+
+        def halves():
+            return {name: buf for (name, kind), buf in plan._slots.items()
+                    if kind is complex}
+
+        collect(SolverConfig(n=32, t_max=0.2, cfl=0.05, mollify="dealias", ic=ic))
+        first = halves()
+        assert {"k1", "k", "stage", "rk4_a", "rk4_b"} <= set(first)
+        collect(SolverConfig(n=32, t_max=0.2, cfl=0.05, mollify=8, ic=ic))
+        assert halves().keys() == first.keys()
+        assert all(halves()[k] is buf for k, buf in first.items())
 
 
 class TestStepRK4:

@@ -25,8 +25,8 @@ from logeuler.spectral import (
     dft_inverse,
     half_spectrum_l2,
     half_spectrum_weights,
-    half_sum,
     mode_sum,
+    plancherel,
     project_zero_mean,
     transform_plan,
 )
@@ -167,31 +167,37 @@ def random_half(n, seed, cols=None):
 
 
 class TestTransformPlan:
-    @pytest.mark.parametrize("norm", ["backward", "forward"])
+    """The plan has one normalization, scipy's norm="forward".  Against
+    scipy's norm="backward" it differs by the exact power of two n^2, so
+    the backward reference rescaled by n^2 gives the same bits too."""
+
+    @pytest.mark.parametrize("ref_norm", ["backward", "forward"])
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
-    def test_inverse_is_irfft2(self, n, norm):
+    def test_inverse_is_irfft2(self, n, ref_norm):
         plan = transform_plan(n)
         h = random_half(n, n)
         mult = random_half(n, n + 1).real
-        ref = scipy.fft.irfft2(h, s=(n, n), norm=norm)
-        assert same_bits(plan.inverse(None, h, "test", norm=norm), ref)
-        assert same_bits(plan.inverse(None, h, None, norm=norm), ref)
-        ref = scipy.fft.irfft2(mult * h, s=(n, n), norm=norm)
-        assert same_bits(plan.inverse(mult, h, "test", norm=norm), ref)
+        scale = float(n * n) if ref_norm == "backward" else 1.0
+        ref = scipy.fft.irfft2(scale * h, s=(n, n), norm=ref_norm)
+        assert same_bits(plan.inverse(None, h, "test"), ref)
+        assert same_bits(plan.inverse(None, h, None), ref)
+        ref = scipy.fft.irfft2(mult * (scale * h), s=(n, n), norm=ref_norm)
+        assert same_bits(plan.inverse(mult, h, "test"), ref)
 
-    @pytest.mark.parametrize("norm", ["backward", "forward"])
+    @pytest.mark.parametrize("ref_norm", ["backward", "forward"])
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
-    def test_forward_is_rfft2(self, n, norm):
+    def test_forward_is_rfft2(self, n, ref_norm):
         x = random_real_field(Grid(n), n).values
-        assert same_bits(transform_plan(n).forward(x, norm=norm),
-                         scipy.fft.rfft2(x, norm=norm))
+        scale = float(n * n) if ref_norm == "backward" else 1.0
+        assert same_bits(transform_plan(n).forward(x),
+                         scipy.fft.rfft2(x, norm=ref_norm) / scale)
 
     @pytest.mark.parametrize("cols", [1, 3, 17])
     def test_leading_columns_are_zero_padded(self, cols):
         n = 64
         h = random_half(n, cols, cols)
         ref = scipy.fft.irfft2(h, s=(n, n), norm="forward")
-        assert same_bits(transform_plan(n).inverse(None, h, "test", norm="forward"), ref)
+        assert same_bits(transform_plan(n).inverse(None, h, "test"), ref)
 
     def test_slots_are_reused_and_none_is_fresh(self):
         plan = Grid(16).plan
@@ -202,6 +208,9 @@ class TestTransformPlan:
         assert plan.inverse(None, h, "other") is not a
         fresh = plan.inverse(None, h, None)
         assert not any(np.shares_memory(fresh, buf) for buf in plan._slots.values())
+        k = plan.half("test")
+        assert k.shape == h.shape and k.dtype == complex
+        assert plan.half("test") is k and not np.shares_memory(k, a)
 
     def test_public_transforms_return_fresh_arrays(self):
         g = Grid(16)
@@ -245,12 +254,14 @@ class TestHalfSpectrum:
         expected = 2 * (amp * np.exp(1j * phase)).real + 4 * np.cos(x1 + x2)
         assert np.max(np.abs(dft_inverse(f).values - expected)) < 1e-13
 
-    def test_half_sum_is_the_full_lattice_sum(self):
+    def test_plancherel_is_4pi2_times_the_full_lattice_sum(self):
         g = Grid(16)
-        even = half_to_full(dft_forward(random_real_field(g, 4)).coeffs)
+        values = random_real_field(g, 4).values
+        even = half_to_full(dft_forward(RealField(g, values)).coeffs)
         density = np.abs(even) ** 2  # even in k
-        assert half_sum(density[:, :9]) == pytest.approx(np.sum(density),
-                                                          rel=1e-13)
+        total = plancherel(density[:, :9])
+        assert total == pytest.approx(4.0 * np.pi**2 * np.sum(density), rel=1e-13)
+        assert total == pytest.approx(np.sum(values**2) * g.dx**2, rel=1e-12)
 
     def test_half_field_shape_accepted(self):
         g = Grid(16)
