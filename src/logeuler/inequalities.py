@@ -8,6 +8,7 @@ fields and report the worst observed ratio.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
@@ -17,6 +18,7 @@ from .multipliers import check_gamma, is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
     grad_u_sup,
     lp_norm,
+    lp_norm_samples,
     lp_sweep,
     out_of_reach,
     sobolev_norm,
@@ -26,11 +28,11 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
+    TransformPlan,
     check_grid_size,
     half_spectrum_l2,
     mode_sum,
     random_band_half,
-    transform_plan,
 )
 
 __all__ = [
@@ -135,9 +137,9 @@ class Corpus:
         kind = spec.kind
         if kind in ("default", "random_band"):
             count = spec.size - 16 if kind == "default" else spec.size
-            for i in range(count):
-                coeffs = random_band_half(grid, rng, band)
-                yield f"random_band[{i}]", SpectralField(grid, coeffs)
+            for i in range(count):  # no name holds a member across the next draw
+                yield (f"random_band[{i}]",
+                       SpectralField(grid, random_band_half(grid, rng, band)))
         if kind in ("default", "single_mode"):
             modes = _single_modes_for(grid.n)  # members sin(k . x)
             count = 8 if kind == "default" else spec.size
@@ -192,7 +194,7 @@ def _physical_members(corpus: CorpusSpec, p_max: int):
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
     for fid, f in build_corpus(corpus):
-        yield fid, f, RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
+        yield fid, f, RealField(f.grid, _block_inverse(f.coeffs, f.grid.plan))
 
 
 def _check_dyadic(N_set: Sequence[float]) -> None:
@@ -285,22 +287,30 @@ def _multiplier_tables(grid: Grid, N_set: Sequence[float], gamma: float):
     ]
 
 
-def _block_inverse(half: np.ndarray, n: int) -> np.ndarray:
+def _block_inverse(half: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """Physical samples of the real field whose leading rfft-layout columns
-    are ``half`` (the rest zero), in the plan's slot "block"."""
-    return transform_plan(n).inverse(None, half, "block")
+    are ``half`` (the rest zero), in ``plan``'s slot "block"."""
+    return plan.inverse(None, half, "block")
 
 
-def _block_norms(grid: Grid, half: np.ndarray, qs) -> dict:
+def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     """L^q norms, q in ``qs``, of the real field whose leading rfft-layout
     columns are ``half``: weighted Plancherel at q = 2, and one inverse
-    transform shared by every other q."""
+    transform on ``plan`` shared by every other q.  Nothing here is traced by
+    perfbench, so a helper thread may run it on a plan of its own."""
     norms = {q: half_spectrum_l2(half) for q in qs if float(q) == 2.0}
     rest = [q for q in qs if float(q) != 2.0]
     if rest:
-        phys = RealField(grid, _block_inverse(half, grid.n))
-        norms.update((q, lp_norm(phys, q)) for q in rest)
+        values = _block_inverse(half, plan)
+        norms.update((q, lp_norm_samples(values, grid.dx, q)) for q in rest)
     return norms
+
+
+def _image_norms(grid: Grid, block: np.ndarray, symbol: np.ndarray, qs,
+                 plan: TransformPlan) -> dict:
+    """``_block_norms`` of the image T_gamma P_N f, formed here from the
+    block and the symbol."""
+    return _block_norms(grid, block * symbol, qs, plan)
 
 
 def check_multiplier_bound(
@@ -314,31 +324,42 @@ def check_multiplier_bound(
     At q = 2 the ratio is bounded by 1 exactly (diagonal operator, symbol
     sup over the dyadic annulus below mtilde(N)).  Pairs with an empty
     frequency block are skipped.
+
+    A nonempty block takes two independent sets of norms, of P_N f and of
+    T_gamma P_N f.  The image's are computed on one helper thread, on a
+    transform plan made for the call (plans are one thread at a time), while
+    the calling thread computes the block's on the shared plan; numpy
+    releases the interpreter lock inside the transforms, so the two overlap.
     """
     check_gamma(gamma)
     _check_dyadic(N_set)
     rows = []
     tables = None
-    for fid, f in build_corpus(corpus):
-        if tables is None:  # built once, from the grid every member shares
-            tables = _multiplier_tables(f.grid, N_set, gamma)
-        for N, weight, symbol, bound in tables:
-            block = f.coeffs[:, : weight.shape[1]] * weight
-            if not block.any():  # an empty block has zero norm at every q
-                continue
-            denoms = _block_norms(f.grid, block, q)
-            block *= symbol  # now T_gamma P_N f; in place keeps peak memory down
-            images = _block_norms(f.grid, block, q)
-            for q_val in q:
-                if denoms[q_val] == 0.0:
+    helper_plan = TransformPlan(corpus.n)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for fid, f in build_corpus(corpus):
+            if tables is None:  # built once, from the grid every member shares
+                tables = _multiplier_tables(f.grid, N_set, gamma)
+            for N, weight, symbol, bound in tables:
+                block = f.coeffs[:, : weight.shape[1]] * weight
+                if not block.any():  # an empty block has zero norm at every q
                     continue
-                rows.append(
-                    ReportRow(
-                        fid,
-                        (("N", N), ("q", float(q_val))),
-                        images[q_val] / (bound * denoms[q_val]),
-                    )
+                images = helper.submit(
+                    _image_norms, f.grid, block, symbol, q, helper_plan
                 )
+                denoms = _block_norms(f.grid, block, q, f.grid.plan)
+                images = images.result()
+                for q_val in q:
+                    if denoms[q_val] == 0.0:
+                        continue
+                    rows.append(
+                        ReportRow(
+                            fid,
+                            (("N", N), ("q", float(q_val))),
+                            images[q_val] / (bound * denoms[q_val]),
+                        )
+                    )
+            del f, block  # the next member is drawn with neither alive
     params = {"gamma": gamma, "N_set": tuple(float(N) for N in N_set),
               "q": tuple(float(v) for v in q), "n": corpus.n,
               "seed": corpus.seed, "band": corpus.resolved_band}
@@ -361,12 +382,12 @@ def check_bernstein(
     for fid, f in build_corpus(corpus):
         if annuli is None:  # built once, from the grid every member shares
             annuli = _annuli(f.grid, N_set)
-        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.n))
+        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.plan))
         base = {p: lp_norm(phys, p) for p in {pair[0] for pair in pq_pairs}}
         for N, weight in annuli:
             block = f.coeffs[:, : weight.shape[1]] * weight
             if block.any():
-                norms = _block_norms(f.grid, block, qs)
+                norms = _block_norms(f.grid, block, qs, f.grid.plan)
             else:  # an empty block has zero norm at every q
                 norms = dict.fromkeys(qs, 0.0)
             for p, q_val in pq_pairs:

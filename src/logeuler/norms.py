@@ -43,6 +43,7 @@ from .spectral import (
 __all__ = [
     "NormBundle",
     "lp_norm",
+    "lp_norm_samples",
     "lp_norm_map",
     "lp_sweep",
     "out_of_reach",
@@ -99,16 +100,26 @@ def lp_norm(f: RealField, p) -> float:
     Only p >= 2 is supported; the scale is factored out before exponentiation
     so large p cannot overflow.
     """
+    return lp_norm_samples(f.values, f.grid.dx, p)
+
+
+def lp_norm_samples(values: np.ndarray, dx: float, p) -> float:
+    """``lp_norm`` of the samples ``values`` at grid spacing dx.
+
+    It uses no plan slot and calls nothing perfbench's tracer wraps, so a
+    helper thread may run it: the tracer wraps ``lp_norm`` and keeps one span
+    stack for one calling thread.
+    """
     p = float(p)
     if not p >= 2.0:
         raise ValueError(f"p must be >= 2 (or inf), got {p}")
-    m = _sup_abs(f.values)
+    m = _sup_abs(values)
     if np.isinf(p) or m == 0.0:
         return m
-    scaled = np.abs(f.values)
+    scaled = np.abs(values)
     scaled /= m
     scaled **= p
-    total = float(np.sum(scaled)) * f.grid.dx**2
+    total = float(np.sum(scaled)) * dx**2
     return m * total ** (1.0 / p)
 
 

@@ -236,11 +236,22 @@ def plancherel(density: np.ndarray) -> float:
     return FOUR_PI_SQ * float(np.sum(half_spectrum_weights(density.shape[0]) * density))
 
 
+# rows per gemv in half_spectrum_l2: at n = 1024 one product over all 513
+# columns is big enough to wake OpenBLAS's worker thread, which then spins
+# on a core after every call; a block of rows stays on the calling thread,
+# gives the same row sums, so the same bits, and keeps the power temporaries
+# small
+_GEMV_ROWS = 64
+
+
 def half_spectrum_l2(half: np.ndarray) -> float:
     """L2 norm of a real field from its leading rfft-layout columns."""
     weights = half_spectrum_weights(half.shape[0])[: half.shape[1]]
-    power = half.real**2 + half.imag**2
-    return math.sqrt(FOUR_PI_SQ * float(np.sum(power @ weights)))
+    row_sums = []
+    for i in range(0, half.shape[0], _GEMV_ROWS):
+        rows = half[i : i + _GEMV_ROWS]
+        row_sums.append((rows.real**2 + rows.imag**2) @ weights)
+    return math.sqrt(FOUR_PI_SQ * float(np.sum(np.concatenate(row_sums))))
 
 
 def mode_sum(grid: Grid, modes) -> SpectralField:
@@ -260,12 +271,12 @@ def random_band_half(grid: Grid, rng: np.random.Generator, band: float) -> np.nd
     """Seeded real field with unit L2 norm and 0 < |k| <= band, in rfft layout:
     the Hermitian part (z(k) + conj z(-k)) / 2 of a standard normal z."""
     n, nh = grid.n, grid.n // 2 + 1
-    x = rng.standard_normal((n, n))
-    y = rng.standard_normal((n, n))
     mirror = np.ix_((-np.arange(n)) % n, (-np.arange(nh)) % n)
     half = np.empty((n, nh), dtype=complex)
-    half.real = x[:, :nh] + x[mirror]
-    half.imag = y[:, :nh] - y[mirror]
+    x = rng.standard_normal((n, n))
+    np.add(x[:, :nh], x[mirror], out=half.real)
+    rng.standard_normal(out=x)  # y, drawn into x's buffer
+    np.subtract(x[:, :nh], x[mirror], out=half.imag)
     half *= 0.5
     half[(grid.kmod == 0.0) | (grid.kmod > band)] = 0.0
     half /= half_spectrum_l2(half)

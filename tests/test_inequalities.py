@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -39,6 +42,8 @@ from logeuler.spectral import (
     SpectralField,
     dft_forward,
     dft_inverse,
+    half_spectrum_l2,
+    random_band_half,
 )
 
 # closed-form single-mode values, frozen from 40-digit evaluation
@@ -103,6 +108,13 @@ class TestCorpus:
         # one member is 128 x 65 complex (133 kB); a list of 160 more would
         # add about 21 MB
         assert peak_large < peak_small + 200_000
+
+    def test_a_dropped_member_is_freed_before_the_next_draw(self):
+        it = iter(build_corpus(CorpusSpec(kind="random_band", n=32, size=3)))
+        _, member = next(it)
+        ref = weakref.ref(member.coeffs)
+        del member
+        assert ref() is None
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +344,91 @@ class TestMultiplierBound:
         assert check_bernstein(spec, (4.0,), ((2.0, 2.0),)).rows == ()
 
 
+def _serial_multiplier_rows(gamma, N_set, q, spec):
+    """check_multiplier_bound's loop on one thread: each block's norms and
+    then its image's, both on the shared plan."""
+    rows = []
+    for fid, f in build_corpus(spec):
+        for N, weight in _annuli(f.grid, N_set):
+            block = f.coeffs[:, : weight.shape[1]] * weight
+            if not block.any():
+                continue
+            symbol = tgamma_eval(f.grid.kmod[:, : weight.shape[1]], gamma)
+            denoms, images = (
+                {q_val: half_spectrum_l2(half) if q_val == 2.0 else lp_norm(
+                    RealField(f.grid, f.grid.plan.inverse(None, half, None)), q_val)
+                 for q_val in q}
+                for half in (block, block * symbol)
+            )
+            for q_val in q:
+                if denoms[q_val] == 0.0:
+                    continue
+                rows.append(ReportRow(
+                    fid, (("N", N), ("q", float(q_val))),
+                    images[q_val] / (mtilde(N, gamma) * denoms[q_val]),
+                ))
+    return tuple(rows)
+
+
+class TestThreadedMultiplierBound:
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_rows_equal_the_serial_loop(self, n):
+        # band n/8 leaves the top blocks empty
+        spec = CorpusSpec(n=n, size=20, band=n // 8, seed=5)
+        N_set = tuple(2.0**j for j in range(int(math.log2(n))))
+        q = (2.0, 4.0, float("inf"))
+        report = check_multiplier_bound(1.5, N_set, q, spec)
+        blocks = [
+            (f.coeffs[:, : w.shape[1]] * w).any()
+            for _, f in build_corpus(spec)
+            for _, w in _annuli(f.grid, N_set)
+        ]
+        assert 0 < sum(blocks) < len(blocks)
+        assert report.rows == _serial_multiplier_rows(1.5, N_set, q, spec)
+
+    def test_rows_hold_under_fast_thread_switching(self):
+        spec = CorpusSpec(n=64, size=20, band=16, seed=8)
+        N_set = (2.0, 4.0, 8.0, 16.0)
+        q = (2.0, float("inf"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = check_multiplier_bound(1.5, N_set, q, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.rows == _serial_multiplier_rows(1.5, N_set, q, spec)
+
+    def test_q_below_two_raises_and_no_thread_is_left(self):
+        spec = CorpusSpec(n=32, size=20)
+        threads = threading.active_count()
+        check_multiplier_bound(1.5, (2.0, 4.0), (2.0, float("inf")), spec)
+        assert threading.active_count() == threads
+        with pytest.raises(ValueError, match="must be >= 2"):
+            check_multiplier_bound(1.5, (2.0, 4.0), (2.0, 1.0), spec)
+        assert threading.active_count() == threads
+
+    def test_no_member_or_block_outlives_the_next_draw(self, monkeypatch):
+        arrays, alive_at_draw = [], []
+        draw, block_norms = random_band_half, inequalities._block_norms
+
+        def tracking_draw(grid, rng, band):
+            alive_at_draw.append(sum(ref() is not None for ref in arrays))
+            half = draw(grid, rng, band)
+            arrays.append(weakref.ref(half))
+            return half
+
+        def tracking_norms(grid, half, qs, plan):
+            arrays.append(weakref.ref(half))
+            return block_norms(grid, half, qs, plan)
+
+        monkeypatch.setattr(inequalities, "random_band_half", tracking_draw)
+        monkeypatch.setattr(inequalities, "_block_norms", tracking_norms)
+        spec = CorpusSpec(kind="random_band", n=32, size=4, seed=2)
+        check_multiplier_bound(1.5, (2.0, 4.0), (2.0, float("inf")), spec)
+        assert len(arrays) == 4 + 4 * 2 * 2
+        assert alive_at_draw == [0, 0, 0, 0]
+
+
 class TestBernstein:
     def test_block_contraction_at_p2q2(self):
         # for f already localized to one block, projecting again contracts L2
@@ -459,7 +556,7 @@ class TestHalfSpectrumBlocks:
             ((_, weight),) = _annuli(f.grid, (N,))
             block = f.coeffs[:, : weight.shape[1]] * weight
             full = scipy.fft.irfft2(block, s=(n, n), norm="forward")
-            assert np.array_equal(_block_inverse(block, n), full)
+            assert np.array_equal(_block_inverse(block, f.grid.plan), full)
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_multiplier_bound_matches_full_lattice(self, n):

@@ -28,6 +28,7 @@ from logeuler.spectral import (
     mode_sum,
     plancherel,
     project_zero_mean,
+    random_band_half,
     transform_plan,
 )
 
@@ -222,6 +223,36 @@ class TestTransformPlan:
 
 
 class TestHalfSpectrum:
+    @pytest.mark.parametrize("n", [8, 256, 1024])
+    @pytest.mark.parametrize("cols", ["full", "cropped"])
+    def test_l2_is_the_one_shot_formula(self, n, cols):
+        # the row-blocked gemv (which keeps OpenBLAS on the calling thread)
+        # gives the bits of one product over all rows
+        width = n // 2 + 1 if cols == "full" else n // 4 + 1
+        rng = np.random.default_rng(n + width)
+        half = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+        weights = half_spectrum_weights(n)[:width]
+        power = half.real**2 + half.imag**2
+        one_shot = np.sqrt(4.0 * np.pi**2 * float(np.sum(power @ weights)))
+        assert half_spectrum_l2(half) == one_shot
+
+    def test_random_band_half_is_the_two_draw_formula(self):
+        # y is drawn into x's buffer; the bits are those of two fresh draws
+        g = Grid(64)
+        n, nh = 64, 33
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((n, n))
+        y = rng.standard_normal((n, n))
+        mirror = np.ix_((-np.arange(n)) % n, (-np.arange(nh)) % n)
+        ref = np.empty((n, nh), dtype=complex)
+        ref.real = x[:, :nh] + x[mirror]
+        ref.imag = y[:, :nh] - y[mirror]
+        ref *= 0.5
+        ref[(g.kmod == 0.0) | (g.kmod > 20)] = 0.0
+        ref /= half_spectrum_l2(ref)
+        half = random_band_half(g, np.random.default_rng(17), 20)
+        assert np.array_equal(half, ref)
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
