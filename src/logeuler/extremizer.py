@@ -10,62 +10,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .spectral import read_only
+
 __all__ = [
-    "RadialPiece",
-    "RadialProfile",
     "RadialNorms",
-    "QuadratureError",
     "SharpnessRow",
     "build_extremizer",
     "radial_norms",
     "sharpness_curve",
 ]
 
-QUAD_REL_TOL = 1e-8
+_R_KNEE = math.exp(-1.0)  # the middle piece meets the cubic tail here
+_SPAN = 1.0 - _R_KNEE  # on the tail r = _R_KNEE + _SPAN u, u in [0, 1]
 
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; message carries diagnostics."""
-
-
-@dataclass(frozen=True)
-class RadialPiece:
-    """One smooth piece of a radial profile on [r_lo, r_hi].
-
-    ``constant`` marks pieces with a constant value (integrated in closed
-    form); ``log_substitution`` integrates in t = -log r, which keeps the
-    quadrature well conditioned when the piece spans many decades of r.
-    """
-
-    r_lo: float
-    r_hi: float
-    func: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    constant: float | None = None
-    log_substitution: bool = False
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Piecewise radial function vanishing beyond r_support."""
-
-    pieces: tuple[RadialPiece, ...]
-    r_support: float
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for piece in self.pieces:
-            sel = (r >= piece.r_lo) & (r <= piece.r_hi)
-            if np.any(sel):
-                out[sel] = piece.func(r[sel])
-        if out.ndim == 0:
-            return float(out)
-        return out
+# int f^2 r dr and int f'^2 r dr over the tail f = (1-u)^2 (1+2u), both
+# polynomials in u integrated exactly (Beta integrals)
+_TAIL_L2 = _SPAN * (13.0 * _R_KNEE + 3.0 * _SPAN) / 35.0
+_TAIL_H1 = (1.2 * _R_KNEE + 0.6 * _SPAN) / _SPAN
 
 
 @dataclass(frozen=True)
@@ -75,123 +41,87 @@ class RadialNorms:
     h1dot: float
 
 
-def build_extremizer(p: float) -> RadialProfile:
-    """The three-piece profile: sqrt(p), then sqrt(-log r), then a cubic
-    smoothstep from 1 at r = e^{-1} down to 0 at r = 1.
+def _check_p(p: float) -> None:
+    if p < 4:
+        raise ValueError(f"p must be >= 4, got {p}")
+
+
+def build_extremizer(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The three-piece profile r -> f_p(r): sqrt(p), then sqrt(-log r), then
+    a cubic smoothstep from 1 at r = e^{-1} down to 0 at r = 1, and 0 beyond.
 
     Continuous at both breakpoints since sqrt(-log e^{-p}) = sqrt(p) and
     sqrt(-log e^{-1}) = 1.  Requires p >= 4.
     """
-    if p < 4:
-        raise ValueError(f"p must be >= 4, got {p}")
+    _check_p(p)
     r_in = math.exp(-p)
-    r_mid = math.exp(-1.0)
-    sqrt_p = math.sqrt(p)
 
     def middle(r):
         return np.sqrt(-np.log(r))
 
-    def middle_deriv(r):
-        return -1.0 / (2.0 * r * np.sqrt(-np.log(r)))
-
-    span = 1.0 - r_mid
-
     def tail(r):
-        u = (np.asarray(r, float) - r_mid) / span
+        u = (r - _R_KNEE) / _SPAN
         return 1.0 - u * u * (3.0 - 2.0 * u)
 
-    def tail_deriv(r):
-        u = (np.asarray(r, float) - r_mid) / span
-        return -6.0 * u * (1.0 - u) / span
+    def f(r):
+        r = np.asarray(r, dtype=float)
+        pieces = [(r >= 0.0) & (r <= r_in), (r > r_in) & (r < _R_KNEE),
+                  (r >= _R_KNEE) & (r <= 1.0)]
+        return np.piecewise(r, pieces, [math.sqrt(p), middle, tail])[()]
 
-    pieces = (
-        RadialPiece(0.0, r_in, lambda r: np.full_like(np.asarray(r, float), sqrt_p),
-                    lambda r: np.zeros_like(np.asarray(r, float)), constant=sqrt_p),
-        RadialPiece(r_in, r_mid, middle, middle_deriv, log_substitution=True),
-        RadialPiece(r_mid, 1.0, tail, tail_deriv),
-    )
-    return RadialProfile(pieces, 1.0)
+    return f
 
 
-def _quad(fn, a, b, what: str) -> float:
-    # imported here so that only the sharpness table pays for loading the
-    # quadrature stack (about 25 MB of RSS and 0.2 s of start-up)
-    from scipy.integrate import quad
-
-    value, abserr, info, *stuff = quad(
-        fn, a, b, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200, full_output=True
-    )
-    if stuff:  # quadpack appended an explanation: it did not converge
-        raise QuadratureError(
-            f"quadrature for {what} on [{a:g}, {b:g}] failed: {stuff[0]} "
-            f"(value {value:.6e}, abserr {abserr:.3e})"
-        )
-    return value
+@lru_cache(maxsize=1)
+def _gauss_rule() -> tuple[np.ndarray, ...]:
+    """Nodes and weights of the 200-point Gauss-Legendre rule on [-1, 1];
+    read-only, built on first use."""
+    return tuple(map(read_only, np.polynomial.legendre.leggauss(200)))
 
 
-def _scaled_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """x**p for x in [0, 1], evaluated in log space to dodge underflow noise."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", under="ignore"):
-        return np.where(x > 0.0, np.exp(p * np.log(np.where(x > 0.0, x, 1.0))), 0.0)
+def _log_integral(g, lo: float, hi: float, peak: float, width: float) -> float:
+    """log of int_lo^hi exp(g(x)) dx for a g with one maximum, at ``peak``,
+    of curvature -1/width^2: the 200-node Gauss-Legendre rule on 40 widths
+    either side of the peak, clipped to [lo, hi], with max g factored out."""
+    a, b = max(lo, peak - 40.0 * width), min(hi, peak + 40.0 * width)
+    nodes, weights = _gauss_rule()
+    half = 0.5 * (b - a)
+    values = g(a + half * (nodes + 1.0))
+    top = values.max()
+    return float(top + math.log(half * np.sum(weights * np.exp(values - top))))
 
 
-def _piece_integrals(piece: RadialPiece, p: float, scale: float):
-    """(int f^2 r dr, int (f/scale)^p r dr, int f'^2 r dr) over one piece."""
-    if piece.constant is not None:
-        c = piece.constant
-        geom = 0.5 * (piece.r_hi**2 - piece.r_lo**2)
-        # exact closed forms; the L^p part in log space to avoid under/overflow
-        log_ip = p * (math.log(c) - math.log(scale)) + math.log(geom)
-        return c * c * geom, math.exp(log_ip), 0.0
+def radial_norms(p: float) -> RadialNorms:
+    """L^2, L^p and homogeneous H^1 norms on the plane of the profile f_p.
 
-    integrands = (
-        ("L2", lambda r: piece.func(r) ** 2),
-        ("Lp", lambda r: _scaled_pow(np.abs(piece.func(r)) / scale, p)),
-        ("H1", lambda r: piece.deriv(r) ** 2),
-    )
-    if piece.log_substitution:  # r dr = r^2 dt with r = e^{-t}
-        t_lo, t_hi = -math.log(piece.r_hi), -math.log(piece.r_lo)
-        return tuple(
-            _quad(lambda t, g=g: g(np.exp(-t)) * np.exp(-2.0 * t), t_lo, t_hi,
-                  f"{name} piece (log variable)")
-            for name, g in integrands
-        )
-    return tuple(
-        _quad(lambda r, g=g: g(r) * r, piece.r_lo, piece.r_hi, f"{name} piece")
-        for name, g in integrands
-    )
-
-
-def _profile_max(profile: RadialProfile) -> float:
-    worst = 0.0
-    for piece in profile.pieces:
-        if piece.constant is not None:
-            worst = max(worst, abs(piece.constant))
-            continue
-        r = np.linspace(piece.r_lo, piece.r_hi, 65)
-        r[0] = min(piece.r_lo * (1 + 1e-12), piece.r_hi)  # keep inside the domain
-        worst = max(worst, float(np.max(np.abs(piece.func(r)))))
-    return worst
-
-
-def radial_norms(profile: RadialProfile, p: float) -> RadialNorms:
-    """L^2, L^p and homogeneous H^1 norms of a radial profile on the plane.
-
-    Uses 2 pi int g(r) r dr with adaptive quadrature at relative tolerance
-    1e-8 per piece; the L^p integrand is globally rescaled by the profile
-    max so that large p stays inside double-precision range.
+    Each norm is 2 pi int g(r) r dr summed over the three pieces.  Every
+    piece's L^2 and H^1 integral has a closed form; the L^p integrals of
+    (f_p / sqrt(p))^p over the middle piece (in t = -log r) and the tail
+    are taken in log space, which keeps large p inside double range.
     """
-    scale = _profile_max(profile)
-    if scale == 0.0:
-        return RadialNorms(0.0, 0.0, 0.0)
-    i2 = ip = ih = 0.0
-    for piece in profile.pieces:
-        a, b, c = _piece_integrals(piece, p, scale)
-        i2, ip, ih = i2 + a, ip + b, ih + c
+    _check_p(p)
+    log_p = math.log(p)
+    e2p = math.exp(-2.0 * p)
+    l2 = p * e2p / 2.0 + (0.75 * math.exp(-2.0) - (2.0 * p + 1.0) * e2p / 4.0) + _TAIL_L2
+    h1 = log_p / 4.0 + _TAIL_H1
+
+    def middle(t):  # (t/p)^{p/2} e^{-2t}, from f = sqrt(t) and r dr = e^{-2t} dt
+        return (p / 2.0) * np.log(t / p) - 2.0 * t
+
+    def tail(u):  # (f/sqrt(p))^p r dr with f = (1-u)^2 (1+2u)
+        log_f = 2.0 * np.log1p(-u) + np.log1p(2.0 * u)
+        return p * log_f - (p / 2.0) * log_p + np.log((_R_KNEE + _SPAN * u) * _SPAN)
+
+    log_terms = np.array([
+        -2.0 * p - math.log(2.0),  # the constant piece: e^{-2p} / 2
+        _log_integral(middle, 1.0, p, p / 4.0, math.sqrt(p / 8.0)),
+        _log_integral(tail, 0.0, 1.0, 0.0, 1.0 / math.sqrt(6.0 * p)),
+    ])
+    top = log_terms.max()
+    log_ip = top + math.log(np.sum(np.exp(log_terms - top)))
     two_pi = 2.0 * math.pi
-    lp = scale * math.exp((math.log(two_pi * ip)) / p) if ip > 0.0 else 0.0
-    return RadialNorms(math.sqrt(two_pi * i2), lp, math.sqrt(two_pi * ih))
+    lp = math.sqrt(p) * math.exp((math.log(two_pi) + log_ip) / p)
+    return RadialNorms(math.sqrt(two_pi * l2), lp, math.sqrt(two_pi * h1))
 
 
 @dataclass(frozen=True)
@@ -218,8 +148,7 @@ def sharpness_curve(p_list: Sequence[float]) -> list[SharpnessRow]:
         raise ValueError("sharpness needs at least one p >= 4")
     rows = []
     for p in p_list:
-        profile = build_extremizer(p)
-        norms = radial_norms(profile, p)
+        norms = radial_norms(p)
         sqrt_p = math.sqrt(p)
         log_p = math.log(p)
         denom = sqrt_p * (norms.l2 + norms.h1dot)

@@ -49,7 +49,6 @@ __all__ = [
     "out_of_reach",
     "sobolev_norm",
     "sup_over_p",
-    "sup_p_ratio",
     "grad_u_sup",
     "generalized_energy",
     "compute_norm_bundle",
@@ -203,11 +202,6 @@ def sup_over_p(
             p >= p_max or out_of_reach(cap / np.sqrt(p + 1), best)
         ):
             return lp, best
-
-
-def sup_p_ratio(f: RealField, p_max: int) -> float:
-    """max over integer p in {2, ..., p_max} of ||f||_p / sqrt(p)."""
-    return sup_over_p(f, p_max)[1]
 
 
 def grad_u_sup(omega: SpectralField, gamma: float) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "ConfigError",
     "SnapshotError",
     "RunSettings",
-    "Snapshot",
     "KEYS",
     "RUN_KEYS",
     "DIAG_HEADER",

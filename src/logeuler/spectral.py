@@ -36,7 +36,6 @@ __all__ = [
     "dft_forward",
     "dft_inverse",
     "dealias",
-    "project_zero_mean",
     "check_zero_mean",
     "check_grid_size",
     "half_spectrum_weights",
@@ -298,10 +297,3 @@ def dft_inverse(s: SpectralField) -> RealField:
 def dealias(s: SpectralField) -> SpectralField:
     """Zero all coefficients with max(|k1|, |k2|) > floor(n/3) (2/3 rule)."""
     return SpectralField(s.grid, np.where(s.grid.dealias_mask, s.coeffs, 0.0))
-
-
-def project_zero_mean(s: SpectralField) -> SpectralField:
-    """Set the (0,0) coefficient to exactly zero."""
-    out = s.coeffs.copy()
-    out[0, 0] = 0.0
-    return SpectralField(s.grid, out)

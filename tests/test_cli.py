@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -393,6 +394,42 @@ def test_verify_sharpness_writes_table(tmp_path):
     lines = (out / "sharpness.csv").read_text().splitlines()
     assert lines[0].startswith("p,")
     assert len(lines) == 1 + 5  # p = 4, 8, 16, 32, 64
+
+
+def test_verify_sharpness_past_p_372(tmp_path):
+    # --pmax 512 used to exit 1 with "Error: math domain error"
+    out = tmp_path / "v"
+    rc = run_cli(["verify", "sharpness", "--pmax", "1024", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "sharpness.csv").read_text().splitlines()
+    assert len(lines) == 1 + 9  # p = 4, 8, ..., 1024
+    for line in lines[1:]:
+        assert all(math.isfinite(float(v)) for v in line.split(","))
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test oracle only: every verify mode, a simulate and a
+    # report on it run on numpy alone
+    script = (
+        "import sys\n"
+        "from logeuler.cli import run_cli\n"
+        "out = sys.argv[1]\n"
+        "for mode in ('embedding', 'loginterp', 'multiplier', 'bernstein', 'sharpness'):\n"
+        "    assert run_cli(['verify', mode, '--n', '32', '--size', '20', '--nmax', '8',\n"
+        "                    '--pmax', '8', '--out', f'{out}/{mode}']) == 0\n"
+        "assert run_cli(['simulate', '--n', '32', '--tmax', '0.02', '--diag-every', '1',\n"
+        "                '--snap-every', '1', '--out', f'{out}/run']) == 0\n"
+        "assert run_cli(['report', f'{out}/run']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+        text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_embedding_small_corpus(tmp_path):

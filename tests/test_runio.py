@@ -8,7 +8,6 @@ from logeuler.norms import NormBundle
 from logeuler.runio import (
     RUN_KEYS,
     ConfigError,
-    Snapshot,
     SnapshotError,
     parse_config,
     parse_values,
@@ -24,6 +23,7 @@ from logeuler.runio import (
 from logeuler.solver import (
     DiagnosticsRecord,
     InitialConditionSpec,
+    Snapshot,
     SolverConfig,
     gronwall_envelope,
     run,

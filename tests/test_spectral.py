@@ -27,7 +27,6 @@ from logeuler.spectral import (
     half_spectrum_weights,
     mode_sum,
     plancherel,
-    project_zero_mean,
     random_band_half,
     transform_plan,
 )
@@ -381,13 +380,3 @@ class TestOperators:
         once = dealias(s)
         twice = dealias(once)
         assert np.array_equal(once.coeffs, twice.coeffs)
-
-    def test_project_zero_mean(self):
-        g = Grid(16)
-        x1, _ = g.mesh()
-        s = dft_forward(RealField(g, 1.0 + np.sin(x1)))
-        out = project_zero_mean(s)
-        assert out.coeffs[0, 0] == 0.0
-        assert np.max(np.abs(dft_inverse(out).values - np.sin(x1))) < 1e-13
-        constant = dft_forward(RealField(g, np.ones((16, 16))))
-        assert np.max(np.abs(project_zero_mean(constant).coeffs)) < 1e-15
