@@ -38,7 +38,7 @@ from .runio import (
     write_sharpness_csv,
     write_snapshot,
 )
-from .solver import BlowUpError, SolverConfig, gronwall_envelope, run
+from .solver import ENVELOPE_CEILING, BlowUpError, SolverConfig, gronwall_envelope, run
 
 __all__ = ["build_parser", "run_cli"]
 
@@ -264,7 +264,7 @@ def _summarize_diagnostics(path: str) -> int:
         flag = "VIOLATED" if env.violated else "ok"
         print(
             f"  envelope fits: c_a = {env.c_a:.6g}, c_b = {env.c_b:.6g} "
-            f"(ceiling {env.ceiling:g}, {flag})"
+            f"(ceiling {ENVELOPE_CEILING:g}, {flag})"
         )
     else:
         print("  envelope fits: need at least 3 records")

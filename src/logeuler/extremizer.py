@@ -1,9 +1,12 @@
-"""Radial profiles on the plane for sharpness experiments.
+"""Norms of a radial extremizer family on the plane for sharpness
+experiments.
 
-The profile family f_p takes the value sqrt(p) inside radius e^{-p}, equals
-sqrt(-log r) on [e^{-p}, e^{-1}] and decays smoothly to zero at r = 1.  Its
-norms witness that the sqrt(p) growth of the L^p embedding constant cannot
-be improved by more than a sqrt(log p) factor.
+The profile f_p takes the value sqrt(p) inside radius e^{-p}, equals
+sqrt(-log r) on [e^{-p}, e^{-1}] and falls by the cubic smoothstep
+(1-u)^2 (1+2u), u = (r - e^{-1}) / (1 - e^{-1}), to zero at r = 1.  Only its
+norms are computed, for 4 <= p <= 2^100.  They witness that the sqrt(p)
+growth of the L^p embedding constant cannot be improved by more than a
+sqrt(log p) factor.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +23,6 @@ from .spectral import read_only
 __all__ = [
     "RadialNorms",
     "SharpnessRow",
-    "build_extremizer",
     "radial_norms",
     "sharpness_curve",
 ]
@@ -41,35 +43,9 @@ class RadialNorms:
     h1dot: float
 
 
-def _check_p(p: float) -> None:
-    if p < 4:
-        raise ValueError(f"p must be >= 4, got {p}")
-
-
-def build_extremizer(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The three-piece profile r -> f_p(r): sqrt(p), then sqrt(-log r), then
-    a cubic smoothstep from 1 at r = e^{-1} down to 0 at r = 1, and 0 beyond.
-
-    Continuous at both breakpoints since sqrt(-log e^{-p}) = sqrt(p) and
-    sqrt(-log e^{-1}) = 1.  Requires p >= 4.
-    """
-    _check_p(p)
-    r_in = math.exp(-p)
-
-    def middle(r):
-        return np.sqrt(-np.log(r))
-
-    def tail(r):
-        u = (r - _R_KNEE) / _SPAN
-        return 1.0 - u * u * (3.0 - 2.0 * u)
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        pieces = [(r >= 0.0) & (r <= r_in), (r > r_in) & (r < _R_KNEE),
-                  (r >= _R_KNEE) & (r <= 1.0)]
-        return np.piecewise(r, pieces, [math.sqrt(p), middle, tail])[()]
-
-    return f
+# past about 2^120, 40 widths sqrt(p/8) fall below one ulp of the middle
+# piece's peak p/4 and its quadrature window has zero length
+_P_MAX = 2.0**100
 
 
 @lru_cache(maxsize=1)
@@ -99,7 +75,8 @@ def radial_norms(p: float) -> RadialNorms:
     (f_p / sqrt(p))^p over the middle piece (in t = -log r) and the tail
     are taken in log space, which keeps large p inside double range.
     """
-    _check_p(p)
+    if not 4 <= p <= _P_MAX:
+        raise ValueError(f"p must be in [4, 2^100], got {p}")
     log_p = math.log(p)
     e2p = math.exp(-2.0 * p)
     l2 = p * e2p / 2.0 + (0.75 * math.exp(-2.0) - (2.0 * p + 1.0) * e2p / 4.0) + _TAIL_L2

@@ -34,7 +34,6 @@ __all__ = [
     "parse_config",
     "write_config_echo",
     "diagnostics_row",
-    "write_diagnostics_csv",
     "read_diagnostics_csv",
     "records_from_rows",
     "write_snapshot",
@@ -216,15 +215,6 @@ def diagnostics_row(rec: DiagnosticsRecord) -> str:
     row = (rec.t, rec.dt_used, b.l2, b.lp[4], b.lp[8], b.h1dot, b.hm1dot,
            b.sup_p_ratio, b.grad_u_sup, b.energy_gamma)
     return ",".join(_fmt(v) for v in row) + "\n"
-
-
-def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path: str) -> None:
-    """One row per record under the fixed header."""
-    if not records:
-        raise ValueError("no diagnostics records to write")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(DIAG_HEADER + "\n")
-        fh.writelines(map(diagnostics_row, records))
 
 
 def read_diagnostics_csv(path: str) -> list[dict[str, float]]:

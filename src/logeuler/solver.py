@@ -458,6 +458,9 @@ def run(config: SolverConfig, on_record: Callable, on_snapshot: Callable) -> Non
 # envelope fits
 # ---------------------------------------------------------------------------
 
+ENVELOPE_CEILING = 1e6  # an envelope constant above this is reported violated
+
+
 @dataclass(frozen=True)
 class EnvelopeReport:
     """Smallest constants closing the negative- and positive-order norm
@@ -465,22 +468,18 @@ class EnvelopeReport:
 
     c_a closes d/dt ||w||_{H^-1}^2 <= c_a (||w0||_2 ||w||_{H^-1}^2
     + ||w0||_2^2 ||w||_{H^-1}); c_b closes d/dt ||w||_{H^1}^2 <= c_b
-    ||w0||_{H^1} log(||w||_{H^1} + ||w0||_2 + e) ||w||_{H^1}^2.  Ratios are
-    per-interval; "violated" flags a fit above the ceiling.
+    ||w0||_{H^1} log(||w||_{H^1} + ||w0||_2 + e) ||w||_{H^1}^2.  Each is the
+    largest per-interval ratio; "violated" flags one above ENVELOPE_CEILING.
     """
 
     c_a: float
     c_b: float
-    ceiling: float
     violated: bool
-    ratios_a: tuple[float, ...]
-    ratios_b: tuple[float, ...]
 
 
 def gronwall_envelope(
     records: list[DiagnosticsRecord],
     omega0_norms: NormBundle,
-    ceiling: float = 1e6,
 ) -> EnvelopeReport:
     """Fit the smallest envelope constants along a recorded trajectory.
 
@@ -493,8 +492,7 @@ def gronwall_envelope(
     w0_l2 = omega0_norms.l2
     w0_h1 = omega0_norms.l2 + omega0_norms.h1dot
 
-    ratios_a: list[float] = []
-    ratios_b: list[float] = []
+    c_a = c_b = 0.0
     for a, b in zip(records, records[1:]):
         dt = b.t - a.t
         if dt <= 0:
@@ -502,16 +500,11 @@ def gronwall_envelope(
         hm_mid = 0.5 * (a.norms.hm1dot + b.norms.hm1dot)
         dy = (b.norms.hm1dot**2 - a.norms.hm1dot**2) / dt
         bound = w0_l2 * hm_mid**2 + w0_l2**2 * hm_mid
-        ratios_a.append(max(0.0, dy / bound) if bound > 0 else 0.0)
+        c_a = max(c_a, dy / bound if bound > 0 else 0.0)
 
         h1_mid = 0.5 * (a.norms.h1dot + b.norms.h1dot)
         dy = (b.norms.h1dot**2 - a.norms.h1dot**2) / dt
         bound = w0_h1 * math.log(h1_mid + w0_l2 + math.e) * h1_mid**2
-        ratios_b.append(max(0.0, dy / bound) if bound > 0 else 0.0)
+        c_b = max(c_b, dy / bound if bound > 0 else 0.0)
 
-    c_a = max(ratios_a, default=0.0)
-    c_b = max(ratios_b, default=0.0)
-    return EnvelopeReport(
-        c_a, c_b, ceiling, c_a > ceiling or c_b > ceiling,
-        tuple(ratios_a), tuple(ratios_b),
-    )
+    return EnvelopeReport(c_a, c_b, max(c_a, c_b) > ENVELOPE_CEILING)

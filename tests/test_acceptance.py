@@ -19,7 +19,7 @@ from logeuler.inequalities import (
     check_log_interpolation,
     check_multiplier_bound,
 )
-from logeuler.runio import read_diagnostics_csv, write_diagnostics_csv
+from logeuler.runio import DIAG_HEADER, diagnostics_row, read_diagnostics_csv
 from logeuler.solver import (
     InitialConditionSpec,
     SolverConfig,
@@ -225,7 +225,8 @@ def test_criterion_10_io_roundtrips(tmp_path, conservation_run):
         # diagnostics CSV reparses exactly at 17 significant digits
         records, _ = conservation_run
         csv_path = tmp_path / "diag.csv"
-        write_diagnostics_csv(records, str(csv_path))
+        csv_path.write_text(DIAG_HEADER + "\n" + "".join(map(diagnostics_row, records)),
+                            encoding="utf-8", newline="\n")
         rows = read_diagnostics_csv(str(csv_path))
         for rec, row in zip(records, rows):
             assert row["t"] == rec.t

@@ -408,8 +408,8 @@ def test_verify_sharpness_past_p_372(tmp_path):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # scipy is a test oracle only: every verify mode, a simulate and a
-    # report on it run on numpy alone
+    # scipy, sympy and mpmath are test oracles only: every verify mode, a
+    # simulate and a report on it run on numpy alone
     script = (
         "import sys\n"
         "from logeuler.cli import run_cli\n"
@@ -420,7 +420,8 @@ def test_no_command_loads_scipy(tmp_path):
         "assert run_cli(['simulate', '--n', '32', '--tmax', '0.02', '--diag-every', '1',\n"
         "                '--snap-every', '1', '--out', f'{out}/run']) == 0\n"
         "assert run_cli(['report', f'{out}/run']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -463,7 +464,9 @@ def test_verify_embedding_small_corpus(tmp_path):
        for mode in ("multiplier", "bernstein")),
      (["sharpness", "--pmax", "3"], "sharpness needs"),
      # used to be argparse's exit 2
-     (["embedding", "--n", "abc"], "config key 'n': cannot parse 'abc'")],
+     (["embedding", "--n", "abc"], "config key 'n': cannot parse 'abc'"),
+     # p = 2^120 used to end in "math domain error"
+     (["sharpness", "--pmax", str(2**120)], "p must be in [4, 2^100]")],
 )
 def test_verify_bad_input_writes_nothing(tmp_path, capsys, flags, message):
     out = tmp_path / "v"

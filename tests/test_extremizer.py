@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 from scipy.integrate import simpson
 
-from logeuler.extremizer import build_extremizer, radial_norms, sharpness_curve
+from logeuler.extremizer import radial_norms, sharpness_curve
 
 # closed forms for the p = 4 profile, middle piece in t = -log r:
 #   int_1^4 t   e^{-2t} dt = [-(t/2 + 1/4) e^{-2t}]_1^4
@@ -74,38 +74,9 @@ def exact_norms(p):
         return float(mp.sqrt(l2)), float(lp ** (mp.mpf(1) / p)), float(mp.sqrt(h1))
 
 
-class TestBuildExtremizer:
-    def test_plateau_value(self):
-        f = build_extremizer(16.0)
-        assert f(math.exp(-16.0) / 2.0) == pytest.approx(4.0, abs=1e-14)
-
-    def test_value_at_log_knee(self):
-        f = build_extremizer(16.0)
-        assert f(math.exp(-1.0)) == pytest.approx(1.0, abs=1e-13)
-
-    def test_continuity_at_breakpoints(self):
-        for p in (4.0, 16.0, 256.0):
-            f = build_extremizer(p)
-            for r_break in (math.exp(-p), math.exp(-1.0)):
-                left = f(r_break * (1.0 - 1e-13))
-                right = f(r_break * (1.0 + 1e-13))
-                assert abs(left - right) < 1e-12
-
-    def test_vanishes_beyond_support(self):
-        f = build_extremizer(8.0)
-        assert f(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert f(2.5) == 0.0
-
-    def test_rejects_small_p(self):
-        with pytest.raises(ValueError):
-            build_extremizer(3.9)
-
-
 class TestRadialNorms:
     def test_p4_against_closed_forms_and_simpson(self):
         a, b = math.exp(-1.0), 1.0
-        r = np.linspace(a, b, 101)
-        assert np.array_equal(tail_f(r), build_extremizer(4.0)(r))
         tail_l2 = simpson_piece(lambda r: tail_f(r) ** 2 * r, a, b)
         tail_l4 = simpson_piece(lambda r: tail_f(r) ** 4 * r, a, b)
         tail_h1 = simpson_piece(lambda r: tail_df(r) ** 2 * r, a, b)
@@ -141,6 +112,16 @@ class TestRadialNorms:
     def test_no_overflow_at_largest_p(self):
         n = radial_norms(256.0)
         assert np.isfinite(n.lp) and n.lp > 0
+
+    def test_rejects_p_outside_4_to_2_100(self):
+        for p in (3.9, 2.0**101, math.nan):
+            with pytest.raises(ValueError, match=r"p must be in \[4, 2\^100\]"):
+                radial_norms(p)
+        # the largest p allowed still gives finite norms; p = 2^120 used to
+        # raise "math domain error"
+        n = radial_norms(2.0**100)
+        assert all(map(math.isfinite, (n.l2, n.lp, n.h1dot)))
+        assert 0.30 <= n.lp / 2.0**50 <= 0.31
 
     @pytest.mark.parametrize("p", [4 * 2**k for k in range(11)])
     def test_against_exact_sums(self, p):

@@ -6,9 +6,11 @@ import pytest
 
 from logeuler.norms import NormBundle
 from logeuler.runio import (
+    DIAG_HEADER,
     RUN_KEYS,
     ConfigError,
     SnapshotError,
+    diagnostics_row,
     parse_config,
     parse_values,
     read_config_file,
@@ -17,7 +19,6 @@ from logeuler.runio import (
     records_from_rows,
     run_values,
     write_config_echo,
-    write_diagnostics_csv,
     write_snapshot,
 )
 from logeuler.solver import (
@@ -194,24 +195,30 @@ def test_readme_defaults_block_is_the_default_config(tmp_path):
     assert values == run_values(parse_config().solver)
 
 
+def write_diagnostics(records, path):
+    """The bytes a run writes: the header, then one row per record."""
+    path.write_text(DIAG_HEADER + "\n" + "".join(map(diagnostics_row, records)),
+                    encoding="utf-8", newline="\n")
+
+
 class TestDiagnosticsCsv:
     def test_single_record_two_lines(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_diagnostics_csv([record(0.0)], str(path))
+        write_diagnostics([record(0.0)], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].count(",") == 9
 
     def test_constant_column_count(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_diagnostics_csv([record(0.0), record(0.5), record(1.0)], str(path))
+        write_diagnostics([record(0.0), record(0.5), record(1.0)], path)
         lines = path.read_text().splitlines()
         assert len({line.count(",") for line in lines}) == 1
 
     def test_reparse_is_exact(self, tmp_path):
         path = tmp_path / "d.csv"
         recs = [record(0.1 * i, scale=1.0 + 0.3 * i) for i in range(4)]
-        write_diagnostics_csv(recs, str(path))
+        write_diagnostics(recs, path)
         rows = read_diagnostics_csv(str(path))
         for rec, row in zip(recs, rows):
             assert row["t"] == rec.t
@@ -222,14 +229,10 @@ class TestDiagnosticsCsv:
             assert row["hm1dot"] == rec.norms.hm1dot
             assert row["energy_gamma"] == rec.norms.energy_gamma
 
-    def test_empty_records_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_diagnostics_csv([], str(tmp_path / "d.csv"))
-
     def test_envelope_refit_from_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         recs = [record(0.1 * i, scale=1.0 + 0.05 * i) for i in range(5)]
-        write_diagnostics_csv(recs, str(path))
+        write_diagnostics(recs, path)
         rebuilt = records_from_rows(read_diagnostics_csv(str(path)))
         direct = gronwall_envelope(recs, recs[0].norms)
         refit = gronwall_envelope(rebuilt, rebuilt[0].norms)

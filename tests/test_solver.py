@@ -9,7 +9,9 @@ from reference import direct_rhs, scipy_rhs
 
 from logeuler import norms, solver
 from logeuler.multipliers import phi_eval, tgamma_eval
+from logeuler.runio import records_from_rows
 from logeuler.solver import (
+    ENVELOPE_CEILING,
     BlowUpError,
     InitialConditionSpec,
     SolverConfig,
@@ -684,7 +686,6 @@ class TestGronwallEnvelope:
         report = gronwall_envelope(records, records[0].norms)
         assert np.isfinite(report.c_a) and np.isfinite(report.c_b)
         assert not report.violated
-        assert len(report.ratios_a) == len(records) - 1
 
     def test_requires_three_records(self):
         cfg = SolverConfig(
@@ -696,11 +697,12 @@ class TestGronwallEnvelope:
             gronwall_envelope(records[:2], records[0].norms)
 
     def test_ceiling_flag(self):
-        cfg = SolverConfig(
-            n=64, gamma=1.5, t_max=0.5, cfl=0.2, diag_interval=1,
-            ic=InitialConditionSpec(kind="random_band", band=8, amplitude=10.0,
-                                    seed=6),
-        )
-        records = self._records(cfg)
-        tiny_ceiling = gronwall_envelope(records, records[0].norms, ceiling=1e-30)
-        assert tiny_ceiling.violated or tiny_ceiling.c_a == 0.0
+        # ||w||_{H^-1} grows by 1 per 1e-9 time units against a right-hand
+        # side of order 1, so c_a is about 1e9
+        rows = [dict(t=1e-9 * i, dt=1e-9, l2=1.0, l4=1.0, l8=1.0, h1dot=1.0,
+                     hm1dot=1.0 + i, sup_p_ratio=1.0, grad_u_sup=1.0,
+                     energy_gamma=1.0) for i in range(3)]
+        records = records_from_rows(rows)
+        report = gronwall_envelope(records, records[0].norms)
+        assert report.c_a > ENVELOPE_CEILING
+        assert report.violated is True
