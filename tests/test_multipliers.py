@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,14 @@ class TestBiotSavart:
 
 
 class TestSymbolBound:
+    def test_order_zero_at_most_one(self):
+        # sup of |m| on the annulus N/8 <= |xi| <= 8N is at most mtilde(N)
+        for j in (1, 4, 8):
+            n_dyadic = 2.0**j
+            radii = np.geomspace(n_dyadic / 8.0, 8.0 * n_dyadic, 64)
+            ratio = np.max(tgamma_eval(radii, 1.5)) / mtilde(n_dyadic, 1.5)
+            assert ratio <= 1.0 + 1e-12
+
     def test_uniformly_bounded_over_dyadic_range(self):
         # Mikhlin-type bounds of the shipped symbol on the annulus
         # N/8 <= |xi| <= 8N: max |d^a m| N^|a| / mtilde(N) over |a| <= 3,
@@ -227,6 +239,26 @@ class TestSymbolBound:
             sup_annulus = tgamma_eval(n_block / 2.0, 1.5)
             assert lhs <= sup_annulus * rhs * (1 + 1e-12)
             assert sup_annulus <= mtilde(n_block, 1.5)
+
+
+def test_symbol_bound_check_does_not_import_sympy():
+    # the shipped symbol and its block bound evaluate without sympy
+    script = (
+        "import sys\n"
+        "from logeuler.multipliers import mtilde, tgamma_eval\n"
+        "tgamma_eval(16.0, 1.5)\n"
+        "mtilde(16.0, 1.5)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # every entry point that takes gamma, under the one rule "finite and >= 0";
