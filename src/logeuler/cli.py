@@ -18,6 +18,7 @@ from .inequalities import (
     check_embedding,
     check_log_interpolation,
     check_multiplier_bound,
+    family_maxima,
 )
 from .runio import (
     KEYS,
@@ -239,6 +240,7 @@ def _cmd_verify(args) -> int:
         print(f"  {key} = {value}")
     print(f"  rows = {len(report.rows)}")
     print(f"  max ratio = {report.max_ratio:.9g}  (worst: {report.attaining_id})")
+    _print_family_maxima(report.family_maxima)
     print(f"  csv -> {csv_path}")
     return 0
 
@@ -246,6 +248,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
+
+def _print_family_maxima(maxima: dict[str, float]) -> None:
+    print("  max ratio by family: "
+          + ", ".join(f"{family} {value:.9g}" for family, value in maxima.items()))
+
 
 def _summarize_diagnostics(path: str) -> int:
     rows = read_diagnostics_csv(path)
@@ -285,6 +292,7 @@ def _summarize_generic_csv(path: str) -> int:
         ratios = [float(row[idx]) for row in rows]
         worst = max(range(len(ratios)), key=ratios.__getitem__)
         print(f"  max ratio = {ratios[worst]:.9g}  (row: {rows[worst][0]})")
+        _print_family_maxima(family_maxima((row[0], r) for row, r in zip(rows, ratios)))
     else:
         for name, row in zip(header, zip(*rows)):
             print(f"  {name}: {', '.join(row)}")

@@ -40,6 +40,7 @@ __all__ = [
     "Corpus",
     "ReportRow",
     "InequalityReport",
+    "family_maxima",
     "build_corpus",
     "check_embedding",
     "check_log_interpolation",
@@ -186,6 +187,20 @@ class InequalityReport:
         if not self.rows:
             return None
         return max(self.rows, key=lambda row: row.ratio).function_id
+
+    @property
+    def family_maxima(self) -> dict[str, float]:
+        return family_maxima((row.function_id, row.ratio) for row in self.rows)
+
+
+def family_maxima(rows) -> dict[str, float]:
+    """Largest ratio per member family (the id before its "["), in order of
+    first appearance, over (function id, ratio) pairs."""
+    out: dict[str, float] = {}
+    for fid, ratio in rows:
+        family = fid.split("[")[0]
+        out[family] = max(out.get(family, ratio), ratio)
+    return out
 
 
 def _physical_members(corpus: CorpusSpec, p_max: int):
@@ -393,9 +408,7 @@ def check_bernstein(
             for p, q_val in pq_pairs:
                 if base[p] == 0.0:
                     continue
-                inv_p = 0.0 if np.isinf(float(p)) else 1.0 / float(p)
-                inv_q = 0.0 if np.isinf(float(q_val)) else 1.0 / float(q_val)
-                scale = N ** (2.0 * (inv_p - inv_q))
+                scale = N ** (2.0 * (1.0 / float(p) - 1.0 / float(q_val)))  # 1/inf = 0
                 rows.append(
                     ReportRow(
                         fid,

@@ -267,18 +267,27 @@ def mode_sum(grid: Grid, modes) -> SpectralField:
 
 
 def random_band_half(grid: Grid, rng: np.random.Generator, band: float) -> np.ndarray:
-    """Seeded real field with unit L2 norm and 0 < |k| <= band, in rfft layout:
-    the Hermitian part (z(k) + conj z(-k)) / 2 of a standard normal z."""
-    n, nh = grid.n, grid.n // 2 + 1
-    mirror = np.ix_((-np.arange(n)) % n, (-np.arange(nh)) % n)
-    half = np.empty((n, nh), dtype=complex)
-    x = rng.standard_normal((n, n))
-    np.add(x[:, :nh], x[mirror], out=half.real)
-    rng.standard_normal(out=x)  # y, drawn into x's buffer
-    np.subtract(x[:, :nh], x[mirror], out=half.imag)
-    half *= 0.5
-    half[(grid.kmod == 0.0) | (grid.kmod > band)] = 0.0
-    half /= half_spectrum_l2(half)
+    """Seeded real field with unit L2 norm and 0 < |k| <= band, in rfft layout,
+    with the law of the Hermitian part (z(k) + conj z(-k)) / 2 of a standard
+    complex normal z.  Only the box |k1|, k2 <= b = min(floor(band), n/2) is
+    drawn, as the rfft half of a rows x rows lattice (rows = 2b + 1, or n once
+    b = n/2): variance 1/2 per part on the columns that stand for +/-k pairs,
+    the Hermitian part down columns 0 and n/2, which hold their own mirror."""
+    n = grid.n
+    b = min(math.floor(band), n // 2)
+    rows = n if b == n // 2 else 2 * b + 1
+    # box rows hold k1 = 0 .. top - 1, then -(rows // 2) .. -1 from the half's row lower
+    top, lower = (rows + 1) // 2, n - rows // 2
+    box = rng.standard_normal((rows, b + 1, 2)).view(complex)[..., 0]
+    box[:, 1 : min(b + 1, n // 2)] *= math.sqrt(0.5)
+    for col in box[:, :: n // 2].T:  # row i mirrors row (-i) mod rows
+        col[1:] = 0.5 * (col[1:] + col[:0:-1].conj())
+        col[0] = col[0].real
+    for z, kmod in ((box[:top], grid.kmod[:top]), (box[top:], grid.kmod[lower:])):
+        z[(kmod[:, : b + 1] == 0.0) | (kmod[:, : b + 1] > band)] = 0.0
+    box /= half_spectrum_l2(box)
+    half = box if rows == n else np.zeros((n, n // 2 + 1), dtype=complex)
+    half[:top, : b + 1], half[lower:, : b + 1] = box[:top], box[top:]
     return half
 
 

@@ -6,6 +6,7 @@ operators were first written, so the tests can check the half-spectrum code
 against an independent computation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,48 @@ def lattice(n: int):
 
 
 def reflect(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient array evaluated at -k (index map i -> (-i) mod n)."""
-    return np.roll(coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1))
+    """Coefficient array evaluated at -k (index map i -> (-i) mod n) on its
+    last two axes."""
+    return np.roll(coeffs[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1))
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric coefficients (real-field part)."""
     return 0.5 * (coeffs + np.conj(reflect(coeffs)))
+
+
+def band_mask(n: int, band: float) -> np.ndarray:
+    """Full-lattice mask of 0 < |k| <= band."""
+    kmod = lattice(n)[3]
+    return (kmod > 0) & (kmod <= band)
+
+
+def two_draw_band(n: int, rng: np.random.Generator, band: float, draws=()):
+    """Full-lattice random band members as first drawn, of shape
+    ``draws + (n, n)``, each with unit L2 norm: the Hermitian part of a
+    standard complex normal over the whole lattice, zero outside
+    0 < |k| <= band.  The law ``random_band_half`` keeps."""
+    shape = tuple(draws) + (n, n)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = hermitian_part(np.where(band_mask(n, band), z, 0.0))
+    power = np.sum(np.abs(c) ** 2, axis=(-2, -1), keepdims=True)
+    return c / np.sqrt(4.0 * np.pi**2 * power)
+
+
+def box_draw_band(n: int, rng: np.random.Generator, band: float) -> np.ndarray:
+    """Full-lattice coefficients, not yet normalized, of the box draw: one
+    standard complex normal (real part drawn first) per k in |k1| <= b,
+    0 <= k2 <= b, b = min(floor(band), n/2), rows in fft order; weighted
+    sqrt(2) on the columns that do not hold their own mirror image (all but
+    0 and n/2), then the Hermitian part, zero outside 0 < |k| <= band."""
+    b = min(math.floor(band), n // 2)
+    rows = n if b == n // 2 else 2 * b + 1
+    w = rng.standard_normal((rows, b + 1, 2))
+    k1 = np.fft.fftfreq(rows, d=1.0 / rows).astype(int)
+    z = np.zeros((n, n), dtype=complex)
+    z[k1 % n, : b + 1] = w[..., 0] + 1j * w[..., 1]
+    weight = np.where(np.arange(n) % (n // 2) == 0, 1.0, math.sqrt(2.0))
+    return hermitian_part(np.where(band_mask(n, band), z * weight, 0.0))
 
 
 def half_to_full(half: np.ndarray) -> np.ndarray:

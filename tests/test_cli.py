@@ -531,6 +531,34 @@ def test_report_on_inequality_csv(tmp_path, capsys):
         assert worst.search(capsys.readouterr().out).groups() == verified
 
 
+def test_verify_and_report_print_the_maximum_per_family(tmp_path, capsys):
+    by_family = re.compile(r"max ratio by family: (.*)")
+    out = tmp_path / "v"
+    assert run_cli(
+        ["verify", "embedding", "--n", "32", "--size", "20", "--pmax", "8",
+         "--out", str(out)]
+    ) == 0
+    verified = by_family.search(capsys.readouterr().out).group(1)
+    assert [part.split()[0] for part in verified.split(", ")] == [
+        "random_band", "single_mode", "shell", "multiscale"]
+    assert run_cli(["report", str(out / "embedding.csv")]) == 0
+    assert by_family.search(capsys.readouterr().out).group(1) == verified
+
+
+def test_verify_gives_identical_csvs_across_processes(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for name in ("a", "b"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "logeuler.cli", "verify", "embedding", "--n", "64",
+             "--size", "24", "--seed", "3", "--out", str(tmp_path / name)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    csv_a = (tmp_path / "a" / "embedding.csv").read_bytes()
+    assert csv_a == (tmp_path / "b" / "embedding.csv").read_bytes()
+
+
 def test_report_on_a_header_only_inequality_csv(tmp_path, capsys):
     path = tmp_path / "embedding.csv"
     path.write_text("function_id,p,ratio\n")

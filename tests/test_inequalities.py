@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     apply_multiplier,
+    box_draw_band,
     full_inverse,
     half_to_full,
-    hermitian_part,
-    lattice,
     lp_project,
     tgamma_symbol,
     to_full,
@@ -122,12 +121,7 @@ class TestCorpus:
 # ---------------------------------------------------------------------------
 
 def _ref_random_band(grid, rng, band):
-    z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal(
-        (grid.n, grid.n)
-    )
-    kmod = lattice(grid.n)[3]
-    mask = (kmod > 0) & (kmod <= band)
-    coeffs = hermitian_part(np.where(mask, z, 0.0))
+    coeffs = box_draw_band(grid.n, rng, band)
     return coeffs / math.sqrt(FOUR_PI_SQ * float(np.sum(np.abs(coeffs) ** 2)))
 
 
@@ -202,6 +196,16 @@ class TestEmbedding:
     def test_max_matches_rows(self):
         report = check_embedding(CorpusSpec(n=64, size=20), 16)
         assert report.max_ratio == max(r.ratio for r in report.rows)
+
+    def test_family_maxima_match_rows(self):
+        report = check_embedding(CorpusSpec(n=64, size=24), 16)
+        maxima = report.family_maxima
+        assert list(maxima) == ["random_band", "single_mode", "shell", "multiscale"]
+        for family, value in maxima.items():
+            assert value == max(r.ratio for r in report.rows
+                                if r.function_id.startswith(family + "["))
+        assert max(maxima.values()) == report.max_ratio
+        assert maxima["single_mode"] == pytest.approx(EMBED_SINGLE_MODE, rel=1e-12)
 
     def test_rejects_p_max_below_two(self):
         # p_max = 1 used to end in a KeyError on the missing p = 2 norm

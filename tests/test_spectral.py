@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     FullField,
+    band_mask,
+    box_draw_band,
     full_forward,
     full_inverse,
     gradient,
@@ -14,6 +16,7 @@ from reference import (
     inv_laplacian,
     lattice,
     perp_gradient,
+    two_draw_band,
 )
 
 from logeuler.spectral import (
@@ -235,22 +238,67 @@ class TestHalfSpectrum:
         one_shot = np.sqrt(4.0 * np.pi**2 * float(np.sum(power @ weights)))
         assert half_spectrum_l2(half) == one_shot
 
-    def test_random_band_half_is_the_two_draw_formula(self):
-        # y is drawn into x's buffer; the bits are those of two fresh draws
-        g = Grid(64)
-        n, nh = 64, 33
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((n, n))
-        y = rng.standard_normal((n, n))
-        mirror = np.ix_((-np.arange(n)) % n, (-np.arange(nh)) % n)
-        ref = np.empty((n, nh), dtype=complex)
-        ref.real = x[:, :nh] + x[mirror]
-        ref.imag = y[:, :nh] - y[mirror]
-        ref *= 0.5
-        ref[(g.kmod == 0.0) | (g.kmod > 20)] = 0.0
-        ref /= half_spectrum_l2(ref)
-        half = random_band_half(g, np.random.default_rng(17), 20)
-        assert np.array_equal(half, ref)
+    def test_random_band_half_is_the_box_formula(self):
+        # the box draw's stream placed on the full lattice and normalized as
+        # the draw is, over the box's columns: below n/2, at b = n/2 with
+        # the corner cut off by the band, and past it
+        for n, band in ((64, 20), (16, 8), (16, 12)):
+            ref = box_draw_band(n, np.random.default_rng(17), band)[:, : n // 2 + 1]
+            ref /= half_spectrum_l2(ref[:, : min(band, n // 2) + 1])
+            half = random_band_half(Grid(n), np.random.default_rng(17), band)
+            assert np.array_equal(half, ref), (n, band)
+
+    @pytest.mark.parametrize("band", [3, 5])
+    def test_random_band_half_has_the_two_draw_law(self, band):
+        # band 5 at n = 8 fills the Nyquist row and column, whose
+        # self-mirrored modes are real with twice a pair mode's variance
+        # per part; per-mode means and variances of both parts agree with
+        # the two-draw formula within 5 standard errors
+        n, draws, g = 8, 10_000, Grid(8)
+        rng = np.random.default_rng(band)
+        new = np.array([random_band_half(g, rng, band) for _ in range(draws)])
+        old = two_draw_band(n, rng, band, (draws,))[..., : n // 2 + 1]
+        inside = band_mask(n, band)[:, : n // 2 + 1]
+        assert np.all(new[:, ~inside] == 0.0)
+        assert np.all(new[:, inside] != 0.0)
+        for j in (0, n // 2):  # columns that hold their own mirror image
+            col = new[:, :, j]
+            assert np.array_equal(col[:, 1:], col[:, :0:-1].conj())
+            assert np.all(col[:, 0].imag == 0.0)
+        for draw in new[:50]:
+            power = np.sum(np.abs(half_to_full(draw)) ** 2)
+            assert np.sqrt(4.0 * np.pi**2 * power) == pytest.approx(1.0, rel=1e-14)
+        for a, b in ((new.real, old.real), (new.imag, old.imag)):
+            live = np.any(b != 0.0, axis=0)
+            assert np.array_equal(np.any(a != 0.0, axis=0), live)
+            (ma, va, sa), (mb, vb, sb) = (
+                (x.mean(0), x.var(0), np.sqrt(np.var(x**2, 0) / draws))
+                for x in (a, b)
+            )
+            mean_se = np.sqrt((va + vb) / draws)
+            assert np.all(np.abs(ma - mb)[live] <= 5.0 * mean_se[live])
+            assert np.all(np.abs(va - vb)[live] <= 5.0 * np.hypot(sa, sb)[live])
+
+    @pytest.mark.parametrize("band, normals", [(8, (2, 17, 9)), (512, (2, 1024, 513))])
+    def test_random_band_half_draws_only_the_box(self, band, normals):
+        # 2 rows (b + 1) normals, rows = 2b + 1 or, once b = n/2, all n
+        rng, fresh = np.random.default_rng(23), np.random.default_rng(23)
+        random_band_half(Grid(1024), rng, band)
+        fresh.standard_normal(normals)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_random_band_half_allocates_only_the_half_and_the_box(self):
+        # no n x n draw: at n = 256, band 32 the box is 65 x 33 complex
+        # normals (34 kB) beside the 528 kB half
+        g = Grid(256)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            half = random_band_half(g, rng, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= half.nbytes + 65 * 33 * 16 + 16_384
 
     @settings(max_examples=25, deadline=None)
     @given(
