@@ -19,8 +19,6 @@ from .norms import (
     grad_u_sup,
     lp_norm,
     lp_norm_samples,
-    lp_sweep,
-    out_of_reach,
     sobolev_norm,
     sup_over_p,
 )
@@ -224,26 +222,19 @@ def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
     """Worst ratio ||f||_p / (sqrt(p) (||f||_2 + ||f||_H1dot)) over the corpus.
 
     Zero fields are excluded (0/0 convention); each row records the p at
-    which the per-function maximum is attained.
+    which the per-function maximum is attained.  The denominator does not
+    depend on p, so the norms are those of ``sup_over_p``'s sweep.
     """
     rows = []
     for fid, f, phys in _physical_members(corpus, p_max):
         h1 = sobolev_norm(f, 1.0)
-        for p, norm, cap in lp_sweep(phys):
-            if p == 2:
-                denom_base = norm + h1
-                if denom_base == 0.0:
-                    break
-            ratio = norm / (math.sqrt(p) * denom_base)
-            if p == 2 or ratio > best:
-                best_p, best = p, ratio
-            if p >= p_max or out_of_reach(
-                cap / (math.sqrt(p + 1) * denom_base), best
-            ):
-                break
+        lp, _ = sup_over_p(phys, p_max)
+        denom_base = lp[2] + h1
         if denom_base == 0.0:
             continue
-        rows.append(ReportRow(fid, (("p", float(best_p)),), best))
+        ratios = {p: norm / (math.sqrt(p) * denom_base) for p, norm in lp.items()}
+        best_p = max(ratios, key=ratios.get)  # the first maximum in p
+        rows.append(ReportRow(fid, (("p", float(best_p)),), ratios[best_p]))
     params = {"p_max": p_max, "n": corpus.n, "seed": corpus.seed,
               "band": corpus.resolved_band, "size": corpus.size}
     return InequalityReport("embedding", params, tuple(rows))
