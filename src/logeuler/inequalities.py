@@ -308,7 +308,7 @@ def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     rest = [q for q in qs if float(q) != 2.0]
     if rest:
         values = _block_inverse(half, plan)
-        norms.update((q, lp_norm_samples(values, grid.dx, q)) for q in rest)
+        norms.update((q, lp_norm_samples(values, grid.dx, q, plan)) for q in rest)
     return norms
 
 

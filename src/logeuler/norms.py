@@ -10,8 +10,9 @@ Spectral functionals read the rfft half of the coefficients (columns
 0..n/2), which holds all the data of a real field: Plancherel sums weight
 columns 0 and n/2 by 1 and the others by 2, and the physical fields (the
 vorticity, three components of grad u) come from the grid's transform plan,
-into its slots "lp_base" and "grad"; ``lp_sweep`` makes the powers |f/m|^p,
-p = 2, 3, ..., in the slots "lp_base" and "lp_acc".
+into its slots "lp_base" and "grad".  Every L^p norm comes from one power
+sweep, which makes the powers |f/m|^p, p = 2, 3, ..., in the slots "lp_base"
+and "lp_acc" of a given plan.
 
 Holder's early stop: with m = max|f|, ||f||_p <= m (4 pi^2)^(1/p), and that
 bound over sqrt(p) falls strictly in p.  So a sweep for sup_p ||f||_p/sqrt(p)
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -35,6 +37,7 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
+    TransformPlan,
     check_zero_mean,
     plancherel,
     read_only,
@@ -93,60 +96,63 @@ def _sobolev_weight(n: int, order: float) -> np.ndarray:
     return read_only(kmod ** (2.0 * order))
 
 
-def lp_norm(f: RealField, p) -> float:
-    """Lebesgue norm (sum_j |f|^p dx^2)^(1/p); p = inf gives the grid max.
-
-    Only p >= 2 is supported; the scale is factored out before exponentiation
-    so large p cannot overflow.
-    """
-    return lp_norm_samples(f.values, f.grid.dx, p)
-
-
-def lp_norm_samples(values: np.ndarray, dx: float, p) -> float:
-    """``lp_norm`` of the samples ``values`` at grid spacing dx.
-
-    It uses no plan slot and calls nothing perfbench's tracer wraps, so a
-    helper thread may run it: the tracer wraps ``lp_norm`` and keeps one span
-    stack for one calling thread.
-    """
-    p = float(p)
-    if not p >= 2.0:
-        raise ValueError(f"p must be >= 2 (or inf), got {p}")
-    m = _sup_abs(values)
-    if np.isinf(p) or m == 0.0:
-        return m
-    scaled = np.abs(values)
-    scaled /= m
-    scaled **= p
-    total = float(np.sum(scaled)) * dx**2
-    return m * total ** (1.0 / p)
-
-
-def lp_sweep(f: RealField) -> Iterator[tuple[int, float, float]]:
-    """(p, ||f||_p, cap) for p = 2, 3, ... from one power sweep, where
-    cap = m (4 pi^2)^(1/(p+1)) is Holder's bound on ||f||_{p+1}, m = max|f|.
+def _power_sweep(
+    values: np.ndarray, dx: float, plan: TransformPlan
+) -> Iterator[tuple[int, float, float]]:
+    """(p, ||f||_p, cap) for p = 2, 3, ... of the samples ``values`` at grid
+    spacing dx, where cap = m (4 pi^2)^(1/(p+1)) is Holder's bound on
+    ||f||_{p+1}, m = max|f|.
 
     Each power costs one multiply and one sum, made only when asked for; the
-    caller ends the sweep with ``break``.  The powers live in the plan's slots
-    "lp_base" and "lp_acc", so one sweep per grid size runs at a time; f may
-    itself be slot "lp_base", which the sweep then overwrites.
+    caller ends the sweep with ``break``.  The powers live in ``plan``'s
+    slots "lp_base" and "lp_acc", so one sweep per plan runs at a time;
+    ``values`` may itself be slot "lp_base", which the sweep then overwrites.
     """
-    m = _sup_abs(f.values)
-    p = 2
+    m = _sup_abs(values)
     if m == 0.0:
-        while True:
+        for p in count(2):
             yield p, 0.0, 0.0
-            p += 1
-    plan = f.grid.plan
-    base = np.abs(f.values, out=plan.real("lp_base"))
+    base = np.abs(values, out=plan.real("lp_base"))
     base /= m
-    dx2 = f.grid.dx**2
+    dx2 = dx**2
     acc = np.multiply(base, base, out=plan.real("lp_acc"))
-    while True:
+    for p in count(2):  # acc holds |f/m|^p
         yield (p, m * (float(np.sum(acc)) * dx2) ** (1.0 / p),
                m * FOUR_PI_SQ ** (1.0 / (p + 1)))
         np.multiply(acc, base, out=acc)
-        p += 1
+
+
+def lp_norm(f: RealField, p) -> float:
+    """Lebesgue norm (sum_j |f|^p dx^2)^(1/p); p = inf gives the grid max.
+
+    p is an integer >= 2 or inf; the scale is factored out before the powers
+    so large p cannot overflow.
+    """
+    return lp_norm_samples(f.values, f.grid.dx, p, f.grid.plan)
+
+
+def lp_norm_samples(values: np.ndarray, dx: float, p, plan: TransformPlan) -> float:
+    """``lp_norm`` of the samples ``values`` at grid spacing dx: the power
+    sweep's value at p, in ``plan``'s slots "lp_base" and "lp_acc".
+
+    It calls nothing perfbench's tracer wraps, so a helper thread may run it
+    on a plan of its own: the tracer wraps ``lp_norm`` and keeps one span
+    stack for one calling thread.
+    """
+    p = float(p)
+    if p == np.inf:
+        return _sup_abs(values)
+    if not (p >= 2.0 and p.is_integer()):
+        raise ValueError(f"p must be >= 2 and an integer, or inf, got {p}")
+    for q, norm, _ in _power_sweep(values, dx, plan):
+        if q == p:
+            return norm
+
+
+def lp_sweep(f: RealField) -> Iterator[tuple[int, float, float]]:
+    """The power sweep (p, ||f||_p, cap), p = 2, 3, ..., of f on its grid's
+    plan; f may itself be the plan's slot "lp_base"."""
+    return _power_sweep(f.values, f.grid.dx, f.grid.plan)
 
 
 def out_of_reach(cap_ratio: float, best: float) -> bool:

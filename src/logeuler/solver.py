@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .multipliers import check_gamma, is_dyadic, phi_eval, tgamma_eval
-from .norms import NormBundle, compute_norm_bundle
+from .norms import NormBundle, _sup_abs, compute_norm_bundle
 from .spectral import (
     Grid,
     RealField,
@@ -348,7 +348,7 @@ def rhs(omega: SpectralField, gamma: float, mollify="auto") -> SpectralField:
 def _cfl_dt(uv, cfl: float, dx: float) -> float:
     """Advective CFL step cfl * dx / max(||u||_inf, guard) of the velocity
     (u1, u2)."""
-    umax = max(float(np.max(np.abs(uv[0]))), float(np.max(np.abs(uv[1]))))
+    umax = max(_sup_abs(uv[0]), _sup_abs(uv[1]))
     return cfl * dx / max(umax, VELOCITY_FLOOR)
 
 
