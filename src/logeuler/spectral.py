@@ -235,22 +235,21 @@ def plancherel(density: np.ndarray) -> float:
     return FOUR_PI_SQ * float(np.sum(half_spectrum_weights(density.shape[0]) * density))
 
 
-# rows per gemv in half_spectrum_l2: at n = 1024 one product over all 513
-# columns is big enough to wake OpenBLAS's worker thread, which then spins
-# on a core after every call; a block of rows stays on the calling thread,
-# gives the same row sums, so the same bits, and keeps the power temporaries
-# small
-_GEMV_ROWS = 64
+# rows per block in half_spectrum_l2: a block's power array stays small (one
+# over a whole 1024 x 513 half took 3 to 6 times as long)
+_L2_ROWS = 64
 
 
 def half_spectrum_l2(half: np.ndarray) -> float:
-    """L2 norm of a real field from its leading rfft-layout columns."""
+    """L2 norm of a real field from its leading rfft-layout columns: the
+    column sums of |c|^2, added block by block of rows, then their weighted
+    sum; no BLAS call, so the bits do not follow the BLAS kernel."""
+    col_sums = np.zeros(half.shape[1])
+    for i in range(0, half.shape[0], _L2_ROWS):
+        rows = half[i : i + _L2_ROWS]
+        col_sums += np.add.reduce(rows.real**2 + rows.imag**2, axis=0)
     weights = half_spectrum_weights(half.shape[0])[: half.shape[1]]
-    row_sums = []
-    for i in range(0, half.shape[0], _GEMV_ROWS):
-        rows = half[i : i + _GEMV_ROWS]
-        row_sums.append((rows.real**2 + rows.imag**2) @ weights)
-    return math.sqrt(FOUR_PI_SQ * float(np.sum(np.concatenate(row_sums))))
+    return math.sqrt(FOUR_PI_SQ * float(np.sum(weights * col_sums)))
 
 
 def mode_sum(grid: Grid, modes) -> SpectralField:

@@ -169,7 +169,9 @@ def test_criterion_5_multiplier_bound():
 
 def test_criterion_6_embedding_constant():
     with criterion(6, "sqrt(p) embedding constant"):
-        maxima = []
+        # single_mode[1,0] attains the overall maximum on every seed, so
+        # the random members' own maximum is held to the same spread
+        maxima, random_maxima = [], []
         for seed in range(5):
             report = check_embedding(
                 CorpusSpec(kind="default", n=128, size=80, seed=seed), 64
@@ -177,8 +179,10 @@ def test_criterion_6_embedding_constant():
             assert len(report.rows) == 80
             assert np.isfinite(report.max_ratio)
             maxima.append(report.max_ratio)
-        spread = (max(maxima) - min(maxima)) / min(maxima)
-        assert spread <= 0.05, f"seed spread {spread:.3%}"
+            random_maxima.append(report.family_maxima["random_band"])
+        for values in (maxima, random_maxima):
+            spread = (max(values) - min(values)) / min(values)
+            assert spread <= 0.05, f"seed spread {spread:.3%}"
 
 
 def test_criterion_7_sharpness():
@@ -208,8 +212,12 @@ def test_criterion_8_log_interpolation():
             CorpusSpec(kind="default", n=256, band=64, size=80, seed=0), 1.5, 64
         )
         assert np.isfinite(low.max_ratio) and np.isfinite(high.max_ratio)
-        growth = high.max_ratio / low.max_ratio - 1.0
-        assert growth < 0.10, f"band doubling grew the constant by {growth:.3%}"
+        # a deterministic member can attain both maxima, so the random
+        # members' own maximum is held to the same growth bound
+        random = [r.family_maxima["random_band"] for r in (low, high)]
+        for lo, hi in ((low.max_ratio, high.max_ratio), random):
+            growth = hi / lo - 1.0
+            assert growth < 0.10, f"band doubling grew the constant by {growth:.3%}"
 
 
 def test_criterion_9_envelope_report(conservation_run):

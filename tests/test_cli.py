@@ -559,6 +559,27 @@ def test_verify_gives_identical_csvs_across_processes(tmp_path):
     assert csv_a == (tmp_path / "b" / "embedding.csv").read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["embedding", "multiplier", "bernstein"])
+def test_verify_csvs_do_not_follow_the_blas_kernel(tmp_path, mode):
+    # no lab number goes through BLAS, whose Sandybridge kernel gives other
+    # last digits than the default one
+    csvs = []
+    for core in ("", "Sandybridge"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / (core or "default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "logeuler.cli", "verify", mode, "--n", "128",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / f"{mode}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_report_on_a_header_only_inequality_csv(tmp_path, capsys):
     path = tmp_path / "embedding.csv"
     path.write_text("function_id,p,ratio\n")

@@ -98,8 +98,8 @@ class TestLpNorm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_p_is_the_sweeps_value(self, seed):
         # one L^p arithmetic: bit for bit the power sweep's value at p, also
-        # on a private plan in a second thread (x ** p differed from the
-        # sweep's products at p = 9 for seed 0 and p = 5, 13 for seed 2)
+        # on a private plan in a second thread (x ** p gives other bits at
+        # some p for seeds 0 and 2)
         g = Grid(64)
         half = random_band_half(g, np.random.default_rng(seed), 20)
         f = dft_inverse(SpectralField(g, half))

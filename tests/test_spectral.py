@@ -228,15 +228,18 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("n", [8, 256, 1024])
     @pytest.mark.parametrize("cols", ["full", "cropped"])
     def test_l2_is_the_one_shot_formula(self, n, cols):
-        # the row-blocked gemv (which keeps OpenBLAS on the calling thread)
-        # gives the bits of one product over all rows
+        # column sums added block by block of rows agree with one sum over
+        # the whole half to rounding, and with the field's physical L2
         width = n // 2 + 1 if cols == "full" else n // 4 + 1
         rng = np.random.default_rng(n + width)
-        half = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-        weights = half_spectrum_weights(n)[:width]
-        power = half.real**2 + half.imag**2
-        one_shot = np.sqrt(4.0 * np.pi**2 * float(np.sum(power @ weights)))
-        assert half_spectrum_l2(half) == one_shot
+        half = scipy.fft.rfft2(rng.standard_normal((n, n)), norm="forward")
+        half = half[:, :width]
+        power = (half.real**2 + half.imag**2) * half_spectrum_weights(n)[:width]
+        one_shot = np.sqrt(4.0 * np.pi**2 * float(np.sum(power)))
+        assert half_spectrum_l2(half) == pytest.approx(one_shot, rel=1e-15)
+        samples = transform_plan(n).inverse(None, half, None)
+        physical = np.sqrt(np.sum(samples**2)) * 2.0 * np.pi / n
+        assert half_spectrum_l2(half) == pytest.approx(physical, rel=1e-12)
 
     def test_random_band_half_is_the_box_formula(self):
         # the box draw's stream placed on the full lattice and normalized as
