@@ -8,7 +8,6 @@ import argparse
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from .extremizer import sharpness_curve
@@ -175,7 +174,11 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"sweep runs would share a directory: {', '.join(shared)}")
     workers = min(args.jobs, len(jobs))
     results = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # imported here, or every launch would load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
         for code, status, shown, line in (pool.map if pool else map)(
                 _sweep_worker, jobs):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from queue import Queue
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .multipliers import check_gamma, is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
     grad_u_sup,
     lp_norm,
+    lp_norm_map,
     lp_norm_samples,
     sobolev_norm,
     sup_over_p,
@@ -302,8 +304,9 @@ def _block_inverse(half: np.ndarray, plan: TransformPlan) -> np.ndarray:
 def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     """L^q norms, q in ``qs``, of the real field whose leading rfft-layout
     columns are ``half``: weighted Plancherel at q = 2, and one inverse
-    transform on ``plan`` shared by every other q.  Nothing here is traced by
-    perfbench, so a helper thread may run it on a plan of its own."""
+    transform on ``plan`` shared by every other q (in place when ``half`` is
+    the plan's work buffer).  Nothing here is traced by perfbench, so a
+    worker thread may run it on a plan of its own."""
     norms = {q: half_spectrum_l2(half) for q in qs if float(q) == 2.0}
     rest = [q for q in qs if float(q) != 2.0]
     if rest:
@@ -312,11 +315,22 @@ def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     return norms
 
 
-def _image_norms(grid: Grid, block: np.ndarray, symbol: np.ndarray, qs,
-                 plan: TransformPlan) -> dict:
-    """``_block_norms`` of the image T_gamma P_N f, formed here from the
-    block and the symbol."""
-    return _block_norms(grid, block * symbol, qs, plan)
+def _product_norms(plans: Queue, grid: Grid, coeffs: np.ndarray,
+                   weight: np.ndarray, symbol: np.ndarray | None, qs) -> dict | None:
+    """``_block_norms`` of P_N f (``symbol`` None) or T_gamma P_N f, formed
+    as weight * coeffs, then times the symbol, in the work buffer of a plan
+    taken from ``plans`` for the task; None when the product is zero."""
+    plan = plans.get()
+    try:
+        half = plan.work(weight.shape[1])
+        np.multiply(weight, coeffs[:, : weight.shape[1]], out=half)
+        if symbol is not None:
+            half *= symbol
+        if not half.any():
+            return None
+        return _block_norms(grid, half, qs, plan)
+    finally:
+        plans.put(plan)
 
 
 def check_multiplier_bound(
@@ -331,30 +345,41 @@ def check_multiplier_bound(
     sup over the dyadic annulus below mtilde(N)).  Pairs with an empty
     frequency block are skipped.
 
-    A nonempty block takes two independent sets of norms, of P_N f and of
-    T_gamma P_N f.  The image's are computed on one helper thread, on a
-    transform plan made for the call (plans are one thread at a time), while
-    the calling thread computes the block's on the shared plan; numpy
-    releases the interpreter lock inside the transforms, so the two overlap.
+    Each block's norms and its image's are two tasks for a pool of two
+    worker threads, which share two transform plans (the grid's and one made
+    for the call; a plan serves one task at a time).  The calling thread
+    submits a member's tasks and draws the next member while they run:
+    numpy releases the interpreter lock inside the transforms, so the draw
+    and the transforms overlap.  Rows are appended in the serial order.
     """
     check_gamma(gamma)
     _check_dyadic(N_set)
     rows = []
     tables = None
-    helper_plan = TransformPlan(corpus.n)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for fid, f in build_corpus(corpus):
+    plans: Queue = Queue()
+    members = iter(build_corpus(corpus))
+    member = next(members, None)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        while member is not None:
+            fid, f = member
             if tables is None:  # built once, from the grid every member shares
                 tables = _multiplier_tables(f.grid, N_set, gamma)
-            for N, weight, symbol, bound in tables:
-                block = f.coeffs[:, : weight.shape[1]] * weight
-                if not block.any():  # an empty block has zero norm at every q
-                    continue
-                images = helper.submit(
-                    _image_norms, f.grid, block, symbol, q, helper_plan
+                plans.put(f.grid.plan)
+                plans.put(TransformPlan(f.grid.n))
+            tasks = [
+                (N, bound) + tuple(
+                    pool.submit(_product_norms, plans, f.grid, f.coeffs, weight, s, q)
+                    for s in (None, symbol)
                 )
-                denoms = _block_norms(f.grid, block, q, f.grid.plan)
-                images = images.result()
+                for N, weight, symbol, bound in tables
+            ]
+            del f
+            member = next(members, None)  # drawn while the tasks run
+            for N, bound, block, image in tasks:
+                denoms = block.result()
+                if denoms is None:  # an empty block has zero norm at every q
+                    continue
+                images = image.result() or dict.fromkeys(q, 0.0)
                 for q_val in q:
                     if denoms[q_val] == 0.0:
                         continue
@@ -365,7 +390,6 @@ def check_multiplier_bound(
                             images[q_val] / (bound * denoms[q_val]),
                         )
                     )
-            del f, block  # the next member is drawn with neither alive
     params = {"gamma": gamma, "N_set": tuple(float(N) for N in N_set),
               "q": tuple(float(v) for v in q), "n": corpus.n,
               "seed": corpus.seed, "band": corpus.resolved_band}
@@ -383,13 +407,16 @@ def check_bernstein(
         if not (2.0 <= float(p) <= float(q_val)):
             raise ValueError(f"need 2 <= p <= q, got ({p}, {q_val})")
     qs = {q_val for _, q_val in pq_pairs}
+    ps = {float(p) for p, _ in pq_pairs}
     rows = []
     annuli = None
     for fid, f in build_corpus(corpus):
         if annuli is None:  # built once, from the grid every member shares
             annuli = _annuli(f.grid, N_set)
         phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.plan))
-        base = {p: lp_norm(phys, p) for p in {pair[0] for pair in pq_pairs}}
+        base = lp_norm_map(phys, ps - {math.inf})  # one sweep, every finite p
+        if math.inf in ps:
+            base[math.inf] = lp_norm(phys, math.inf)
         for N, weight in annuli:
             block = f.coeffs[:, : weight.shape[1]] * weight
             if block.any():

@@ -45,6 +45,7 @@ from .spectral import (
 
 __all__ = [
     "NormBundle",
+    "P_LIMIT",
     "lp_norm",
     "lp_norm_samples",
     "lp_norm_map",
@@ -122,11 +123,26 @@ def _power_sweep(
         np.multiply(acc, base, out=acc)
 
 
+# the largest finite p of lp_norm and lp_norm_map: the sweep makes p - 1
+# products, so the call's time grows linearly in p
+P_LIMIT = 1024
+
+
+def _integer_p(p) -> int:
+    """p as an int, or ValueError unless p is an integer in [2, P_LIMIT]."""
+    p = float(p)
+    if not (p >= 2.0 and p.is_integer()):
+        raise ValueError(f"p must be >= 2 and an integer, got {p}")
+    if p > P_LIMIT:
+        raise ValueError(f"p must be at most {P_LIMIT}, got {p:g}")
+    return int(p)
+
+
 def lp_norm(f: RealField, p) -> float:
     """Lebesgue norm (sum_j |f|^p dx^2)^(1/p); p = inf gives the grid max.
 
-    p is an integer >= 2 or inf; the scale is factored out before the powers
-    so large p cannot overflow.
+    p is an integer in [2, P_LIMIT] or inf; the scale is factored out before
+    the powers so large p cannot overflow.
     """
     return lp_norm_samples(f.values, f.grid.dx, p, f.grid.plan)
 
@@ -135,15 +151,13 @@ def lp_norm_samples(values: np.ndarray, dx: float, p, plan: TransformPlan) -> fl
     """``lp_norm`` of the samples ``values`` at grid spacing dx: the power
     sweep's value at p, in ``plan``'s slots "lp_base" and "lp_acc".
 
-    It calls nothing perfbench's tracer wraps, so a helper thread may run it
+    It calls nothing perfbench's tracer wraps, so a worker thread may run it
     on a plan of its own: the tracer wraps ``lp_norm`` and keeps one span
     stack for one calling thread.
     """
-    p = float(p)
-    if p == np.inf:
+    if float(p) == np.inf:
         return _sup_abs(values)
-    if not (p >= 2.0 and p.is_integer()):
-        raise ValueError(f"p must be >= 2 and an integer, or inf, got {p}")
+    p = _integer_p(p)
     for q, norm, _ in _power_sweep(values, dx, plan):
         if q == p:
             return norm
@@ -162,10 +176,9 @@ def out_of_reach(cap_ratio: float, best: float) -> bool:
 
 
 def lp_norm_map(f: RealField, p_values) -> dict[int, float]:
-    """L^p norms for a set of integer exponents >= 2, sharing one power sweep."""
-    ps = sorted(set(int(p) for p in p_values))
-    if ps and ps[0] < 2:
-        raise ValueError(f"p must be >= 2, got {ps[0]}")
+    """L^p norms for a set of integer exponents in [2, P_LIMIT], sharing one
+    power sweep."""
+    ps = sorted({_integer_p(p) for p in p_values})
     out: dict[int, float] = {}
     if not ps:
         return out

@@ -126,6 +126,8 @@ class TransformPlan:
     def __init__(self, n: int):
         self.n = n
         self._work = np.empty((n, n // 2 + 1), dtype=complex)
+        # work columns from here on are known to be zero
+        self._zero_from = n // 2 + 1
         self._slots: dict[tuple[str, type], np.ndarray] = {}
 
     def _buffer(self, slot: str, shape, dtype) -> np.ndarray:
@@ -142,27 +144,43 @@ class TransformPlan:
         """The n x (n//2 + 1) complex buffer of ``slot``, made on first use."""
         return self._buffer(slot, self._work.shape, complex)
 
+    def work(self, width: int) -> np.ndarray:
+        """The leading ``width`` columns of the complex work buffer, where a
+        caller may form coefficients to hand to ``inverse`` in place (valid
+        until the plan's next transform).  They no longer count as known
+        zero, whether or not an inverse follows."""
+        self._zero_from = max(self._zero_from, width)
+        return self._work[:, :width]
+
     def inverse(self, mult, h: np.ndarray, slot: str | None) -> np.ndarray:
         """Real samples of the field with rfft-layout coefficients mult*h.
 
         ``h`` may hold only the leading K columns, the rest taken as zero;
-        the column pass then runs on those K columns only.  ``mult`` is
-        None (h itself) or broadcasts against h.  The samples go to
-        ``slot``'s buffer, or to a fresh array when ``slot`` is None.
+        the column pass then runs on those K columns only, and only the work
+        columns from K up to the first one known to be zero are cleared, so
+        the row pass needs no zero-padded copy.  ``h`` may be ``work(K)``
+        itself.  ``mult`` is None (h itself) or broadcasts against h.  The
+        samples go to ``slot``'s buffer, or to a fresh array when ``slot`` is
+        None.
         """
-        c = self._work[:, : h.shape[1]]
+        width = h.shape[1]
+        c = self._work[:, :width]
         if mult is None:
             np.fft.ifft(h, axis=0, norm="forward", out=c)
         else:
             np.multiply(mult, h, out=c)
             np.fft.ifft(c, axis=0, norm="forward", out=c)
+        if self._zero_from > width:
+            self._work[:, width : self._zero_from] = 0.0
+        self._zero_from = width
         out = None if slot is None else self.real(slot)
-        return np.fft.irfft(c, n=self.n, axis=1, norm="forward", out=out)
+        return np.fft.irfft(self._work, n=self.n, axis=1, norm="forward", out=out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """rfft-layout coefficients of the real n x n samples ``x``, in the
         plan's work buffer (valid until the plan's next transform)."""
         c = self._work
+        self._zero_from = c.shape[1]
         np.fft.rfft(x, axis=1, norm="forward", out=c)
         return np.fft.fft(c, axis=0, norm="forward", out=c)
 

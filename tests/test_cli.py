@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from logeuler import cli
 from logeuler.cli import run_cli
 from logeuler.runio import (
     DIAG_HEADER,
@@ -181,7 +181,7 @@ def test_sweep_starts_at_most_one_worker_per_run(tmp_path, monkeypatch, jobs,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     rc = run_cli(["sweep", "--gamma", gammas, "--n", "16", "--tmax", "0.02",
                   "--jobs", jobs, "--out", str(tmp_path / "sweep")])
     assert rc == 0
@@ -431,6 +431,18 @@ def test_no_command_loads_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only a parallel sweep needs a process pool; loading multiprocessing at
+    # import would cost every launch its start-up time
+    script = "import sys, logeuler.cli\nprint('multiprocessing' in sys.modules)\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_embedding_small_corpus(tmp_path):

@@ -411,26 +411,24 @@ class TestThreadedMultiplierBound:
             check_multiplier_bound(1.5, (2.0, 4.0), (2.0, 1.0), spec)
         assert threading.active_count() == threads
 
-    def test_no_member_or_block_outlives_the_next_draw(self, monkeypatch):
-        arrays, alive_at_draw = [], []
-        draw, block_norms = random_band_half, inequalities._block_norms
+    def test_only_the_previous_member_outlives_the_next_draw(self, monkeypatch):
+        # the next member is drawn while the workers transform this one, and
+        # the tasks form each block and image in a plan's work buffer, so no
+        # block or image array is made at all
+        members, alive_at_draw = [], []
+        draw = random_band_half
 
         def tracking_draw(grid, rng, band):
-            alive_at_draw.append(sum(ref() is not None for ref in arrays))
+            alive_at_draw.append(sum(ref() is not None for ref in members))
             half = draw(grid, rng, band)
-            arrays.append(weakref.ref(half))
+            members.append(weakref.ref(half))
             return half
 
-        def tracking_norms(grid, half, qs, plan):
-            arrays.append(weakref.ref(half))
-            return block_norms(grid, half, qs, plan)
-
         monkeypatch.setattr(inequalities, "random_band_half", tracking_draw)
-        monkeypatch.setattr(inequalities, "_block_norms", tracking_norms)
         spec = CorpusSpec(kind="random_band", n=32, size=4, seed=2)
         check_multiplier_bound(1.5, (2.0, 4.0), (2.0, float("inf")), spec)
-        assert len(arrays) == 4 + 4 * 2 * 2
-        assert alive_at_draw == [0, 0, 0, 0]
+        assert len(members) == 4
+        assert alive_at_draw == [0, 1, 1, 1]
 
 
 class TestBernstein:

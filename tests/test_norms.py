@@ -20,6 +20,7 @@ from logeuler import norms
 from logeuler.multipliers import tgamma_eval
 from logeuler.norms import (
     FOUR_PI_SQ,
+    P_LIMIT,
     compute_norm_bundle,
     generalized_energy,
     grad_u_sup,
@@ -79,6 +80,15 @@ class TestLpNorm:
         f = RealField(Grid(16), np.ones((16, 16)))
         with pytest.raises(ValueError, match="must be >= 2"):
             lp_norm(f, p)
+
+    def test_p_is_bounded(self):
+        # the sweep makes p - 1 products, so an unbounded p could take any time
+        f = RealField(Grid(16), np.random.default_rng(4).standard_normal((16, 16)))
+        assert P_LIMIT == 1024
+        assert lp_norm(f, 1024) == lp_norm_map(f, [1024])[1024]
+        for call in (lambda: lp_norm(f, 1025), lambda: lp_norm_map(f, [2, 1025])):
+            with pytest.raises(ValueError, match="p must be at most 1024, got 1025"):
+                call()
 
     def test_infinity_norm(self):
         assert lp_norm(sine_field(), np.inf) == pytest.approx(1.0, rel=1e-13)

@@ -23,6 +23,7 @@ from logeuler.spectral import (
     Grid,
     RealField,
     SpectralField,
+    TransformPlan,
     dealias,
     dft_forward,
     dft_inverse,
@@ -201,6 +202,30 @@ class TestTransformPlan:
         h = random_half(n, cols, cols)
         ref = scipy.fft.irfft2(h, s=(n, n), norm="forward")
         assert same_bits(transform_plan(n).inverse(None, h, "test"), ref)
+
+    def test_widths_in_turn_on_one_plan_are_zero_padded(self):
+        # the plan clears only the work columns between a call's width and
+        # the first column known to be zero, so every width must still see
+        # zeros after wider calls, a forward transform, a work buffer filled
+        # but not transformed (a block that needs only Plancherel), and
+        # inputs formed in the work buffer itself
+        n = 512
+        full = n // 2 + 1
+        plan = TransformPlan(n)
+        for step, cols in enumerate([full, 5, 129, 3, full, 17]):
+            if step == 2:
+                plan.work(full)[...] = random_half(n, 99)
+            if step == 3:
+                plan.forward(random_real_field(Grid(n), step).values)
+            h = random_half(n, step, cols)
+            padded = np.zeros((n, full), dtype=complex)
+            padded[:, :cols] = h
+            ref = scipy.fft.irfft2(padded, s=(n, n), norm="forward")
+            if step % 2:  # formed in the work buffer, as the lab's tasks do
+                work = plan.work(cols)
+                work[...] = h
+                h = work
+            assert same_bits(plan.inverse(None, h, "test"), ref)
 
     def test_slots_are_reused_and_none_is_fresh(self):
         plan = Grid(16).plan
