@@ -5,6 +5,7 @@ inequality-verification lab, and report rendering from stored CSVs.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import warnings
@@ -105,8 +106,8 @@ def _execute_run(settings: RunSettings) -> tuple[int, str]:
 
     def on_record(rec) -> None:
         nonlocal count, final
-        csv.write(diagnostics_row(rec))
-        csv.flush()
+        diag.write(diagnostics_row(rec))
+        diag.flush()
         count, final = count + 1, rec
 
     def on_snapshot(snap) -> None:
@@ -116,8 +117,8 @@ def _execute_run(settings: RunSettings) -> tuple[int, str]:
         os.replace(path + ".tmp", path)
 
     with open(os.path.join(out, "diagnostics.csv"), "w", encoding="utf-8",
-              newline="\n") as csv:
-        csv.write(DIAG_HEADER + "\n")
+              newline="\n") as diag:
+        diag.write(DIAG_HEADER + "\n")
         try:
             run(settings.solver, on_record, on_snapshot)
         except BlowUpError as exc:
@@ -282,11 +283,12 @@ def _summarize_diagnostics(path: str) -> int:
 
 
 def _summarize_generic_csv(path: str) -> int:
-    # ids such as single_mode[1,0] hold commas: split from the right
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().rsplit(",", len(header) - 1)
-                for line in fh if line.strip()]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header = rows.pop(0) if rows else []
+    # files written before ids were quoted split single_mode[1,0] in two
+    rows = [[",".join(row[:k]), *row[k:]]
+            for row in rows for k in [len(row) - len(header) + 1]]
     print(f"== {os.path.basename(path)}: {len(rows)} rows ==")
     if not rows:
         print("  no rows: nothing to summarize")

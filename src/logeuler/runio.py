@@ -7,6 +7,7 @@ separator, so re-parsing a written file reproduces every float64 exactly.
 
 from __future__ import annotations
 
+import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -296,16 +297,16 @@ def read_snapshot(path: str) -> Snapshot:
 # ---------------------------------------------------------------------------
 
 def write_inequality_csv(report: InequalityReport, path: str) -> None:
-    """One row per (function, parameter combination): id, params, ratio."""
+    """One row per (function, parameter combination): id, params, ratio.
+    Ids that hold a comma, such as ``single_mode[1,0]``, are quoted."""
     param_keys = [k for k, _ in report.rows[0].params] if report.rows else []
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["function_id", *param_keys, "ratio"]) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["function_id", *param_keys, "ratio"])
         for row in report.rows:
             values = dict(row.params)
-            fields = [row.function_id]
-            fields += [_fmt(values[k]) for k in param_keys]
-            fields.append(_fmt(row.ratio))
-            fh.write(",".join(fields) + "\n")
+            writer.writerow([row.function_id, *(_fmt(values[k]) for k in param_keys),
+                             _fmt(row.ratio)])
 
 
 def write_sharpness_csv(rows: Sequence[SharpnessRow], path: str) -> None:

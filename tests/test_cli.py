@@ -592,6 +592,17 @@ def test_verify_csvs_do_not_follow_the_blas_kernel(tmp_path, mode):
     assert csvs[0] == csvs[1]
 
 
+def test_report_reads_ids_written_before_they_were_quoted(tmp_path, capsys):
+    path = tmp_path / "multiplier.csv"
+    path.write_text("function_id,N,q,ratio\n"
+                    "single_mode[1,0],2,inf,0.25\n"
+                    "random_band[0],2,inf,0.125\n")
+    assert run_cli(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "max ratio = 0.25  (row: single_mode[1,0])" in out
+    assert "max ratio by family: single_mode 0.25, random_band 0.125" in out
+
+
 def test_report_on_a_header_only_inequality_csv(tmp_path, capsys):
     path = tmp_path / "embedding.csv"
     path.write_text("function_id,p,ratio\n")

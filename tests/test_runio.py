@@ -1,9 +1,11 @@
+import csv
 import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from logeuler.inequalities import InequalityReport, ReportRow
 from logeuler.norms import NormBundle
 from logeuler.runio import (
     DIAG_HEADER,
@@ -19,6 +21,7 @@ from logeuler.runio import (
     records_from_rows,
     run_values,
     write_config_echo,
+    write_inequality_csv,
     write_snapshot,
 )
 from logeuler.solver import (
@@ -310,3 +313,22 @@ class TestSnapshots:
         snap = Snapshot(8, 1.5, 0.0, 0, np.zeros((4, 4)))
         with pytest.raises(SnapshotError):
             write_snapshot(snap, str(tmp_path / "s.lgeu"))
+
+
+def test_inequality_csv_quotes_ids_that_hold_commas(tmp_path):
+    params = (("N", 2.0), ("q", math.inf))
+    report = InequalityReport("multiplier_bound", {}, (
+        ReportRow("single_mode[1,0]", params, 0.1),
+        ReportRow("random_band[0]", params, 1 / 3),
+    ))
+    path = tmp_path / "multiplier.csv"
+    write_inequality_csv(report, str(path))
+    assert path.read_text().splitlines() == [
+        "function_id,N,q,ratio",
+        '"single_mode[1,0]",2,inf,0.10000000000000001',
+        "random_band[0],2,inf,0.33333333333333331",
+    ]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == ["single_mode[1,0]", "random_band[0]"]
+    assert {len(row) for row in rows} == {4}
