@@ -367,10 +367,9 @@ def check_multiplier_bound(
                 plans.put(f.grid.plan)
                 plans.put(TransformPlan(f.grid.n))
             tasks = [
-                (N, bound) + tuple(
-                    pool.submit(_product_norms, plans, f.grid, f.coeffs, weight, s, q)
-                    for s in (None, symbol)
-                )
+                (N, bound,
+                 pool.submit(_product_norms, plans, f.grid, f.coeffs, weight, None, q),
+                 pool.submit(_product_norms, plans, f.grid, f.coeffs, weight, symbol, q))
                 for N, weight, symbol, bound in tables
             ]
             del f
