@@ -8,10 +8,10 @@ fields and report the worst observed ratio.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from queue import Queue
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -203,13 +203,27 @@ def family_maxima(rows) -> dict[str, float]:
     return out
 
 
-def _physical_members(corpus: CorpusSpec, p_max: int):
-    """(id, member, its physical samples) over the corpus; the sup over p
-    needs p_max >= 2."""
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
-    for fid, f in build_corpus(corpus):
-        yield fid, f, RealField(f.grid, _block_inverse(f.coeffs, f.grid.plan))
+def _member_rows(corpus: CorpusSpec, rows_of: Callable) -> list[ReportRow]:
+    """Every member's ``rows_of(fid, f)`` in the serial order, each member one
+    task for two worker threads, which transform on their own plans
+    (``Grid.plan``).  The caller draws the next member while the tasks run
+    (the transforms release the interpreter lock) and waits on the oldest
+    once three are submitted, so memory stays flat in the corpus size."""
+    rows, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for member in build_corpus(corpus):
+            pending.append(pool.submit(rows_of, *member))
+            if len(pending) == 3:
+                rows.extend(pending.popleft().result())
+        for task in pending:
+            rows.extend(task.result())
+    return rows
+
+
+def _physical(f: SpectralField) -> RealField:
+    """f's samples in its thread's plan slot "lp_base", which the power
+    sweep turns into |f|/m in place."""
+    return RealField(f.grid, f.grid.plan.inverse(None, f.coeffs, "lp_base"))
 
 
 def _check_dyadic(N_set: Sequence[float]) -> None:
@@ -227,16 +241,20 @@ def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
     which the per-function maximum is attained.  The denominator does not
     depend on p, so the norms are those of ``sup_over_p``'s sweep.
     """
-    rows = []
-    for fid, f, phys in _physical_members(corpus, p_max):
+    if p_max < 2:  # the sup over p starts at p = 2
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
+
+    def rows_of(fid, f):
         h1 = sobolev_norm(f, 1.0)
-        lp, _ = sup_over_p(phys, p_max)
+        lp, _ = sup_over_p(_physical(f), p_max)
         denom_base = lp[2] + h1
         if denom_base == 0.0:
-            continue
+            return []
         ratios = {p: norm / (math.sqrt(p) * denom_base) for p, norm in lp.items()}
         best_p = max(ratios, key=ratios.get)  # the first maximum in p
-        rows.append(ReportRow(fid, (("p", float(best_p)),), ratios[best_p]))
+        return [ReportRow(fid, (("p", float(best_p)),), ratios[best_p])]
+
+    rows = _member_rows(corpus, rows_of)
     params = {"p_max": p_max, "n": corpus.n, "seed": corpus.seed,
               "band": corpus.resolved_band, "size": corpus.size}
     return InequalityReport("embedding", params, tuple(rows))
@@ -252,16 +270,18 @@ def check_log_interpolation(
     claimed for gamma >= 3/2.
     """
     check_gamma(gamma)
-    rows = []
-    for fid, f, phys in _physical_members(corpus, p_max):
-        lp, spr = sup_over_p(phys, p_max)  # sup_p ||f||_p / sqrt(p)
+    if p_max < 2:  # the sup over p starts at p = 2
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
+
+    def rows_of(fid, f):
+        lp, spr = sup_over_p(_physical(f), p_max)  # sup_p ||f||_p / sqrt(p)
         if spr == 0.0:
-            continue
+            return []
         h1 = lp[2] + sobolev_norm(f, 1.0)
         denom = math.log(h1 + math.e) * spr
-        rows.append(
-            ReportRow(fid, (("gamma", gamma),), grad_u_sup(f, gamma) / denom)
-        )
+        return [ReportRow(fid, (("gamma", gamma),), grad_u_sup(f, gamma) / denom)]
+
+    rows = _member_rows(corpus, rows_of)
     params = {"gamma": gamma, "p_max": p_max, "n": corpus.n, "seed": corpus.seed,
               "band": corpus.resolved_band, "size": corpus.size,
               "exploratory": gamma < 1.5}
@@ -305,8 +325,8 @@ def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     """L^q norms, q in ``qs``, of the real field whose leading rfft-layout
     columns are ``half``: weighted Plancherel at q = 2, and one inverse
     transform on ``plan`` shared by every other q (in place when ``half`` is
-    the plan's work buffer).  Nothing here is traced by perfbench, so a
-    worker thread may run it on a plan of its own."""
+    the plan's work buffer).  Nothing here is traced by perfbench, and a
+    worker thread runs it on its own thread's plan."""
     norms = {q: half_spectrum_l2(half) for q in qs if float(q) == 2.0}
     rest = [q for q in qs if float(q) != 2.0]
     if rest:
@@ -315,22 +335,19 @@ def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     return norms
 
 
-def _product_norms(plans: Queue, grid: Grid, coeffs: np.ndarray,
-                   weight: np.ndarray, symbol: np.ndarray | None, qs) -> dict | None:
+def _product_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
+                   symbol: np.ndarray | None, qs) -> dict | None:
     """``_block_norms`` of P_N f (``symbol`` None) or T_gamma P_N f, formed
-    as weight * coeffs, then times the symbol, in the work buffer of a plan
-    taken from ``plans`` for the task; None when the product is zero."""
-    plan = plans.get()
-    try:
-        half = plan.work(weight.shape[1])
-        np.multiply(weight, coeffs[:, : weight.shape[1]], out=half)
-        if symbol is not None:
-            half *= symbol
-        if not half.any():
-            return None
-        return _block_norms(grid, half, qs, plan)
-    finally:
-        plans.put(plan)
+    as weight * coeffs, then times the symbol, in the work buffer of the
+    calling thread's plan; None when the product is zero."""
+    plan = grid.plan
+    half = plan.work(weight.shape[1])
+    np.multiply(weight, coeffs[:, : weight.shape[1]], out=half)
+    if symbol is not None:
+        half *= symbol
+    if not half.any():
+        return None
+    return _block_norms(grid, half, qs, plan)
 
 
 def check_multiplier_bound(
@@ -346,8 +363,7 @@ def check_multiplier_bound(
     frequency block are skipped.
 
     Each block's norms and its image's are two tasks for a pool of two
-    worker threads, which share two transform plans (the grid's and one made
-    for the call; a plan serves one task at a time).  The calling thread
+    worker threads, each on its own thread's transform plan.  The calling thread
     submits a member's tasks and draws the next member while they run:
     numpy releases the interpreter lock inside the transforms, so the draw
     and the transforms overlap.  Rows are appended in the serial order.
@@ -356,7 +372,6 @@ def check_multiplier_bound(
     _check_dyadic(N_set)
     rows = []
     tables = None
-    plans: Queue = Queue()
     members = iter(build_corpus(corpus))
     member = next(members, None)
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -364,12 +379,10 @@ def check_multiplier_bound(
             fid, f = member
             if tables is None:  # built once, from the grid every member shares
                 tables = _multiplier_tables(f.grid, N_set, gamma)
-                plans.put(f.grid.plan)
-                plans.put(TransformPlan(f.grid.n))
             tasks = [
                 (N, bound,
-                 pool.submit(_product_norms, plans, f.grid, f.coeffs, weight, None, q),
-                 pool.submit(_product_norms, plans, f.grid, f.coeffs, weight, symbol, q))
+                 pool.submit(_product_norms, f.grid, f.coeffs, weight, None, q),
+                 pool.submit(_product_norms, f.grid, f.coeffs, weight, symbol, q))
                 for N, weight, symbol, bound in tables
             ]
             del f
@@ -407,32 +420,31 @@ def check_bernstein(
             raise ValueError(f"need 2 <= p <= q, got ({p}, {q_val})")
     qs = {q_val for _, q_val in pq_pairs}
     ps = {float(p) for p, _ in pq_pairs}
-    rows = []
-    annuli = None
-    for fid, f in build_corpus(corpus):
-        if annuli is None:  # built once, from the grid every member shares
-            annuli = _annuli(f.grid, N_set)
-        phys = RealField(f.grid, _block_inverse(f.coeffs, f.grid.plan))
+    annuli = _annuli(Grid(corpus.n), N_set)  # every member's grid has this n
+
+    def rows_of(fid, f):
+        plan = f.grid.plan
+        phys = RealField(f.grid, _block_inverse(f.coeffs, plan))
         base = lp_norm_map(phys, ps - {math.inf})  # one sweep, every finite p
         if math.inf in ps:
             base[math.inf] = lp_norm(phys, math.inf)
+        out = []
         for N, weight in annuli:
-            block = f.coeffs[:, : weight.shape[1]] * weight
+            width = weight.shape[1]
+            block = np.multiply(f.coeffs[:, :width], weight, out=plan.work(width))
             if block.any():
-                norms = _block_norms(f.grid, block, qs, f.grid.plan)
+                norms = _block_norms(f.grid, block, qs, plan)
             else:  # an empty block has zero norm at every q
                 norms = dict.fromkeys(qs, 0.0)
             for p, q_val in pq_pairs:
                 if base[p] == 0.0:
                     continue
                 scale = N ** (2.0 * (1.0 / float(p) - 1.0 / float(q_val)))  # 1/inf = 0
-                rows.append(
-                    ReportRow(
-                        fid,
-                        (("N", N), ("p", float(p)), ("q", float(q_val))),
-                        norms[q_val] / (scale * base[p]),
-                    )
-                )
+                key = (("N", N), ("p", float(p)), ("q", float(q_val)))
+                out.append(ReportRow(fid, key, norms[q_val] / (scale * base[p])))
+        return out
+
+    rows = _member_rows(corpus, rows_of)
     params = {"N_set": tuple(float(N) for N in N_set),
               "pq_pairs": tuple((float(p), float(q_val)) for p, q_val in pq_pairs),
               "n": corpus.n, "seed": corpus.seed, "band": corpus.resolved_band}

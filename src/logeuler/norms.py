@@ -9,10 +9,10 @@ Plancherel reads sum_j |f_j|^2 dx^2 = 4 pi^2 sum_k |coeff(k)|^2.
 Spectral functionals read the rfft half of the coefficients (columns
 0..n/2), which holds all the data of a real field: Plancherel sums weight
 columns 0 and n/2 by 1 and the others by 2, and the physical fields (the
-vorticity, three components of grad u) come from the grid's transform plan,
-into its slots "lp_base" and "grad".  Every L^p norm comes from one power
-sweep, which makes the powers |f/m|^p, p = 2, 3, ..., in the slots "lp_base"
-and "lp_acc" of a given plan.
+vorticity, three components of grad u) come from the calling thread's
+transform plan (``Grid.plan``), into its slots "lp_base" and "grad".  Every
+L^p norm comes from one power sweep, which makes the powers |f/m|^p,
+p = 2, 3, ..., in the slots "lp_base" and "lp_acc" of a given plan.
 
 Holder's early stop: with m = max|f|, ||f||_p <= m (4 pi^2)^(1/p), and that
 bound over sqrt(p) falls strictly in p.  So a sweep for sup_p ||f||_p/sqrt(p)
@@ -151,9 +151,9 @@ def lp_norm_samples(values: np.ndarray, dx: float, p, plan: TransformPlan) -> fl
     """``lp_norm`` of the samples ``values`` at grid spacing dx: the power
     sweep's value at p, in ``plan``'s slots "lp_base" and "lp_acc".
 
-    It calls nothing perfbench's tracer wraps, so a worker thread may run it
-    on a plan of its own: the tracer wraps ``lp_norm`` and keeps one span
-    stack for one calling thread.
+    For samples that live in a plan's buffer, not in a ``RealField``.  A
+    plan serves one thread at a time, so ``plan`` should be the calling
+    thread's own (``Grid.plan``), as for every other norm here.
     """
     if float(p) == np.inf:
         return _sup_abs(values)

@@ -12,18 +12,19 @@ a coefficient is the amplitude of its mode (the real field A*exp(i k.x) +
 conj has the coefficient A at k), so the forward transform carries 1/n^2,
 the inverse no factor, and ``plancherel`` the 4 pi^2 of the torus.
 
-Every transform runs through a ``TransformPlan``, one per grid size, as two
-1-D passes into buffers the plan keeps: pocketfft's 2-D real transforms
-allocate temporaries on every call, and at n >= 256 faulting those pages
-in costs more than the transform itself.  The plan is the one owner of
-mutable per-size scratch; tables cached elsewhere are ``read_only``.
+Every transform runs through a ``TransformPlan``, one per grid size and
+thread, as two 1-D passes into buffers the plan keeps: pocketfft's 2-D real
+transforms allocate temporaries on every call, and at n >= 256 faulting
+those pages in costs more than the transform itself.  The plan is the one
+owner of mutable per-size scratch; tables cached elsewhere are
+``read_only`` and shared by every thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -99,7 +100,7 @@ class Grid:
 
     @property
     def plan(self) -> TransformPlan:
-        """The shared transform plan of this grid size."""
+        """The calling thread's transform plan of this grid size."""
         return transform_plan(self.n)
 
     def mesh(self):
@@ -119,8 +120,8 @@ class TransformPlan:
     that hand a result on copy it or pass ``slot=None`` for a fresh array.
     Both directions are the column and row passes of ``scipy.fft.irfft2`` /
     ``rfft2`` in the same order, in the one normalization (forward 1/n^2,
-    inverse none), and give the same bits.  Plans are shared within a
-    process, so calls from several threads must not overlap.
+    inverse none), and give the same bits.  A plan serves one thread at a
+    time: ``transform_plan`` gives each thread plans of its own.
     """
 
     def __init__(self, n: int):
@@ -185,12 +186,19 @@ class TransformPlan:
         return np.fft.fft(c, axis=0, norm="forward", out=c)
 
 
-# one plan per grid size; at n = 1024 a real slot takes 8 MB and a complex
-# one 8.4 MB, so a sweep over many sizes keeps only the latest few
-@lru_cache(maxsize=4)
+# one plan per grid size and thread; at n = 1024 a real slot takes 8 MB and a
+# complex one 8.4 MB, so a thread keeps the plans of its latest four sizes
+_thread_plans = threading.local()
+
+
 def transform_plan(n: int) -> TransformPlan:
-    """The shared ``TransformPlan`` of grid size n."""
-    return TransformPlan(n)
+    """The calling thread's ``TransformPlan`` of grid size n; a thread's
+    plans are freed when it ends (a pool's, when the pool shuts down)."""
+    plans = _thread_plans.__dict__.setdefault("by_size", {})
+    plans[n] = plans.pop(n, None) or TransformPlan(n)  # now the latest
+    if len(plans) > 4:
+        del plans[next(iter(plans))]
+    return plans[n]
 
 
 @dataclass(frozen=True, eq=False)

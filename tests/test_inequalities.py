@@ -350,7 +350,7 @@ class TestMultiplierBound:
 
 def _serial_multiplier_rows(gamma, N_set, q, spec):
     """check_multiplier_bound's loop on one thread: each block's norms and
-    then its image's, both on the shared plan."""
+    then its image's, both on the calling thread's plan."""
     rows = []
     for fid, f in build_corpus(spec):
         for N, weight in _annuli(f.grid, N_set):
@@ -429,6 +429,98 @@ class TestThreadedMultiplierBound:
         check_multiplier_bound(1.5, (2.0, 4.0), (2.0, float("inf")), spec)
         assert len(members) == 4
         assert alive_at_draw == [0, 1, 1, 1]
+
+
+def _serial_bernstein_rows(spec, N_set, pq_pairs):
+    """check_bernstein's loop on one thread, every norm on its plan."""
+    rows = []
+    for fid, f in build_corpus(spec):
+        phys = dft_inverse(f)
+        base = {p: lp_norm(phys, p) for p, _ in pq_pairs}
+        for N, weight in _annuli(f.grid, N_set):
+            block = f.coeffs[:, : weight.shape[1]] * weight
+            norms = {q_val: half_spectrum_l2(block) if q_val == 2.0 else lp_norm(
+                RealField(f.grid, f.grid.plan.inverse(None, block, None)), q_val)
+                for _, q_val in pq_pairs}
+            for p, q_val in pq_pairs:
+                if base[p] == 0.0:
+                    continue
+                scale = N ** (2.0 * (1.0 / p - 1.0 / q_val))
+                rows.append(ReportRow(fid, (("N", N), ("p", p), ("q", q_val)),
+                                      norms[q_val] / (scale * base[p])))
+    return tuple(rows)
+
+
+_POOL_SPEC = CorpusSpec(n=64, size=24, band=16, seed=9)
+_BERNSTEIN_ARGS = ((2.0, 4.0, 8.0, 16.0, 32.0),
+                   ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf"))))
+_MEMBER_CHECKS = {
+    "embedding": lambda spec: check_embedding(spec, 32),
+    "loginterp": lambda spec: check_log_interpolation(spec, 1.5, 32),
+    "bernstein": lambda spec: check_bernstein(spec, *_BERNSTEIN_ARGS),
+}
+
+
+class TestMemberPool:
+    """Embedding, loginterp and Bernstein run one task per member on two
+    worker threads, each on its own thread's plan."""
+
+    @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
+    def test_rows_hold_under_fast_thread_switching(self, check):
+        embedding, loginterp = _full_sweep_rows(build_corpus(_POOL_SPEC), 32, 1.5)
+        serial = {
+            "embedding": embedding,
+            "loginterp": loginterp,
+            "bernstein": _serial_bernstein_rows(_POOL_SPEC, *_BERNSTEIN_ARGS),
+        }[check]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = _MEMBER_CHECKS[check](_POOL_SPEC).rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rows) > 0
+        assert rows == serial
+
+    def test_bad_input_raises_and_no_thread_is_left(self, monkeypatch):
+        spec = CorpusSpec(n=32, size=20)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="p_max must be >= 2"):
+            check_embedding(spec, 1)
+        with pytest.raises(ValueError, match="p_max must be >= 2"):
+            check_log_interpolation(spec, 1.5, 1)
+        with pytest.raises(ValueError, match="need 2 <= p <= q"):
+            check_bernstein(spec, (2.0,), ((4.0, 2.0),))
+        assert threading.active_count() == threads
+
+        def failing(f, order):  # an error inside a member task
+            raise ArithmeticError("member task failed")
+
+        monkeypatch.setattr(inequalities, "sobolev_norm", failing)
+        for check in ("embedding", "loginterp"):
+            with pytest.raises(ArithmeticError, match="member task failed"):
+                _MEMBER_CHECKS[check](spec)
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
+    def test_at_most_three_members_outlive_a_draw(self, check, monkeypatch):
+        # the caller waits on the oldest task once three are submitted, so
+        # at each draw at most three earlier members are still referenced
+        members, alive_at_draw = [], []
+        draw = random_band_half
+
+        def tracking_draw(grid, rng, band):
+            alive_at_draw.append(sum(ref() is not None for ref in members))
+            half = draw(grid, rng, band)
+            members.append(weakref.ref(half))
+            return half
+
+        monkeypatch.setattr(inequalities, "random_band_half", tracking_draw)
+        spec = CorpusSpec(kind="random_band", n=64, size=12, seed=2)
+        assert len(_MEMBER_CHECKS[check](spec).rows) > 0
+        assert len(members) == 12
+        assert alive_at_draw[:2] == [0, 1]
+        assert max(alive_at_draw) <= 3
 
 
 class TestBernstein:

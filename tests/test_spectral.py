@@ -1,4 +1,6 @@
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -226,6 +228,29 @@ class TestTransformPlan:
                 work[...] = h
                 h = work
             assert same_bits(plan.inverse(None, h, "test"), ref)
+
+    def test_each_thread_has_plans_of_its_own(self):
+        plan = transform_plan(16)
+        assert transform_plan(16) is plan and Grid(16).plan is plan
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(transform_plan, 16).result(timeout=60)
+            assert pool.submit(lambda: Grid(16).plan).result(timeout=60) is other
+        assert other is not plan
+        freed = weakref.ref(other)
+        del other
+        assert freed() is None  # the worker's plans went with its thread
+        assert transform_plan(16) is plan
+
+    def test_a_thread_keeps_its_four_latest_sizes(self):
+        def kept():
+            first = {n: transform_plan(n) for n in (8, 16, 32, 64)}
+            transform_plan(8)  # used again, so 16 is now the oldest
+            transform_plan(128)
+            return {n: transform_plan(n) is first[n] for n in (8, 32, 64, 16)}
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(kept).result(timeout=60) == {
+                8: True, 32: True, 64: True, 16: False}
 
     def test_slots_are_reused_and_none_is_fresh(self):
         plan = Grid(16).plan
