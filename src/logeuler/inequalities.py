@@ -17,6 +17,7 @@ import numpy as np
 
 from .multipliers import check_gamma, is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
+    _integer_p,
     grad_u_sup,
     lp_norm,
     lp_norm_map,
@@ -207,8 +208,9 @@ def _member_rows(corpus: CorpusSpec, rows_of: Callable) -> list[ReportRow]:
     """Every member's ``rows_of(fid, f)`` in the serial order, each member one
     task for two worker threads, which transform on their own plans
     (``Grid.plan``).  The caller draws the next member while the tasks run
-    (the transforms release the interpreter lock) and waits on the oldest
-    once three are submitted, so memory stays flat in the corpus size."""
+    (numpy releases the interpreter lock in the transforms and in the draw's
+    normals) and waits on the oldest once three are submitted, so memory
+    stays flat in the corpus size."""
     rows, pending = [], deque()
     with ThreadPoolExecutor(max_workers=2) as pool:
         for member in build_corpus(corpus):
@@ -232,6 +234,16 @@ def _check_dyadic(N_set: Sequence[float]) -> None:
     for N in N_set:
         if not is_dyadic(N):
             raise ValueError(f"N_set must be dyadic, got {N!r}")
+
+
+def _check_exponents(name: str, exponents: Sequence[float]) -> None:
+    """Raise ValueError unless ``exponents`` is nonempty and each one is an
+    integer in [2, P_LIMIT] or inf, before any member is drawn."""
+    if not exponents:  # a check over no exponent would read as met
+        raise ValueError(f"{name} must hold at least one exponent")
+    for q in exponents:
+        if float(q) != math.inf:
+            _integer_p(q)
 
 
 def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
@@ -323,13 +335,16 @@ def _block_inverse(half: np.ndarray, plan: TransformPlan) -> np.ndarray:
 
 def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     """L^q norms, q in ``qs``, of the real field whose leading rfft-layout
-    columns are ``half``: weighted Plancherel at q = 2, and one inverse
-    transform on ``plan`` shared by every other q (in place when ``half`` is
-    the plan's work buffer).  Nothing here is traced by perfbench, and a
-    worker thread runs it on its own thread's plan."""
+    columns are ``half``: weighted Plancherel at q = 2, the sup norm by row
+    blocks when inf is the only other q, and else one inverse transform on
+    ``plan`` shared by every other q (in place when ``half`` is the plan's
+    work buffer).  Nothing here is traced by perfbench, and a worker thread
+    runs it on its own thread's plan."""
     norms = {q: half_spectrum_l2(half) for q in qs if float(q) == 2.0}
     rest = [q for q in qs if float(q) != 2.0]
-    if rest:
+    if rest and all(float(q) == math.inf for q in rest):
+        norms.update(dict.fromkeys(rest, plan.sup_inverse(None, half)))
+    elif rest:
         values = _block_inverse(half, plan)
         norms.update((q, lp_norm_samples(values, grid.dx, q, plan)) for q in rest)
     return norms
@@ -362,46 +377,31 @@ def check_multiplier_bound(
     sup over the dyadic annulus below mtilde(N)).  Pairs with an empty
     frequency block are skipped.
 
-    Each block's norms and its image's are two tasks for a pool of two
-    worker threads, each on its own thread's transform plan.  The calling thread
-    submits a member's tasks and draws the next member while they run:
-    numpy releases the interpreter lock inside the transforms, so the draw
-    and the transforms overlap.  Rows are appended in the serial order.
+    Each member's blocks and images are one task on ``_member_rows``'s
+    pool, in the serial order.  A block and its image are formed in the work
+    buffer of the task's thread plan, so no block or image array is made.
     """
     check_gamma(gamma)
     _check_dyadic(N_set)
-    rows = []
-    tables = None
-    members = iter(build_corpus(corpus))
-    member = next(members, None)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        while member is not None:
-            fid, f = member
-            if tables is None:  # built once, from the grid every member shares
-                tables = _multiplier_tables(f.grid, N_set, gamma)
-            tasks = [
-                (N, bound,
-                 pool.submit(_product_norms, f.grid, f.coeffs, weight, None, q),
-                 pool.submit(_product_norms, f.grid, f.coeffs, weight, symbol, q))
-                for N, weight, symbol, bound in tables
-            ]
-            del f
-            member = next(members, None)  # drawn while the tasks run
-            for N, bound, block, image in tasks:
-                denoms = block.result()
-                if denoms is None:  # an empty block has zero norm at every q
+    _check_exponents("q", q)
+    tables = _multiplier_tables(Grid(corpus.n), N_set, gamma)  # every member's n
+
+    def rows_of(fid, f):
+        out = []
+        for N, weight, symbol, bound in tables:
+            denoms = _product_norms(f.grid, f.coeffs, weight, None, q)
+            if denoms is None:  # an empty block has zero norm at every q
+                continue
+            images = (_product_norms(f.grid, f.coeffs, weight, symbol, q)
+                      or dict.fromkeys(q, 0.0))
+            for q_val in q:
+                if denoms[q_val] == 0.0:
                     continue
-                images = image.result() or dict.fromkeys(q, 0.0)
-                for q_val in q:
-                    if denoms[q_val] == 0.0:
-                        continue
-                    rows.append(
-                        ReportRow(
-                            fid,
-                            (("N", N), ("q", float(q_val))),
-                            images[q_val] / (bound * denoms[q_val]),
-                        )
-                    )
+                key = (("N", N), ("q", float(q_val)))
+                out.append(ReportRow(fid, key, images[q_val] / (bound * denoms[q_val])))
+        return out
+
+    rows = _member_rows(corpus, rows_of)
     params = {"gamma": gamma, "N_set": tuple(float(N) for N in N_set),
               "q": tuple(float(v) for v in q), "n": corpus.n,
               "seed": corpus.seed, "band": corpus.resolved_band}
@@ -418,6 +418,7 @@ def check_bernstein(
     for p, q_val in pq_pairs:
         if not (2.0 <= float(p) <= float(q_val)):
             raise ValueError(f"need 2 <= p <= q, got ({p}, {q_val})")
+    _check_exponents("pq_pairs", [v for pair in pq_pairs for v in pair])
     qs = {q_val for _, q_val in pq_pairs}
     ps = {float(p) for p, _ in pq_pairs}
     annuli = _annuli(Grid(corpus.n), N_set)  # every member's grid has this n

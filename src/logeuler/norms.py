@@ -10,7 +10,8 @@ Spectral functionals read the rfft half of the coefficients (columns
 0..n/2), which holds all the data of a real field: Plancherel sums weight
 columns 0 and n/2 by 1 and the others by 2, and the physical fields (the
 vorticity, three components of grad u) come from the calling thread's
-transform plan (``Grid.plan``), into its slots "lp_base" and "grad".  Every
+transform plan (``Grid.plan``): the vorticity into its slot "lp_base", and
+the sup norm of grad u block by block with no n x n array.  Every
 L^p norm comes from one power sweep, which makes the powers |f/m|^p,
 p = 2, 3, ..., in the slots "lp_base" and "lp_acc" of a given plan.
 
@@ -38,6 +39,7 @@ from .spectral import (
     RealField,
     SpectralField,
     TransformPlan,
+    _sup_abs,
     check_zero_mean,
     plancherel,
     read_only,
@@ -57,11 +59,6 @@ __all__ = [
     "generalized_energy",
     "compute_norm_bundle",
 ]
-
-
-def _sup_abs(values: np.ndarray) -> float:
-    """max |values| without an abs copy of the array."""
-    return max(float(values.max()), -float(values.min()))
 
 
 # at n = 1024 a table takes about 4 MB; the solver's workspace parts keep
@@ -228,16 +225,14 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
 
     With psi = T_gamma omega / |k|^2 the velocity is u = (i k2, -i k1) psi,
     so d1 u1 = -k1 k2 psi, d2 u1 = -k2^2 psi, d1 u2 = k1^2 psi and
-    d2 u2 = -d1 u1: three inverse transforms cover all four components.
+    d2 u2 = -d1 u1: three inverse transforms cover all four components,
+    each reduced to its sup norm block by block (``sup_inverse``).  A NaN
+    in any component gives NaN.
     """
     check_zero_mean(omega, "velocity-gradient sup")
     g = omega.grid
     psi = omega.coeffs * _smoothed_inverse_k2(g.n, gamma)
-    worst = 0.0
-    for symbol in _grad_symbols(g.n):
-        d = g.plan.inverse(symbol, psi, "grad")
-        worst = max(worst, _sup_abs(d))
-    return worst
+    return float(np.max([g.plan.sup_inverse(s, psi) for s in _grad_symbols(g.n)]))
 
 
 def generalized_energy(omega: SpectralField, gamma: float) -> float:

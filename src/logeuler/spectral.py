@@ -55,6 +55,11 @@ ZERO_MEAN_TOL = 1e-13
 FOUR_PI_SQ = 4.0 * np.pi**2
 
 
+def _sup_abs(values: np.ndarray) -> float:
+    """max |values| without an abs copy of the array."""
+    return max(float(values.max()), -float(values.min()))
+
+
 def check_grid_size(n: int) -> None:
     """Raise ValueError unless n is a power of two >= 8."""
     if n < 8 or (n & (n - 1)) != 0:
@@ -113,11 +118,12 @@ class TransformPlan:
     """Real 2-D transforms of one grid size n into buffers reused across calls.
 
     The plan owns the package's mutable per-size scratch: one complex work
-    buffer and, per slot name, an n x n float buffer (``real``) and an
-    rfft-half complex buffer (``half``, e.g. the solver's RK4 stages).  An
-    inverse transform overwrites its slot's buffer and returns it, so a
-    result stays valid only until the next call with the same slot; callers
-    that hand a result on copy it or pass ``slot=None`` for a fresh array.
+    buffer, the row block of ``sup_inverse`` and, per slot name, an n x n
+    float buffer (``real``) and an rfft-half complex buffer (``half``, e.g.
+    the solver's RK4 stages).  An inverse transform overwrites its slot's
+    buffer and returns it, so a result stays valid only until the next call
+    with the same slot; callers that hand a result on copy it or pass
+    ``slot=None`` for a fresh array.
     Both directions are the column and row passes of ``scipy.fft.irfft2`` /
     ``rfft2`` in the same order, in the one normalization (forward 1/n^2,
     inverse none), and give the same bits.  A plan serves one thread at a
@@ -153,6 +159,20 @@ class TransformPlan:
         self._zero_from = max(self._zero_from, width)
         return self._work[:, :width]
 
+    def _columns(self, mult, h: np.ndarray) -> np.ndarray:
+        """``inverse``'s column pass: the work buffer, ready for the row pass."""
+        width = h.shape[1]
+        c = self._work[:, :width]
+        if mult is None:
+            np.fft.ifft(h, axis=0, norm="forward", out=c)
+        else:
+            np.multiply(mult, h, out=c)
+            np.fft.ifft(c, axis=0, norm="forward", out=c)
+        if self._zero_from > width:
+            self._work[:, width : self._zero_from] = 0.0
+        self._zero_from = width
+        return self._work
+
     def inverse(self, mult, h: np.ndarray, slot: str | None) -> np.ndarray:
         """Real samples of the field with rfft-layout coefficients mult*h.
 
@@ -164,18 +184,23 @@ class TransformPlan:
         samples go to ``slot``'s buffer, or to a fresh array when ``slot`` is
         None.
         """
-        width = h.shape[1]
-        c = self._work[:, :width]
-        if mult is None:
-            np.fft.ifft(h, axis=0, norm="forward", out=c)
-        else:
-            np.multiply(mult, h, out=c)
-            np.fft.ifft(c, axis=0, norm="forward", out=c)
-        if self._zero_from > width:
-            self._work[:, width : self._zero_from] = 0.0
-        self._zero_from = width
         out = None if slot is None else self.real(slot)
-        return np.fft.irfft(self._work, n=self.n, axis=1, norm="forward", out=out)
+        return np.fft.irfft(self._columns(mult, h), n=self.n, axis=1,
+                            norm="forward", out=out)
+
+    def sup_inverse(self, mult, h: np.ndarray) -> float:
+        """max |f| of the samples ``inverse(mult, h, slot)`` gives, bit for
+        bit, with no n x n array written: the row pass runs over blocks of
+        rows into the small slot "sup", and each block's max and min are
+        read while it is still in cache.  A NaN anywhere gives NaN."""
+        n, c = self.n, self._columns(mult, h)
+        rows = min(n, _SUP_BYTES // (8 * n))
+        out = self._buffer("sup", (rows, n), float)
+        peaks = np.empty((n // rows, 2))
+        for block, i in zip(peaks, range(0, n, rows)):
+            np.fft.irfft(c[i : i + rows], n=n, axis=1, norm="forward", out=out)
+            block[:] = out.max(), out.min()
+        return _sup_abs(peaks)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """rfft-layout coefficients of the real n x n samples ``x``, in the
@@ -185,6 +210,9 @@ class TransformPlan:
         np.fft.rfft(x, axis=1, norm="forward", out=c)
         return np.fft.fft(c, axis=0, norm="forward", out=c)
 
+
+# bytes of a sup_inverse row block: 128 rows at n = 1024, one block to n = 256
+_SUP_BYTES = 1 << 20
 
 # one plan per grid size and thread; at n = 1024 a real slot takes 8 MB and a
 # complex one 8.4 MB, so a thread keeps the plans of its latest four sizes

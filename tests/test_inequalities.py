@@ -411,24 +411,21 @@ class TestThreadedMultiplierBound:
             check_multiplier_bound(1.5, (2.0, 4.0), (2.0, 1.0), spec)
         assert threading.active_count() == threads
 
-    def test_only_the_previous_member_outlives_the_next_draw(self, monkeypatch):
-        # the next member is drawn while the workers transform this one, and
-        # the tasks form each block and image in a plan's work buffer, so no
-        # block or image array is made at all
-        members, alive_at_draw = [], []
-        draw = random_band_half
+    def test_a_member_task_keeps_no_n_by_n_slot(self, monkeypatch):
+        # q = inf comes from sup_inverse's row blocks, so a worker's plan
+        # holds no "block" slot
+        slots, product_norms = [], inequalities._product_norms
 
-        def tracking_draw(grid, rng, band):
-            alive_at_draw.append(sum(ref() is not None for ref in members))
-            half = draw(grid, rng, band)
-            members.append(weakref.ref(half))
-            return half
+        def recording(grid, *args):
+            norms = product_norms(grid, *args)
+            slots.append(set(grid.plan._slots))
+            return norms
 
-        monkeypatch.setattr(inequalities, "random_band_half", tracking_draw)
-        spec = CorpusSpec(kind="random_band", n=32, size=4, seed=2)
-        check_multiplier_bound(1.5, (2.0, 4.0), (2.0, float("inf")), spec)
-        assert len(members) == 4
-        assert alive_at_draw == [0, 1, 1, 1]
+        monkeypatch.setattr(inequalities, "_product_norms", recording)
+        spec = CorpusSpec(n=64, size=20, seed=1)
+        check_multiplier_bound(1.5, (2.0, 4.0, 8.0), (2.0, float("inf")), spec)
+        assert len(slots) > 20
+        assert set().union(*slots) == {("sup", float)}
 
 
 def _serial_bernstein_rows(spec, N_set, pq_pairs):
@@ -454,16 +451,19 @@ def _serial_bernstein_rows(spec, N_set, pq_pairs):
 _POOL_SPEC = CorpusSpec(n=64, size=24, band=16, seed=9)
 _BERNSTEIN_ARGS = ((2.0, 4.0, 8.0, 16.0, 32.0),
                    ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf"))))
+# criterion 5's exponents: its q = inf norms come from sup_inverse
+_MULTIPLIER_ARGS = ((2.0, 4.0, 8.0, 16.0, 32.0), (2.0, float("inf")))
 _MEMBER_CHECKS = {
     "embedding": lambda spec: check_embedding(spec, 32),
     "loginterp": lambda spec: check_log_interpolation(spec, 1.5, 32),
     "bernstein": lambda spec: check_bernstein(spec, *_BERNSTEIN_ARGS),
+    "multiplier": lambda spec: check_multiplier_bound(1.5, *_MULTIPLIER_ARGS, spec),
 }
 
 
 class TestMemberPool:
-    """Embedding, loginterp and Bernstein run one task per member on two
-    worker threads, each on its own thread's plan."""
+    """Embedding, loginterp, multiplier and Bernstein run one task per member
+    on two worker threads, each on its own thread's plan."""
 
     @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
     def test_rows_hold_under_fast_thread_switching(self, check):
@@ -472,6 +472,7 @@ class TestMemberPool:
             "embedding": embedding,
             "loginterp": loginterp,
             "bernstein": _serial_bernstein_rows(_POOL_SPEC, *_BERNSTEIN_ARGS),
+            "multiplier": _serial_multiplier_rows(1.5, *_MULTIPLIER_ARGS, _POOL_SPEC),
         }[check]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -493,7 +494,7 @@ class TestMemberPool:
             check_bernstein(spec, (2.0,), ((4.0, 2.0),))
         assert threading.active_count() == threads
 
-        def failing(f, order):  # an error inside a member task
+        def failing(*args):  # an error inside a member task
             raise ArithmeticError("member task failed")
 
         monkeypatch.setattr(inequalities, "sobolev_norm", failing)
@@ -501,6 +502,40 @@ class TestMemberPool:
             with pytest.raises(ArithmeticError, match="member task failed"):
                 _MEMBER_CHECKS[check](spec)
             assert threading.active_count() == threads
+        monkeypatch.setattr(inequalities, "_product_norms", failing)
+        with pytest.raises(ArithmeticError, match="member task failed"):
+            _MEMBER_CHECKS["multiplier"](spec)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("check, args, message", [
+        ("multiplier", ((2.0,), ()), "q must hold at least one exponent"),
+        ("multiplier", ((2.0,), (2.0, 2.5)), "must be >= 2 and an integer"),
+        ("multiplier", ((2.0,), (float("inf"), 1025.0)), "at most 1024"),
+        ("multiplier", ((2.0,), (float("nan"),)), "must be >= 2 and an integer"),
+        ("bernstein", ((2.0,), ()), "pq_pairs must hold at least one exponent"),
+        ("bernstein", ((2.0,), ((2.0, 4.0), (2.0, 6.5))), "must be >= 2 and an integer"),
+        ("bernstein", ((2.0,), ((2.5, float("inf")),)), "must be >= 2 and an integer"),
+    ])
+    def test_bad_exponents_raise_before_a_draw_and_no_thread_is_left(
+            self, check, args, message, monkeypatch):
+        # a check over no exponent would read as met, and a bad q used to
+        # fail only inside a worker, after the first member was drawn
+        draws = []
+
+        def counting_draw(grid, rng, band):
+            draws.append(band)
+            return random_band_half(grid, rng, band)
+
+        monkeypatch.setattr(inequalities, "random_band_half", counting_draw)
+        spec = CorpusSpec(n=32, size=20)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=message):
+            if check == "multiplier":
+                check_multiplier_bound(1.5, *args, spec)
+            else:
+                check_bernstein(spec, *args)
+        assert draws == []
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
     def test_at_most_three_members_outlive_a_draw(self, check, monkeypatch):

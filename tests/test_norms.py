@@ -202,6 +202,32 @@ class TestGradUSup:
         omega = dft_forward(RealField(g, f2(x1) * f(x2) + f(x1) * f2(x2)))
         assert grad_u_sup(omega, 0.0) == pytest.approx(16 / 9, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_is_the_largest_component_sup(self, n):
+        # the three components' sup norms, each from a full inverse
+        g = Grid(n)
+        s = SpectralField(g, random_band_half(g, np.random.default_rng(n), n / 3))
+        psi = s.coeffs * norms._smoothed_inverse_k2(n, 1.5)
+        plan = TransformPlan(n)
+        sups = [norms._sup_abs(plan.inverse(symbol, psi, None))
+                for symbol in norms._grad_symbols(n)]
+        assert grad_u_sup(s, 1.5) == max(sups)
+
+    def test_a_nan_coefficient_gives_nan(self):
+        # it used to read 0.0: max(0.0, nan) is 0.0
+        half = np.zeros((16, 9), dtype=complex)
+        half[3, 2] = np.nan
+        assert np.isnan(grad_u_sup(SpectralField(Grid(16), half), 1.5))
+
+    def test_keeps_no_n_by_n_slot(self):
+        # the components are reduced by row blocks: no "grad" slot is made
+        s = dft_forward(sine_field(256))
+        with ThreadPoolExecutor(max_workers=1) as fresh:
+            slots = fresh.submit(
+                lambda: (grad_u_sup(s, 1.5), set(s.grid.plan._slots))[1]
+            ).result(timeout=60)
+        assert slots == {("sup", float)}
+
     def test_coefficientwise_damping(self):
         # each spectral coefficient of grad u is damped by exactly m(|k|)
         s = to_full(random_zero_mean(32, 6, 8))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from reference import (
     two_draw_band,
 )
 
+from logeuler.norms import _sup_abs
 from logeuler.spectral import (
     Grid,
     RealField,
@@ -272,6 +274,72 @@ class TestTransformPlan:
         assert same_bits(s1.coeffs, s2.coeffs)
         assert not np.shares_memory(s1.coeffs, s2.coeffs)
         assert not np.shares_memory(dft_inverse(s1).values, dft_inverse(s1).values)
+
+
+class TestSupInverse:
+    """``sup_inverse(mult, h)`` is the float ``_sup_abs`` takes from
+    ``inverse(mult, h, None)``, from row blocks of at most 1 MB (eight at
+    n = 1024, one up to n = 256)."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_is_the_sup_of_inverse(self, n):
+        plan, full = TransformPlan(n), n // 2 + 1
+        for cols in sorted({full, 3, min(17, full)}):
+            h = random_half(n, n + cols, cols)
+            for mult in (None, random_half(n, cols, cols).real):
+                ref = _sup_abs(plan.inverse(mult, h, None))
+                assert same_bits(np.float64(plan.sup_inverse(mult, h)), np.float64(ref))
+
+    def test_shares_the_zero_column_record_with_inverse(self):
+        # cropped and full widths in turn, each sup_inverse checked against
+        # irfft2 and each inverse after it still bit for bit irfft2
+        n = 512
+        full = n // 2 + 1
+        plan = TransformPlan(n)
+        for step, (cols, sup) in enumerate(
+            [(full, True), (5, True), (full, False), (17, True), (3, False),
+             (129, True), (full, True)]
+        ):
+            h = random_half(n, step, cols)
+            padded = np.zeros((n, full), dtype=complex)
+            padded[:, :cols] = h
+            ref = scipy.fft.irfft2(padded, s=(n, n), norm="forward")
+            if sup:
+                assert plan.sup_inverse(None, h) == _sup_abs(ref)
+            else:
+                assert same_bits(plan.inverse(None, h, "test"), ref)
+
+    def test_all_zero_gives_unsigned_zero(self):
+        plan, h = TransformPlan(64), np.zeros((64, 33), dtype=complex)
+        sup = plan.sup_inverse(None, h)
+        ref = _sup_abs(plan.inverse(None, h, None))
+        assert same_bits(np.float64(sup), np.float64(ref))
+        assert sup == 0.0 and math.copysign(1.0, sup) == 1.0
+
+    @pytest.mark.parametrize("row", [5, 300, 1000])
+    @pytest.mark.parametrize("value, width", [
+        (1e308, None), (-1e308, None), (7e307, 2), (-7e307, 2)])
+    def test_a_nonfinite_row_block_propagates(self, row, value, width):
+        # the row pass reads `value` on one row only, so the samples are
+        # nonfinite in that row's block alone: NaN over the full width, and
+        # +-inf (no NaN) from two columns
+        n = 1024
+        rows = np.zeros((n, n // 2 + 1), dtype=complex)
+        rows[row, :width] = value
+        h = np.fft.fft(rows, axis=0, norm="forward")  # the column pass undoes it
+        plan = TransformPlan(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = plan.inverse(None, h, None)
+            sup = plan.sup_inverse(None, h)
+        assert list(np.nonzero(~np.isfinite(values).all(axis=1))[0]) == [row]
+        assert same_bits(np.float64(sup), np.float64(_sup_abs(values)))
+        assert math.isnan(sup) if width is None else sup == math.inf
+
+    def test_keeps_only_its_row_block(self):
+        plan = TransformPlan(1024)
+        plan.sup_inverse(None, random_half(1024, 0, 9))
+        assert {key: buf.shape for key, buf in plan._slots.items()} == {
+            ("sup", float): (128, 1024)}
 
 
 class TestHalfSpectrum:
