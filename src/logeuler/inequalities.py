@@ -19,9 +19,7 @@ from .multipliers import check_gamma, is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
     _integer_p,
     grad_u_sup,
-    lp_norm,
-    lp_norm_map,
-    lp_norm_samples,
+    lp_norms,
     sobolev_norm,
     sup_over_p,
 )
@@ -33,6 +31,7 @@ from .spectral import (
     check_grid_size,
     half_spectrum_l2,
     mode_sum,
+    occupied,
     random_band_half,
 )
 
@@ -73,7 +72,7 @@ class CorpusSpec:
     kind "default" assembles the standard mixture: ``size - 16`` random
     band-limited fields plus 8 single modes, 4 lattice shells and 4
     lacunary (multiscale) fields.  band = 0 resolves to n // 4; n follows
-    ``Grid``'s rule, and band and seed are >= 0.
+    ``Grid``'s rule, seed >= 0 and 0 <= band <= n/2 (k = n folds onto the mean).
     """
 
     kind: str = "default"
@@ -89,8 +88,9 @@ class CorpusSpec:
         if self.kind == "default" and self.size < 20:
             raise ValueError("default corpus needs size >= 20")
         check_grid_size(self.n)
-        if self.band < 0:
-            raise ValueError(f"corpus band must be >= 0 (0 = n/4), got {self.band}")
+        if not 0 <= self.band <= self.n // 2:
+            raise ValueError(f"corpus band must be >= 0 (0 = n/4) and <= n/2 = "
+                             f"{self.n // 2}, got {self.band}")
         if self.seed < 0:
             raise ValueError(f"corpus seed must be >= 0, got {self.seed}")
 
@@ -223,9 +223,10 @@ def _member_rows(corpus: CorpusSpec, rows_of: Callable) -> list[ReportRow]:
 
 
 def _physical(f: SpectralField) -> RealField:
-    """f's samples in its thread's plan slot "lp_base", which the power
-    sweep turns into |f|/m in place."""
-    return RealField(f.grid, f.grid.plan.inverse(None, f.coeffs, "lp_base"))
+    """f's samples, from its occupied columns, in its thread's plan slot
+    "lp_base", which the power sweep turns into |f|/m in place."""
+    plan = f.grid.plan
+    return RealField(f.grid, plan.inverse(None, occupied(f.coeffs), "lp_base"))
 
 
 def _check_dyadic(N_set: Sequence[float]) -> None:
@@ -345,8 +346,7 @@ def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
     if rest and all(float(q) == math.inf for q in rest):
         norms.update(dict.fromkeys(rest, plan.sup_inverse(None, half)))
     elif rest:
-        values = _block_inverse(half, plan)
-        norms.update((q, lp_norm_samples(values, grid.dx, q, plan)) for q in rest)
+        norms.update(lp_norms(_block_inverse(half, plan), grid.dx, rest, plan))
     return norms
 
 
@@ -425,10 +425,7 @@ def check_bernstein(
 
     def rows_of(fid, f):
         plan = f.grid.plan
-        phys = RealField(f.grid, _block_inverse(f.coeffs, plan))
-        base = lp_norm_map(phys, ps - {math.inf})  # one sweep, every finite p
-        if math.inf in ps:
-            base[math.inf] = lp_norm(phys, math.inf)
+        base = lp_norms(_block_inverse(occupied(f.coeffs), plan), f.grid.dx, ps, plan)
         out = []
         for N, weight in annuli:
             width = weight.shape[1]

@@ -8,12 +8,14 @@ Plancherel reads sum_j |f_j|^2 dx^2 = 4 pi^2 sum_k |coeff(k)|^2.
 
 Spectral functionals read the rfft half of the coefficients (columns
 0..n/2), which holds all the data of a real field: Plancherel sums weight
-columns 0 and n/2 by 1 and the others by 2, and the physical fields (the
+columns 0 and n/2 by 1 and the others by 2.  The physical fields (the
 vorticity, three components of grad u) come from the calling thread's
-transform plan (``Grid.plan``): the vorticity into its slot "lp_base", and
-the sup norm of grad u block by block with no n x n array.  Every
-L^p norm comes from one power sweep, which makes the powers |f/m|^p,
-p = 2, 3, ..., in the slots "lp_base" and "lp_acc" of a given plan.
+transform plan (``Grid.plan``) and the occupied columns only (``occupied``):
+the vorticity into slot "lp_base", the sup norm of grad u block by block
+with no n x n array.  A set of L^p norms, inf included, is one pass of
+``lp_norms``: |f| once into slot "lp_base", m = max|f| read from it, the
+powers |f/m|^p in slot "lp_acc", and a sum only at the p asked for.  The
+power sweep of ``sup_over_p`` makes the same floats for p = 2, 3, ...
 
 Holder's early stop: with m = max|f|, ||f||_p <= m (4 pi^2)^(1/p), and that
 bound over sqrt(p) falls strictly in p.  So a sweep for sup_p ||f||_p/sqrt(p)
@@ -41,6 +43,7 @@ from .spectral import (
     TransformPlan,
     _sup_abs,
     check_zero_mean,
+    occupied,
     plancherel,
     read_only,
 )
@@ -49,7 +52,7 @@ __all__ = [
     "NormBundle",
     "P_LIMIT",
     "lp_norm",
-    "lp_norm_samples",
+    "lp_norms",
     "lp_norm_map",
     "lp_sweep",
     "out_of_reach",
@@ -94,6 +97,16 @@ def _sobolev_weight(n: int, order: float) -> np.ndarray:
     return read_only(kmod ** (2.0 * order))
 
 
+def _scaled_abs(values: np.ndarray, plan: TransformPlan) -> tuple[float, np.ndarray]:
+    """(m, |f|/m) of the samples ``values`` in ``plan``'s slot "lp_base" (|f|
+    when m = 0), m = max|f| read from |f|; ``values`` may be that slot."""
+    base = np.abs(values, out=plan.real("lp_base"))
+    m = float(base.max())
+    if m != 0.0:
+        base /= m
+    return m, base
+
+
 def _power_sweep(
     values: np.ndarray, dx: float, plan: TransformPlan
 ) -> Iterator[tuple[int, float, float]]:
@@ -106,12 +119,10 @@ def _power_sweep(
     slots "lp_base" and "lp_acc", so one sweep per plan runs at a time;
     ``values`` may itself be slot "lp_base", which the sweep then overwrites.
     """
-    m = _sup_abs(values)
+    m, base = _scaled_abs(values, plan)
     if m == 0.0:
         for p in count(2):
             yield p, 0.0, 0.0
-    base = np.abs(values, out=plan.real("lp_base"))
-    base /= m
     dx2 = dx**2
     acc = np.multiply(base, base, out=plan.real("lp_acc"))
     for p in count(2):  # acc holds |f/m|^p
@@ -120,8 +131,8 @@ def _power_sweep(
         np.multiply(acc, base, out=acc)
 
 
-# the largest finite p of lp_norm and lp_norm_map: the sweep makes p - 1
-# products, so the call's time grows linearly in p
+# the largest finite p of lp_norms: the sweep makes p - 1 products, so the
+# call's time grows linearly in p
 P_LIMIT = 1024
 
 
@@ -135,29 +146,30 @@ def _integer_p(p) -> int:
     return int(p)
 
 
+def lp_norms(values: np.ndarray, dx: float, ps, plan: TransformPlan) -> dict:
+    """{p: ||f||_p} of the samples ``values`` at grid spacing dx for each p
+    in ``ps``, an integer in [2, P_LIMIT] (keyed as an int) or inf, in one
+    pass (module notes) on ``plan``, which should be the calling thread's
+    own (``Grid.plan``); ``values`` may be its slot "lp_base"."""
+    ps = {float(p) for p in ps}
+    finite = sorted(map(_integer_p, ps - {np.inf}))
+    m, base = _scaled_abs(values, plan)
+    out, acc = dict.fromkeys(finite, 0.0), plan.real("lp_acc")
+    top = finite[-1] if finite and m != 0.0 else 1
+    for p in range(2, top + 1):  # acc holds |f/m|^p
+        np.multiply(acc if p > 2 else base, base, out=acc)
+        if p in out:
+            out[p] = m * (float(np.sum(acc)) * dx**2) ** (1.0 / p)
+    if np.inf in ps:
+        out[np.inf] = m
+    return out
+
+
 def lp_norm(f: RealField, p) -> float:
-    """Lebesgue norm (sum_j |f|^p dx^2)^(1/p); p = inf gives the grid max.
-
-    p is an integer in [2, P_LIMIT] or inf; the scale is factored out before
-    the powers so large p cannot overflow.
-    """
-    return lp_norm_samples(f.values, f.grid.dx, p, f.grid.plan)
-
-
-def lp_norm_samples(values: np.ndarray, dx: float, p, plan: TransformPlan) -> float:
-    """``lp_norm`` of the samples ``values`` at grid spacing dx: the power
-    sweep's value at p, in ``plan``'s slots "lp_base" and "lp_acc".
-
-    For samples that live in a plan's buffer, not in a ``RealField``.  A
-    plan serves one thread at a time, so ``plan`` should be the calling
-    thread's own (``Grid.plan``), as for every other norm here.
-    """
-    if float(p) == np.inf:
-        return _sup_abs(values)
-    p = _integer_p(p)
-    for q, norm, _ in _power_sweep(values, dx, plan):
-        if q == p:
-            return norm
+    """Lebesgue norm (sum_j |f|^p dx^2)^(1/p), p an integer in [2, P_LIMIT],
+    or the grid max at p = inf; the scale is factored out before the powers
+    so large p cannot overflow."""
+    return next(iter(lp_norms(f.values, f.grid.dx, [p], f.grid.plan).values()))
 
 
 def lp_sweep(f: RealField) -> Iterator[tuple[int, float, float]]:
@@ -172,18 +184,16 @@ def out_of_reach(cap_ratio: float, best: float) -> bool:
     return cap_ratio * (1.0 + 1e-12) < best
 
 
-def lp_norm_map(f: RealField, p_values) -> dict[int, float]:
-    """L^p norms for a set of integer exponents in [2, P_LIMIT], sharing one
-    power sweep."""
-    ps = sorted({_integer_p(p) for p in p_values})
-    out: dict[int, float] = {}
-    if not ps:
-        return out
-    for p, norm, _ in lp_sweep(f):
-        if p in ps:
-            out[p] = norm
-        if p == ps[-1]:
-            return out
+def lp_norm_map(f: RealField, p_values) -> dict:
+    """``lp_norms`` of f on its grid's plan."""
+    return lp_norms(f.values, f.grid.dx, p_values, f.grid.plan)
+
+
+def _sobolev(power: np.ndarray, order: float) -> float:
+    """``sobolev_norm`` from the power |coeff|^2 of the rfft half."""
+    weighted = power * _sobolev_weight(power.shape[0], order)
+    weighted[0, 0] = 0.0
+    return float(np.sqrt(plancherel(weighted)))
 
 
 def sobolev_norm(s: SpectralField, order: float) -> float:
@@ -193,9 +203,7 @@ def sobolev_norm(s: SpectralField, order: float) -> float:
     """
     if order < 0:
         check_zero_mean(s, f"Sobolev norm of order {order}")
-    power = np.abs(s.coeffs) ** 2 * _sobolev_weight(s.grid.n, order)
-    power[0, 0] = 0.0
-    return float(np.sqrt(plancherel(power)))
+    return _sobolev(np.abs(s.coeffs) ** 2, order)
 
 
 def sup_over_p(
@@ -226,13 +234,14 @@ def grad_u_sup(omega: SpectralField, gamma: float) -> float:
     With psi = T_gamma omega / |k|^2 the velocity is u = (i k2, -i k1) psi,
     so d1 u1 = -k1 k2 psi, d2 u1 = -k2^2 psi, d1 u2 = k1^2 psi and
     d2 u2 = -d1 u1: three inverse transforms cover all four components,
-    each reduced to its sup norm block by block (``sup_inverse``).  A NaN
-    in any component gives NaN.
+    each reduced to its sup norm block by block (``sup_inverse``) on the
+    occupied columns of omega only.  A NaN in any component gives NaN.
     """
     check_zero_mean(omega, "velocity-gradient sup")
-    g = omega.grid
-    psi = omega.coeffs * _smoothed_inverse_k2(g.n, gamma)
-    return float(np.max([g.plan.sup_inverse(s, psi) for s in _grad_symbols(g.n)]))
+    g, cols = omega.grid, occupied(omega.coeffs).shape[1]
+    psi = omega.coeffs[:, :cols] * _smoothed_inverse_k2(g.n, gamma)[:, :cols]
+    sups = [g.plan.sup_inverse(s[:, :cols], psi) for s in _grad_symbols(g.n)]
+    return float(np.max(sups))
 
 
 def generalized_energy(omega: SpectralField, gamma: float) -> float:
@@ -265,14 +274,15 @@ def compute_norm_bundle(
     """Evaluate the full norm bundle of a zero-mean vorticity field."""
     g = omega.grid
     # the sweep turns these samples into |f|/m in place: no slot of their own
-    phys = RealField(g, g.plan.inverse(None, omega.coeffs, "lp_base"))
+    phys = RealField(g, g.plan.inverse(None, occupied(omega.coeffs), "lp_base"))
     lp, ratio = sup_over_p(phys, p_max, p_keep=8)  # p = 4, 8 for the CSV
+    power = np.abs(omega.coeffs) ** 2  # for the three spectral sums
     return NormBundle(
         l2=lp[2],
-        h1dot=sobolev_norm(omega, 1.0),
-        hm1dot=sobolev_norm(omega, -1.0),
+        h1dot=_sobolev(power, 1.0),
+        hm1dot=_sobolev(power, -1.0),
         lp={p: lp[p] for p in range(2, 9)},
         sup_p_ratio=ratio,
         grad_u_sup=grad_u_sup(omega, gamma),
-        energy_gamma=generalized_energy(omega, gamma),
+        energy_gamma=plancherel(_smoothed_inverse_k2(g.n, gamma) * power),
     )

@@ -41,6 +41,7 @@ __all__ = [
     "check_grid_size",
     "half_spectrum_weights",
     "half_spectrum_l2",
+    "occupied",
     "plancherel",
     "read_only",
     "mode_sum",
@@ -304,6 +305,13 @@ def half_spectrum_l2(half: np.ndarray) -> float:
         col_sums += np.add.reduce(rows.real**2 + rows.imag**2, axis=0)
     weights = half_spectrum_weights(half.shape[0])[: half.shape[1]]
     return math.sqrt(FOUR_PI_SQ * float(np.sum(weights * col_sums)))
+
+
+def occupied(coeffs: np.ndarray) -> np.ndarray:
+    """The leading rfft-layout columns of ``coeffs`` up to its last nonzero
+    (or NaN) one, at least one: ``TransformPlan.inverse`` gives the bits of
+    all of ``coeffs`` from them, but for the sign of a zero sample."""
+    return coeffs[:, : max(np.flatnonzero(coeffs.any(axis=0)), default=0) + 1]
 
 
 def mode_sum(grid: Grid, modes) -> SpectralField:

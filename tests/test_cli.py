@@ -478,7 +478,10 @@ def test_verify_embedding_small_corpus(tmp_path):
      # used to be argparse's exit 2
      (["embedding", "--n", "abc"], "config key 'n': cannot parse 'abc'"),
      # p = 2^120 used to end in "math domain error"
-     (["sharpness", "--pmax", str(2**120)], "p must be in [4, 2^100]")],
+     (["sharpness", "--pmax", str(2**120)], "p must be in [4, 2^100]"),
+     # a band past n/2 folded a multiscale mode onto the mean
+     (["loginterp", "--n", "64", "--band", "64"], "<= n/2 = 32, got 64"),
+     (["embedding", "--n", "64", "--band", "33"], "<= n/2 = 32, got 33")],
 )
 def test_verify_bad_input_writes_nothing(tmp_path, capsys, flags, message):
     out = tmp_path / "v"

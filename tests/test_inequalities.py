@@ -78,11 +78,21 @@ class TestCorpus:
         "bad, message",
         [({"n": 12}, "n must be a power of two >= 8, got 12"),
          ({"band": -3}, "corpus band must be >= 0"),
-         ({"seed": -1}, "corpus seed must be >= 0")],
+         ({"seed": -1}, "corpus seed must be >= 0"),
+         # past n/2 a multiscale mode at k = n folded onto the mean
+         ({"n": 64, "band": 33}, r"and <= n/2 = 32, got 33"),
+         ({"n": 64, "band": 64}, r"and <= n/2 = 32, got 64")],
     )
     def test_rejects_bad_grid_band_and_seed(self, bad, message):
         with pytest.raises(ValueError, match=message):
             CorpusSpec(**bad)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_band_n_over_2_keeps_every_member_zero_mean(self, n):
+        spec = CorpusSpec(n=n, band=n // 2, size=20)
+        assert spec.resolved_band == n // 2
+        for _, f in build_corpus(spec):
+            assert f.coeffs[0, 0] == 0.0
 
     def test_iterating_again_replays_the_stream(self):
         corpus = build_corpus(CorpusSpec(n=32, seed=2, size=20))

@@ -26,7 +26,7 @@ from logeuler.norms import (
     grad_u_sup,
     lp_norm,
     lp_norm_map,
-    lp_norm_samples,
+    lp_norms,
     lp_sweep,
     sobolev_norm,
     sup_over_p,
@@ -121,11 +121,8 @@ class TestLpNorm:
         assert {p: lp_norm(f, p) for p in range(2, 17)} == sweep
         plan = TransformPlan(g.n)
         with ThreadPoolExecutor(max_workers=1) as helper:
-            futures = {
-                p: helper.submit(lp_norm_samples, f.values, g.dx, p, plan)
-                for p in range(2, 17)
-            }
-            assert {p: future.result() for p, future in futures.items()} == sweep
+            future = helper.submit(lp_norms, f.values, g.dx, range(2, 17), plan)
+            assert future.result() == sweep
 
     def test_map_matches_individual_norms(self):
         g = Grid(16)
@@ -133,6 +130,65 @@ class TestLpNorm:
         norms = lp_norm_map(f, [2, 5, 8, 17])
         for p, value in norms.items():
             assert value == pytest.approx(lp_norm(f, p), rel=1e-13)
+
+
+def same_float(a, b):
+    """The same float64 bits, or both NaN."""
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+class TestLpNorms:
+    """One pass for a set of p: each finite p is bit for bit the power
+    sweep's value and inf is ``_sup_abs``, a NaN sample propagated."""
+
+    PS = (2, 3, 4, 8, np.inf)
+
+    def assert_is_the_sweep(self, f):
+        got = lp_norms(f.values, f.grid.dx, set(self.PS), TransformPlan(f.grid.n))
+        assert set(got) == set(self.PS)
+        assert all(type(p) is int for p in got if p != np.inf)
+        reference = {np.inf: norms._sup_abs(f.values)}
+        for p, norm, _ in lp_sweep(f):
+            reference[p] = norm
+            if p == 8:
+                break
+        for p in self.PS:
+            assert same_float(got[p], reference[p]), p
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([16, 32, 64]), seed=st.integers(0, 10_000),
+           band=st.integers(1, 32), scale=st.sampled_from([1e-200, 1.0, 1e150]))
+    def test_band_limited_fields(self, n, seed, band, scale):
+        g = Grid(n)
+        half = random_band_half(g, np.random.default_rng(seed), min(band, n // 2))
+        self.assert_is_the_sweep(dft_inverse(SpectralField(g, scale * half)))
+
+    @pytest.mark.parametrize("case", ["zero", "nan", "spike"])
+    def test_zero_nan_and_one_point_spike(self, case):
+        g = Grid(32)
+        values = np.zeros((32, 32))
+        if case != "zero":
+            values[5, 17] = np.nan if case == "nan" else -3.0
+            if case == "nan":
+                values[2, 3] = 1.5
+        f = RealField(g, values)
+        self.assert_is_the_sweep(f)
+        expected = {"zero": 0.0, "nan": np.nan, "spike": 3.0}[case]
+        assert same_float(lp_norms(values, g.dx, [np.inf], g.plan)[np.inf], expected)
+
+    def test_empty_set_and_bad_p(self):
+        f = sine_field()
+        assert lp_norms(f.values, f.grid.dx, [], f.grid.plan) == {}
+        with pytest.raises(ValueError, match="p must be at most 1024, got 1025"):
+            lp_norms(f.values, f.grid.dx, [np.inf, 1025], f.grid.plan)
+
+    def test_wrappers_take_one_pass(self):
+        f = sine_field()
+        assert lp_norm_map(f, [8, 3, np.inf]) == lp_norms(
+            f.values, f.grid.dx, [3, 8, np.inf], f.grid.plan)
+        assert lp_norm(f, 8.0) == lp_norm_map(f, [8])[8]
 
 
 class TestSobolev:
@@ -213,6 +269,25 @@ class TestGradUSup:
                 for symbol in norms._grad_symbols(n)]
         assert grad_u_sup(s, 1.5) == max(sups)
 
+    @pytest.mark.parametrize("member", ["band", "nyquist", "zero"])
+    def test_cropped_is_the_full_width(self, member):
+        # grad_u_sup transforms only the occupied columns: the bits of the
+        # three full-width sup_inverse calls, also when the last occupied
+        # column is the Nyquist one and for the zero field
+        n = 128
+        g = Grid(n)
+        half = random_band_half(g, np.random.default_rng(11), n // 8)
+        if member == "nyquist":
+            half[5, n // 2] = half[-5, n // 2] = 0.25
+        elif member == "zero":
+            half[:] = 0.0
+        s = SpectralField(g, half)
+        psi = half * norms._smoothed_inverse_k2(n, 1.5)
+        plan = TransformPlan(n)
+        full = max(plan.sup_inverse(symbol, psi) for symbol in norms._grad_symbols(n))
+        assert np.float64(grad_u_sup(s, 1.5)).view(np.int64) == np.float64(
+            full).view(np.int64)
+
     def test_a_nan_coefficient_gives_nan(self):
         # it used to read 0.0: max(0.0, nan) is 0.0
         half = np.zeros((16, 9), dtype=complex)
@@ -284,6 +359,9 @@ class TestNormBundle:
         bundle = compute_norm_bundle(s, gamma, p_max=16)
         assert bundle.grad_u_sup == grad_u_sup(s, gamma)
         assert bundle.energy_gamma == generalized_energy(s, gamma)
+        # one |coeff|^2 array serves the three spectral sums, with their floats
+        assert bundle.h1dot == sobolev_norm(s, 1.0)
+        assert bundle.hm1dot == sobolev_norm(s, -1.0)
 
     def test_smoothed_inverse_k2_is_a_shared_read_only_table(self):
         table = norms._smoothed_inverse_k2(16, 1.5)

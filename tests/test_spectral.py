@@ -34,6 +34,7 @@ from logeuler.spectral import (
     half_spectrum_l2,
     half_spectrum_weights,
     mode_sum,
+    occupied,
     plancherel,
     random_band_half,
     transform_plan,
@@ -340,6 +341,55 @@ class TestSupInverse:
         plan.sup_inverse(None, random_half(1024, 0, 9))
         assert {key: buf.shape for key, buf in plan._slots.items()} == {
             ("sup", float): (128, 1024)}
+
+
+class TestOccupied:
+    """The lab and the norms transform a field from its occupied columns
+    only: ``inverse`` and ``sup_inverse`` give the bits of the full width.
+    A multiplier may turn zero columns into -0.0 entries, so with one the
+    samples are compared after ``+ 0.0``, which maps -0.0 to 0.0 alone
+    (without one, after ``+ -0.0``, which changes no bit)."""
+
+    @staticmethod
+    def member(n, kind):
+        half = np.zeros((n, n // 2 + 1), dtype=complex)
+        if kind == "band":  # columns 0..n/8, as a band-limited lab member
+            half[:, : n // 8 + 1] = random_half(n, 1, n // 8 + 1)
+        elif kind == "nyquist":  # the last column is the only one past 2
+            half[:, :3] = random_half(n, 2, 3)
+            half[:, -1] = random_half(n, 3, 1)[:, 0]
+        elif kind == "middle":  # one interior column
+            half[7, n // 4] = 1.0 - 0.5j
+        return half
+
+    @pytest.mark.parametrize("kind, width", [
+        ("band", 17), ("nyquist", 65), ("middle", 33), ("zero", 1)])
+    def test_leading_columns_to_the_last_nonzero(self, kind, width):
+        half = self.member(128, kind)
+        cropped = occupied(half)
+        assert cropped.shape == (128, width)
+        assert np.shares_memory(cropped, half) and not half[:, width:].any()
+
+    def test_nan_counts_as_occupied(self):
+        half = self.member(64, "band")
+        half[3, 20] = np.nan
+        assert occupied(half).shape[1] == 21
+
+    @pytest.mark.parametrize("n", [16, 128, 256])
+    @pytest.mark.parametrize("kind", ["band", "nyquist", "middle", "zero"])
+    def test_cropped_transforms_are_the_full_width(self, n, kind):
+        half = self.member(n, kind)
+        cropped = occupied(half)
+        mult = random_half(n, 4).real
+        plan = TransformPlan(n)
+        for m, m_cropped, zero in ((None, None, -0.0),
+                                   (mult, mult[:, : cropped.shape[1]], 0.0)):
+            full = plan.inverse(m, half, None) + zero
+            values = plan.inverse(m_cropped, cropped, None) + zero
+            assert np.array_equal(values.view(np.int64), full.view(np.int64))
+            sups = [plan.sup_inverse(m, half), plan.sup_inverse(m_cropped, cropped)]
+            assert np.array(sups).view(np.int64).tolist() == [
+                np.float64(_sup_abs(full)).view(np.int64)] * 2
 
 
 class TestHalfSpectrum:
