@@ -8,7 +8,6 @@ fields and report the worst observed ratio.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Mapping, Sequence
@@ -205,20 +204,27 @@ def family_maxima(rows) -> dict[str, float]:
 
 
 def _member_rows(corpus: CorpusSpec, rows_of: Callable) -> list[ReportRow]:
-    """Every member's ``rows_of(fid, f)`` in the serial order, each member one
-    task for two worker threads, which transform on their own plans
-    (``Grid.plan``).  The caller draws the next member while the tasks run
-    (numpy releases the interpreter lock in the transforms and in the draw's
-    normals) and waits on the oldest once three are submitted, so memory
-    stays flat in the corpus size."""
-    rows, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for member in build_corpus(corpus):
-            pending.append(pool.submit(rows_of, *member))
-            if len(pending) == 3:
-                rows.extend(pending.popleft().result())
-        for task in pending:
-            rows.extend(task.result())
+    """Every member's ``rows_of(fid, f)`` in the serial order.  The calling
+    thread draws each member and hands it to one helper thread unless a
+    task already waits for the helper, and else checks it itself.  So two
+    threads share the two cores, only the caller runs the draw's many small
+    lock-holding numpy steps, and at a draw the helper holds at most two
+    earlier members (its running and its waiting task's).  Each thread
+    transforms on its own plan (``Grid.plan``); the caller's stays in its
+    thread's four-size LRU after the call.  An error on either thread
+    propagates once the helper has stopped."""
+    parts, task = [], None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for member in build_corpus(corpus):  # not enumerate: its tuple holds a member
+            if task is None or task.running() or task.done():
+                task = helper.submit(rows_of, *member)
+                parts.append(task)
+            else:
+                parts.append(rows_of(*member))
+            del member  # so no name holds it across the next draw
+    rows = []
+    for part in parts:
+        rows.extend(part if isinstance(part, list) else part.result())
     return rows
 
 
@@ -377,9 +383,10 @@ def check_multiplier_bound(
     sup over the dyadic annulus below mtilde(N)).  Pairs with an empty
     frequency block are skipped.
 
-    Each member's blocks and images are one task on ``_member_rows``'s
-    pool, in the serial order.  A block and its image are formed in the work
-    buffer of the task's thread plan, so no block or image array is made.
+    ``_member_rows`` checks each member's blocks and images on the calling
+    thread or on its one helper thread, and keeps the serial order.  A block
+    and its image are formed in the work buffer of that thread's plan, so no
+    block or image array is made.
     """
     check_gamma(gamma)
     _check_dyadic(N_set)

@@ -19,7 +19,7 @@ from reference import (
     to_full,
 )
 
-from logeuler import inequalities
+from logeuler import inequalities, spectral
 from logeuler.inequalities import (
     _SHELL_RADII_SQ,
     CorpusSpec,
@@ -422,8 +422,10 @@ class TestThreadedMultiplierBound:
         assert threading.active_count() == threads
 
     def test_a_member_task_keeps_no_n_by_n_slot(self, monkeypatch):
-        # q = inf comes from sup_inverse's row blocks, so a worker's plan
-        # holds no "block" slot
+        # q = inf comes from sup_inverse's row blocks, so neither the
+        # helper's plan nor the caller's, fresh for this check, takes a
+        # "block" slot
+        monkeypatch.setattr(spectral._thread_plans, "by_size", {}, raising=False)
         slots, product_norms = [], inequalities._product_norms
 
         def recording(grid, *args):
@@ -471,9 +473,19 @@ _MEMBER_CHECKS = {
 }
 
 
+def _wrap_member_rows(monkeypatch, wrap):
+    """Make every check take each member's rows as ``wrap(fid, f, rows_of)``
+    on the thread that checks the member."""
+    member_rows = inequalities._member_rows
+    monkeypatch.setattr(inequalities, "_member_rows", lambda corpus, rows_of: member_rows(
+        corpus, lambda fid, f: wrap(fid, f, rows_of)))
+
+
 class TestMemberPool:
-    """Embedding, loginterp, multiplier and Bernstein run one task per member
-    on two worker threads, each on its own thread's plan."""
+    """Embedding, loginterp, multiplier and Bernstein check each member on
+    the calling thread or on one helper thread, each on its own thread's
+    plan: the caller draws the members and hands one to the helper unless
+    a task already waits for it."""
 
     @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
     def test_rows_hold_under_fast_thread_switching(self, check):
@@ -492,6 +504,55 @@ class TestMemberPool:
             sys.setswitchinterval(interval)
         assert len(rows) > 0
         assert rows == serial
+
+    def test_the_caller_and_one_helper_check_members(self):
+        # the helper holds member 0 until the caller has checked a member
+        # itself, so both threads take members whatever the timing
+        caller, checked = threading.get_ident(), []
+        caller_checked = threading.Event()
+
+        def rows_of(fid, f):
+            if threading.get_ident() == caller:
+                caller_checked.set()
+            elif fid == "random_band[0]":
+                caller_checked.wait(10)
+            checked.append(threading.get_ident())
+            return [ReportRow(fid, (), float(np.abs(f.coeffs).max()))]
+
+        spec = CorpusSpec(n=64, size=24, seed=5)
+        rows = inequalities._member_rows(spec, rows_of)
+        assert len(checked) == 24
+        assert caller in checked
+        assert len(set(checked) - {caller}) == 1
+        assert rows == [row for member in build_corpus(spec) for row in rows_of(*member)]
+
+    @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_failing_member_raises_and_no_thread_is_left(
+            self, check, failing, monkeypatch):
+        # member 0 always goes to the idle helper; in the caller case the
+        # helper holds member 0 until the caller has failed, so the caller
+        # checks a member itself once the next one waits for the helper
+        caller, failed, failed_on = threading.get_ident(), threading.Event(), []
+
+        def rows_or_error(fid, f, rows_of):
+            on_caller = threading.get_ident() == caller
+            if fid == "random_band[0]" if failing == "helper" else on_caller:
+                failed_on.append(on_caller)
+                failed.set()
+                raise ArithmeticError(f"member {fid} failed")
+            if fid == "random_band[0]":
+                failed.wait(10)
+            return rows_of(fid, f)
+
+        _wrap_member_rows(monkeypatch, rows_or_error)
+        threads = threading.active_count()
+        index = "0" if failing == "helper" else r"\d+"
+        message = rf"member random_band\[{index}\] failed"
+        with pytest.raises(ArithmeticError, match=message):
+            _MEMBER_CHECKS[check](CorpusSpec(n=32, size=20))
+        assert failed_on == [failing == "caller"]
+        assert threading.active_count() == threads
 
     def test_bad_input_raises_and_no_thread_is_left(self, monkeypatch):
         spec = CorpusSpec(n=32, size=20)
@@ -548,24 +609,34 @@ class TestMemberPool:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
-    def test_at_most_three_members_outlive_a_draw(self, check, monkeypatch):
-        # the caller waits on the oldest task once three are submitted, so
-        # at each draw at most three earlier members are still referenced
+    def test_at_most_two_members_outlive_a_draw(self, check, monkeypatch):
+        # the caller drops each member before the next draw, and the helper
+        # holds at most its running and its waiting task's, so at each draw
+        # at most two earlier members are still referenced; the helper holds
+        # member 0 until draw 1 has been counted, whatever the timing
         members, alive_at_draw = [], []
-        draw = random_band_half
+        draw, counted = random_band_half, threading.Event()
 
         def tracking_draw(grid, rng, band):
             alive_at_draw.append(sum(ref() is not None for ref in members))
+            if len(alive_at_draw) == 2:
+                counted.set()
             half = draw(grid, rng, band)
             members.append(weakref.ref(half))
             return half
 
+        def held(fid, f, rows_of):
+            if fid == "random_band[0]":
+                counted.wait(10)
+            return rows_of(fid, f)
+
         monkeypatch.setattr(inequalities, "random_band_half", tracking_draw)
+        _wrap_member_rows(monkeypatch, held)
         spec = CorpusSpec(kind="random_band", n=64, size=12, seed=2)
         assert len(_MEMBER_CHECKS[check](spec).rows) > 0
         assert len(members) == 12
         assert alive_at_draw[:2] == [0, 1]
-        assert max(alive_at_draw) <= 3
+        assert max(alive_at_draw) <= 2
 
 
 class TestBernstein:
