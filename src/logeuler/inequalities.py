@@ -204,24 +204,32 @@ def family_maxima(rows) -> dict[str, float]:
 
 
 def _member_rows(corpus: CorpusSpec, rows_of: Callable) -> list[ReportRow]:
-    """Every member's ``rows_of(fid, f)`` in the serial order.  The calling
-    thread draws each member and hands it to one helper thread unless a
-    task already waits for the helper, and else checks it itself.  So two
-    threads share the two cores, only the caller runs the draw's many small
-    lock-holding numpy steps, and at a draw the helper holds at most two
-    earlier members (its running and its waiting task's).  Each thread
-    transforms on its own plan (``Grid.plan``); the caller's stays in its
-    thread's four-size LRU after the call.  An error on either thread
-    propagates once the helper has stopped."""
-    parts, task = [], None
+    """Every member's ``rows_of(fid, f)`` in the serial order, checked on
+    the calling thread and one helper thread.  The caller draws each member
+    and queues it for the helper, so at most one member waits.  A member
+    that still waits when the caller has drawn the next one is taken back
+    and checked by the caller, and after the last draw the caller checks
+    whatever still waits.  So the helper always has a next member, no
+    member waits behind a busy thread, and only the caller runs the draw's
+    many small lock-holding numpy steps.  A waiting member sits in a holder
+    that whichever thread checks it empties, so at a draw at most two
+    earlier members are referenced: the helper's and the waiting one.
+    Each thread transforms on its own plan (``Grid.plan``); the caller's
+    stays in its thread's four-size LRU after the call.  An error on either
+    thread propagates once the helper has stopped."""
+    def check(held):
+        return rows_of(*held.pop())
+
+    parts, held = [], []
     with ThreadPoolExecutor(max_workers=1) as helper:
         for member in build_corpus(corpus):  # not enumerate: its tuple holds a member
-            if task is None or task.running() or task.done():
-                task = helper.submit(rows_of, *member)
-                parts.append(task)
-            else:
-                parts.append(rows_of(*member))
+            older, held = held, [member]
             del member  # so no name holds it across the next draw
+            parts.append(helper.submit(check, held))
+            if len(parts) > 1 and parts[-2].cancel():  # the older one still waited
+                parts[-2] = rows_of(*older.pop())
+        if parts and parts[-1].cancel():
+            parts[-1] = rows_of(*held.pop())
     rows = []
     for part in parts:
         rows.extend(part if isinstance(part, list) else part.result())
@@ -308,24 +316,30 @@ def check_log_interpolation(
 
 
 def _annuli(grid: Grid, N_set: Sequence[float]) -> list[tuple[float, np.ndarray]]:
-    """Dyadic annulus weights phi(|k|/N) - phi(2|k|/N) on the half spectrum.
+    """Dyadic annulus weights phi(|k|/N) - phi(2|k|/N) on the half spectrum,
+    cropped to where they can be nonzero.
 
     The weight is supported in |k| <= 2N, so each table keeps only the rfft
-    columns 0 .. floor(2N) it can reach (all n//2 + 1 once 2N >= n/2, which
-    spares the inverse transform a zero-padded copy).
+    columns 0 .. floor(2N) and the rows |k1| <= floor(2N) it can reach: the
+    rows k1 = 0 .. floor(2N) and then -floor(2N) .. -1, in that order (all
+    n rows and n//2 + 1 columns once 2N >= n/2, which spares the inverse
+    transform a zero-padded copy).  ``_product_norms`` reads the layout.
     """
-    out = []
+    n, out = grid.n, []
     for N in N_set:
         N = float(N)
-        cols = min(math.floor(2.0 * N) + 1, grid.n // 2 + 1)
-        r = grid.kmod[:, :cols] / N
+        reach = math.floor(2.0 * N)
+        kmod = grid.kmod[:, : min(reach + 1, n // 2 + 1)]
+        if 2 * reach + 1 < n:
+            kmod = np.concatenate((kmod[: reach + 1], kmod[n - reach :]))
+        r = kmod / N
         out.append((N, phi_eval(r) - phi_eval(2.0 * r)))
     return out
 
 
 def _multiplier_tables(grid: Grid, N_set: Sequence[float], gamma: float):
     """Per dyadic N: N, the cropped annulus weight, the symbol T_gamma(|k|)
-    on the same columns (views of one table), and mtilde(N)."""
+    on its columns and every row (views of one table), and mtilde(N)."""
     annuli = _annuli(grid, N_set)
     widest = max((w.shape[1] for _, w in annuli), default=0)
     symbol = tgamma_eval(grid.kmod[:, :widest], gamma)
@@ -336,39 +350,43 @@ def _multiplier_tables(grid: Grid, N_set: Sequence[float], gamma: float):
 
 def _block_inverse(half: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """Physical samples of the real field whose leading rfft-layout columns
-    are ``half`` (the rest zero), in ``plan``'s slot "block"."""
-    return plan.inverse(None, half, "block")
+    are ``half`` (the rest zero), in ``plan``'s slot "lp_base", which
+    ``lp_norms`` turns into |f|/m in place."""
+    return plan.inverse(None, half, "lp_base")
 
 
-def _block_norms(grid: Grid, half: np.ndarray, qs, plan: TransformPlan) -> dict:
-    """L^q norms, q in ``qs``, of the real field whose leading rfft-layout
-    columns are ``half``: weighted Plancherel at q = 2, the sup norm by row
-    blocks when inf is the only other q, and else one inverse transform on
-    ``plan`` shared by every other q (in place when ``half`` is the plan's
-    work buffer).  Nothing here is traced by perfbench, and a worker thread
-    runs it on its own thread's plan."""
-    norms = {q: half_spectrum_l2(half) for q in qs if float(q) == 2.0}
+def _product_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
+                   symbol: np.ndarray | None, qs) -> dict | None:
+    """L^q norms, q in ``qs``, of P_N f (``symbol`` None) or T_gamma P_N f,
+    or None when it is zero; ``weight`` is an ``_annuli`` table.
+
+    The product, weight * coeffs and then times the symbol, is formed on
+    the weight's rows only, in the work buffer of the calling thread's
+    plan, and the rows between them are zeroed there.  q = 2 is weighted
+    Plancherel, which leaves out the row blocks known to be zero; the sup
+    norm comes by row blocks when inf is the only other q, and else one
+    inverse transform (in place, into slot "lp_base") is shared by every
+    other q.  A non-finite coefficient outside the weight's rows and
+    columns does not reach the block.  Nothing here is traced by
+    perfbench."""
+    plan, n = grid.plan, grid.n
+    rows, cols = weight.shape
+    top, lower = (rows + 1) // 2, n - rows // 2  # as in _annuli
+    half = plan.work(cols)
+    for w, part in ((weight[:top], slice(0, top)), (weight[top:], slice(lower, n))):
+        np.multiply(w, coeffs[part, :cols], out=half[part])
+        if symbol is not None:
+            half[part] *= symbol[part]
+    if not (half[:top].any() or half[lower:].any()):
+        return None
+    half[top:lower] = 0.0
+    norms = {q: half_spectrum_l2(half, range(top, lower)) for q in qs if float(q) == 2.0}
     rest = [q for q in qs if float(q) != 2.0]
     if rest and all(float(q) == math.inf for q in rest):
         norms.update(dict.fromkeys(rest, plan.sup_inverse(None, half)))
     elif rest:
         norms.update(lp_norms(_block_inverse(half, plan), grid.dx, rest, plan))
     return norms
-
-
-def _product_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
-                   symbol: np.ndarray | None, qs) -> dict | None:
-    """``_block_norms`` of P_N f (``symbol`` None) or T_gamma P_N f, formed
-    as weight * coeffs, then times the symbol, in the work buffer of the
-    calling thread's plan; None when the product is zero."""
-    plan = grid.plan
-    half = plan.work(weight.shape[1])
-    np.multiply(weight, coeffs[:, : weight.shape[1]], out=half)
-    if symbol is not None:
-        half *= symbol
-    if not half.any():
-        return None
-    return _block_norms(grid, half, qs, plan)
 
 
 def check_multiplier_bound(
@@ -383,10 +401,12 @@ def check_multiplier_bound(
     sup over the dyadic annulus below mtilde(N)).  Pairs with an empty
     frequency block are skipped.
 
-    ``_member_rows`` checks each member's blocks and images on the calling
-    thread or on its one helper thread, and keeps the serial order.  A block
-    and its image are formed in the work buffer of that thread's plan, so no
-    block or image array is made.
+    ``_member_rows`` checks each member's blocks and images on the helper
+    thread, or on the calling thread when the member still waits for the
+    helper once the next one is drawn or the last draw is done, and keeps
+    the serial order.  A block and its image are formed in the work buffer
+    of that thread's plan, on the rows |k1| <= 2N the annulus reaches, so
+    no block or image array is made.
     """
     check_gamma(gamma)
     _check_dyadic(N_set)
@@ -435,12 +455,8 @@ def check_bernstein(
         base = lp_norms(_block_inverse(occupied(f.coeffs), plan), f.grid.dx, ps, plan)
         out = []
         for N, weight in annuli:
-            width = weight.shape[1]
-            block = np.multiply(f.coeffs[:, :width], weight, out=plan.work(width))
-            if block.any():
-                norms = _block_norms(f.grid, block, qs, plan)
-            else:  # an empty block has zero norm at every q
-                norms = dict.fromkeys(qs, 0.0)
+            norms = (_product_norms(f.grid, f.coeffs, weight, None, qs)
+                     or dict.fromkeys(qs, 0.0))  # an empty block: zero at every q
             for p, q_val in pq_pairs:
                 if base[p] == 0.0:
                     continue

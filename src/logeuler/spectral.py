@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,6 +83,10 @@ class Grid:
         Frequencies of the rfft half; axis 0 is x1, axis 1 is x2, and ky's
         last column is -n/2.  Read-only broadcast views of ``k1`` (no memory
         of their own): copy before writing.
+
+    Lattice tables, read-only and built on first use, one per n shared by
+    every grid of that size (the latest four sizes are kept):
+
     k2, kmod : ndarray, shape (n, n//2 + 1)
         |k|^2 and |k|.
     dealias_mask : ndarray of bool, shape (n, n//2 + 1)
@@ -98,11 +103,18 @@ class Grid:
         object.__setattr__(self, "k1", k1)
         object.__setattr__(self, "kx", np.broadcast_to(k1[:, None], (n, nh)))
         object.__setattr__(self, "ky", np.broadcast_to(k1[None, :nh], (n, nh)))
-        k2 = k1[:, None] ** 2 + k1[None, :nh] ** 2
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "kmod", np.sqrt(k2))
-        band = np.abs(k1) <= n // 3
-        object.__setattr__(self, "dealias_mask", band[:, None] & band[None, :nh])
+
+    @property
+    def k2(self) -> np.ndarray:
+        return _lattice_k2(self.n)
+
+    @property
+    def kmod(self) -> np.ndarray:
+        return _lattice_kmod(self.n)
+
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        return _dealias_mask(self.n)
 
     @property
     def plan(self) -> TransformPlan:
@@ -113,6 +125,33 @@ class Grid:
         """Physical coordinates (X1, X2), each of shape (n, n)."""
         x = np.arange(self.n) * self.dx
         return np.meshgrid(x, x, indexing="ij")
+
+
+def _squared_radii(n: int) -> np.ndarray:
+    """|k|^2 on the rfft half of grid size n, exact integers as floats."""
+    k1 = Grid(n).k1
+    return k1[:, None] ** 2 + k1[None, : n // 2 + 1] ** 2
+
+
+# at n = 1024 a table takes 4.2 MB (the mask 0.5 MB)
+@lru_cache(maxsize=4)
+def _lattice_k2(n: int) -> np.ndarray:
+    """``Grid.k2`` of size n; read-only."""
+    return read_only(_squared_radii(n))
+
+
+@lru_cache(maxsize=4)
+def _lattice_kmod(n: int) -> np.ndarray:
+    """``Grid.kmod`` of size n, the bits of sqrt(``Grid.k2``) with no k2
+    table kept; read-only."""
+    return read_only(np.sqrt(_squared_radii(n)))
+
+
+@lru_cache(maxsize=4)
+def _dealias_mask(n: int) -> np.ndarray:
+    """``Grid.dealias_mask`` of size n; read-only."""
+    band = np.abs(Grid(n).k1) <= n // 3
+    return read_only(band[:, None] & band[None, : n // 2 + 1])
 
 
 class TransformPlan:
@@ -295,13 +334,17 @@ def plancherel(density: np.ndarray) -> float:
 _L2_ROWS = 64
 
 
-def half_spectrum_l2(half: np.ndarray) -> float:
+def half_spectrum_l2(half: np.ndarray, zero_rows: range = range(0)) -> float:
     """L2 norm of a real field from its leading rfft-layout columns: the
     column sums of |c|^2, added block by block of rows, then their weighted
-    sum; no BLAS call, so the bits do not follow the BLAS kernel."""
+    sum; no BLAS call, so the bits do not follow the BLAS kernel.  A block
+    whose rows all lie in ``zero_rows``, which the caller knows to be zero,
+    is left out: its +0.0 column sums would change no bit."""
     col_sums = np.zeros(half.shape[1])
     for i in range(0, half.shape[0], _L2_ROWS):
         rows = half[i : i + _L2_ROWS]
+        if i in zero_rows and i + len(rows) - 1 in zero_rows:
+            continue
         col_sums += np.add.reduce(rows.real**2 + rows.imag**2, axis=0)
     weights = half_spectrum_weights(half.shape[0])[: half.shape[1]]
     return math.sqrt(FOUR_PI_SQ * float(np.sum(weights * col_sums)))

@@ -33,8 +33,15 @@ from logeuler.inequalities import (
     check_log_interpolation,
     check_multiplier_bound,
 )
-from logeuler.multipliers import mtilde, tgamma_eval
-from logeuler.norms import FOUR_PI_SQ, grad_u_sup, lp_norm, lp_norm_map, sobolev_norm
+from logeuler.multipliers import mtilde, phi_eval, tgamma_eval
+from logeuler.norms import (
+    FOUR_PI_SQ,
+    grad_u_sup,
+    lp_norm,
+    lp_norm_map,
+    lp_norms,
+    sobolev_norm,
+)
 from logeuler.spectral import (
     Grid,
     RealField,
@@ -42,6 +49,7 @@ from logeuler.spectral import (
     dft_forward,
     dft_inverse,
     half_spectrum_l2,
+    mode_sum,
     random_band_half,
 )
 
@@ -358,12 +366,23 @@ class TestMultiplierBound:
         assert check_bernstein(spec, (4.0,), ((2.0, 2.0),)).rows == ()
 
 
+def _full_annuli(grid, N_set):
+    """The annulus weights on every row of the half spectrum, cropped to
+    the columns ``_annuli`` keeps: the tables ``_annuli`` made before it
+    also cropped rows."""
+    out = []
+    for N in N_set:
+        r = grid.kmod[:, : min(math.floor(2.0 * N) + 1, grid.n // 2 + 1)] / N
+        out.append((float(N), phi_eval(r) - phi_eval(2.0 * r)))
+    return out
+
+
 def _serial_multiplier_rows(gamma, N_set, q, spec):
     """check_multiplier_bound's loop on one thread: each block's norms and
     then its image's, both on the calling thread's plan."""
     rows = []
     for fid, f in build_corpus(spec):
-        for N, weight in _annuli(f.grid, N_set):
+        for N, weight in _full_annuli(f.grid, N_set):
             block = f.coeffs[:, : weight.shape[1]] * weight
             if not block.any():
                 continue
@@ -395,7 +414,7 @@ class TestThreadedMultiplierBound:
         blocks = [
             (f.coeffs[:, : w.shape[1]] * w).any()
             for _, f in build_corpus(spec)
-            for _, w in _annuli(f.grid, N_set)
+            for _, w in _full_annuli(f.grid, N_set)
         ]
         assert 0 < sum(blocks) < len(blocks)
         assert report.rows == _serial_multiplier_rows(1.5, N_set, q, spec)
@@ -446,7 +465,7 @@ def _serial_bernstein_rows(spec, N_set, pq_pairs):
     for fid, f in build_corpus(spec):
         phys = dft_inverse(f)
         base = {p: lp_norm(phys, p) for p, _ in pq_pairs}
-        for N, weight in _annuli(f.grid, N_set):
+        for N, weight in _full_annuli(f.grid, N_set):
             block = f.coeffs[:, : weight.shape[1]] * weight
             norms = {q_val: half_spectrum_l2(block) if q_val == 2.0 else lp_norm(
                 RealField(f.grid, f.grid.plan.inverse(None, block, None)), q_val)
@@ -481,11 +500,28 @@ def _wrap_member_rows(monkeypatch, wrap):
         corpus, lambda fid, f: wrap(fid, f, rows_of)))
 
 
+def _hold_draw_1_until_started(monkeypatch) -> threading.Event:
+    """Hold the corpus's second draw until the returned event is set, which
+    the helper does once it has started member 0: the caller cannot take
+    member 0 back then, whatever the timing."""
+    started, draws, draw = threading.Event(), [], inequalities.random_band_half
+
+    def held_draw(grid, rng, band):
+        draws.append(band)
+        if len(draws) == 2:
+            started.wait(10)
+        return draw(grid, rng, band)
+
+    monkeypatch.setattr(inequalities, "random_band_half", held_draw)
+    return started
+
+
 class TestMemberPool:
     """Embedding, loginterp, multiplier and Bernstein check each member on
     the calling thread or on one helper thread, each on its own thread's
-    plan: the caller draws the members and hands one to the helper unless
-    a task already waits for it."""
+    plan: the caller draws the members and queues each one for the helper,
+    and takes back and checks a member that still waits when it has drawn
+    the next one, or when it has drawn the last."""
 
     @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
     def test_rows_hold_under_fast_thread_switching(self, check):
@@ -505,16 +541,19 @@ class TestMemberPool:
         assert len(rows) > 0
         assert rows == serial
 
-    def test_the_caller_and_one_helper_check_members(self):
-        # the helper holds member 0 until the caller has checked a member
-        # itself, so both threads take members whatever the timing
+    def test_the_caller_and_one_helper_check_members(self, monkeypatch):
+        # the helper starts member 0 before draw 1 and holds it until the
+        # caller has checked a member itself, so both threads take members
+        # whatever the timing
         caller, checked = threading.get_ident(), []
         caller_checked = threading.Event()
+        started = _hold_draw_1_until_started(monkeypatch)
 
         def rows_of(fid, f):
             if threading.get_ident() == caller:
                 caller_checked.set()
             elif fid == "random_band[0]":
+                started.set()
                 caller_checked.wait(10)
             checked.append(threading.get_ident())
             return [ReportRow(fid, (), float(np.abs(f.coeffs).max()))]
@@ -526,17 +565,75 @@ class TestMemberPool:
         assert len(set(checked) - {caller}) == 1
         assert rows == [row for member in build_corpus(spec) for row in rows_of(*member)]
 
+    @staticmethod
+    def _busy_helper_log(monkeypatch, size):
+        """Run ``_member_rows`` over ``size`` random members while the
+        helper holds member 0 until the caller has checked the last one;
+        returns the draws and the caller's checks in order, the ids the
+        helper checked, and how many members were alive at each draw."""
+        caller, log, on_helper = threading.get_ident(), [], []
+        members, alive_at_draw = [], []
+        last_checked = threading.Event()
+        started = _hold_draw_1_until_started(monkeypatch)
+        draw = inequalities.random_band_half
+
+        def logged_draw(grid, rng, band):
+            log.append("draw")
+            half = draw(grid, rng, band)
+            alive_at_draw.append(sum(ref() is not None for ref in members))
+            members.append(weakref.ref(half))
+            return half
+
+        def rows_of(fid, f):
+            if threading.get_ident() == caller:
+                log.append(fid)
+                if fid == f"random_band[{size - 1}]":
+                    last_checked.set()
+            else:
+                on_helper.append(fid)
+                started.set()
+                last_checked.wait(10)
+            return [ReportRow(fid, (), float(np.abs(f.coeffs).max()))]
+
+        monkeypatch.setattr(inequalities, "random_band_half", logged_draw)
+        spec = CorpusSpec(kind="random_band", n=32, size=size, seed=4)
+        rows = inequalities._member_rows(spec, rows_of)
+        assert [row.function_id for row in rows] == [
+            f"random_band[{i}]" for i in range(size)]
+        return log, on_helper, alive_at_draw
+
+    def test_the_caller_checks_the_member_still_waiting_after_the_last_draw(
+            self, monkeypatch):
+        log, on_helper, _ = self._busy_helper_log(monkeypatch, 2)
+        assert log == ["draw", "draw", "random_band[1]"]
+        assert on_helper == ["random_band[0]"]
+
+    def test_the_caller_takes_back_the_older_waiting_member_at_a_draw(
+            self, monkeypatch):
+        # member 1 waits behind the busy helper until draw 2 queues member
+        # 2; the caller then checks member 1, and so on.  A member taken
+        # back is freed when its check returns, although the helper has not
+        # yet dropped its cancelled task
+        log, on_helper, alive_at_draw = self._busy_helper_log(monkeypatch, 4)
+        assert log == ["draw", "draw", "draw", "random_band[1]",
+                       "draw", "random_band[2]", "random_band[3]"]
+        assert on_helper == ["random_band[0]"]
+        assert alive_at_draw == [0, 1, 2, 2]
+
     @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_a_failing_member_raises_and_no_thread_is_left(
             self, check, failing, monkeypatch):
-        # member 0 always goes to the idle helper; in the caller case the
-        # helper holds member 0 until the caller has failed, so the caller
-        # checks a member itself once the next one waits for the helper
+        # the helper starts member 0 before draw 1, so member 0 is the
+        # helper's; in the caller case the helper holds member 0 until the
+        # caller has failed, so the caller takes back member 1 at draw 2
         caller, failed, failed_on = threading.get_ident(), threading.Event(), []
+        started = _hold_draw_1_until_started(monkeypatch)
 
         def rows_or_error(fid, f, rows_of):
             on_caller = threading.get_ident() == caller
+            if fid == "random_band[0]" and not on_caller:
+                started.set()
             if fid == "random_band[0]" if failing == "helper" else on_caller:
                 failed_on.append(on_caller)
                 failed.set()
@@ -610,10 +707,11 @@ class TestMemberPool:
 
     @pytest.mark.parametrize("check", sorted(_MEMBER_CHECKS))
     def test_at_most_two_members_outlive_a_draw(self, check, monkeypatch):
-        # the caller drops each member before the next draw, and the helper
-        # holds at most its running and its waiting task's, so at each draw
-        # at most two earlier members are still referenced; the helper holds
-        # member 0 until draw 1 has been counted, whatever the timing
+        # the caller drops each member before the next draw, and at a draw
+        # only the helper's member and the waiting one are still referenced,
+        # so at most two earlier members; the helper starts member 0 before
+        # draw 1 and holds it until draw 1 has been counted, whatever the
+        # timing
         members, alive_at_draw = [], []
         draw, counted = random_band_half, threading.Event()
 
@@ -627,10 +725,12 @@ class TestMemberPool:
 
         def held(fid, f, rows_of):
             if fid == "random_band[0]":
+                started.set()
                 counted.wait(10)
             return rows_of(fid, f)
 
         monkeypatch.setattr(inequalities, "random_band_half", tracking_draw)
+        started = _hold_draw_1_until_started(monkeypatch)
         _wrap_member_rows(monkeypatch, held)
         spec = CorpusSpec(kind="random_band", n=64, size=12, seed=2)
         assert len(_MEMBER_CHECKS[check](spec).rows) > 0
@@ -698,10 +798,28 @@ class TestBernstein:
         blocks = [
             (f.coeffs[:, : w.shape[1]] * w).any()
             for _, f in build_corpus(spec)
-            for _, w in _annuli(f.grid, N_set)
+            for _, w in _full_annuli(f.grid, N_set)
         ]
         assert 0 < sum(blocks) < len(blocks)
         assert len(calls) == spec.size + sum(blocks)
+
+    def test_a_fresh_plan_keeps_no_block_slot(self, monkeypatch):
+        # block samples go to slot "lp_base", which lp_norms turns into
+        # |f|/m in place, on whichever thread checks the member
+        monkeypatch.setattr(spectral._thread_plans, "by_size", {}, raising=False)
+        slots = []
+
+        def recording(half, plan):
+            samples = _block_inverse(half, plan)
+            slots.append(set(plan._slots))
+            return samples
+
+        monkeypatch.setattr(inequalities, "_block_inverse", recording)
+        spec = CorpusSpec(n=64, size=20, seed=1)
+        check_bernstein(spec, (2.0, 4.0, 8.0), ((2.0, 4.0), (2.0, float("inf"))))
+        assert len(slots) > 20
+        assert set().union(*slots) == {("lp_base", float), ("lp_acc", float)}
+        assert ("block", float) not in spectral.transform_plan(64)._slots
 
     def test_deterministic_report(self):
         spec = CorpusSpec(n=64, size=24, seed=3)
@@ -763,7 +881,7 @@ class TestHalfSpectrumBlocks:
     def test_pruned_inverse_is_irfft2(self, n, N):
         spec = CorpusSpec(kind="random_band", n=n, size=2, band=n // 2, seed=4)
         for _, f in build_corpus(spec):
-            ((_, weight),) = _annuli(f.grid, (N,))
+            ((_, weight),) = _full_annuli(f.grid, (N,))
             block = f.coeffs[:, : weight.shape[1]] * weight
             full = scipy.fft.irfft2(block, s=(n, n), norm="forward")
             assert np.array_equal(_block_inverse(block, f.grid.plan), full)
@@ -784,3 +902,76 @@ class TestHalfSpectrumBlocks:
         pairs = ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf")))
         report = check_bernstein(spec, N_set, pairs)
         _assert_rows_match(report, _reference_rows_bernstein(spec, N_set, pairs))
+
+
+def _full_row_norms(grid, full, qs):
+    """The block norms of the full-row product ``full`` as the check took
+    them before it cropped rows, or None for a zero product."""
+    if not full.any():
+        return None
+    plan = grid.plan
+    norms = {q: half_spectrum_l2(full) for q in qs if q == 2.0}
+    rest = [q for q in qs if q != 2.0]
+    if rest == [float("inf")]:
+        norms[rest[0]] = plan.sup_inverse(None, full)
+    elif rest:
+        norms.update(lp_norms(plan.inverse(None, full, None), grid.dx, rest, plan))
+    return norms
+
+
+class TestRowCroppedBlocks:
+    """``_annuli`` keeps a weight only on the rows |k1| <= 2N (all rows once
+    4N + 1 >= n), and ``_product_norms`` forms the product on those rows
+    only: every norm keeps the bits of the full-row product."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_cropped_products_have_the_full_row_bits(self, n):
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        # a band-n/4 member plus modes on the row k1 = -n/2
+        nyquist = mode_sum(g, [((n // 2, j), 0.25 + 0.5j * j / n)
+                               for j in range(0, n // 2 + 1, n // 16)]).coeffs
+        assert nyquist[n // 2].any()
+        nyquist += random_band_half(g, rng, n // 4)
+        members = {"random": random_band_half(g, rng, n // 2),
+                   "nyquist": nyquist,
+                   "zero": np.zeros((n, n // 2 + 1), dtype=complex)}
+        N_set = tuple(2.0**j for j in range(-1, int(math.log2(n))))
+        symbol, nonempty = tgamma_eval(g.kmod, 1.5), set()
+        # criterion 5's exponents, and q = 4 through one inverse below n = 1024
+        exponents = [(2.0, float("inf"))] + [(2.0, 4.0, float("inf"))] * (n < 1024)
+        for (N, weight), (_, full_weight) in zip(_annuli(g, N_set),
+                                                 _full_annuli(g, N_set)):
+            rows, cols = weight.shape
+            assert rows == (n if 4 * N + 1 >= n else 2 * math.floor(2 * N) + 1)
+            top, lower = (rows + 1) // 2, n - rows // 2
+            assert np.array_equal(weight[:top], full_weight[:top])
+            assert np.array_equal(weight[top:], full_weight[lower:])
+            assert not full_weight[top:lower].any()
+            for name, coeffs in members.items():
+                for sym in (None, symbol[:, :cols]):
+                    full = coeffs[:, :cols] * full_weight
+                    if sym is not None:
+                        full *= sym
+                    for qs in exponents:
+                        got = inequalities._product_norms(g, coeffs, weight, sym, qs)
+                        expected = _full_row_norms(g, full, qs)
+                        assert (got is None) == (expected is None)
+                        if got is not None:
+                            nonempty.add((name, N))
+                            assert {q: v.hex() for q, v in got.items()} == {
+                                q: v.hex() for q, v in expected.items()}, (name, N)
+        assert nonempty == {(name, N) for name in ("random", "nyquist")
+                            for N in N_set if N >= 1.0}
+
+    def test_a_nan_outside_the_rows_no_longer_reaches_the_block(self):
+        # as with a column beyond the weight's, a row it leaves out is not read
+        g, N = Grid(64), 4.0
+        ((_, weight),) = _annuli(g, (N,))
+        coeffs = random_band_half(g, np.random.default_rng(1), 8).copy()
+        clean = inequalities._product_norms(g, coeffs, weight, None, (2.0, 4.0))
+        coeffs[g.n // 2, 0] = np.nan  # |k1| = 32 > 2N
+        assert inequalities._product_norms(g, coeffs, weight, None, (2.0, 4.0)) == clean
+        coeffs[1, 1] = np.nan  # inside the block
+        assert all(math.isnan(v) for v in inequalities._product_norms(
+            g, coeffs, weight, None, (2.0, 4.0)).values())

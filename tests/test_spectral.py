@@ -22,6 +22,7 @@ from reference import (
     two_draw_band,
 )
 
+from logeuler import spectral
 from logeuler.norms import _sup_abs
 from logeuler.spectral import (
     Grid,
@@ -89,8 +90,28 @@ class TestGrid:
         )
         assert not g.kx.flags.writeable and not g.ky.flags.writeable
 
+    def test_lattice_tables_are_built_once_per_size_on_first_use(self):
+        # Grid(n) builds no table; each is read-only and shared by every
+        # grid of its size, and |k| is made with no |k|^2 table kept
+        tables = (spectral._lattice_k2, spectral._lattice_kmod, spectral._dealias_mask)
+        for table in tables:
+            table.cache_clear()
+        tracemalloc.start()
+        try:
+            a, b = Grid(512), Grid(512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000  # one table at n = 512 takes 1 MB
+        assert a.kmod is b.kmod
+        assert [table.cache_info().currsize for table in tables] == [0, 1, 0]
+        assert a.k2 is b.k2 and a.dealias_mask is b.dealias_mask
+        for table in (a.k2, a.kmod, a.dealias_mask):
+            assert not table.flags.writeable
+        assert np.array_equal(a.kmod.view(np.int64), np.sqrt(a.k2).view(np.int64))
+
     def test_construction_memory(self):
-        # k2 and kmod (4 MB each on the rfft half) plus the mask; a
+        # the lattice tables are built on first use, not here; a
         # full-lattice meshgrid build peaked at 42 MB
         tracemalloc.start()
         try:
@@ -460,8 +481,10 @@ class TestHalfSpectrum:
 
     def test_random_band_half_allocates_only_the_half_and_the_box(self):
         # no n x n draw: at n = 256, band 32 the box is 65 x 33 complex
-        # normals (34 kB) beside the 528 kB half
+        # normals (34 kB) beside the 528 kB half; the grid's |k| table is
+        # built once per n on first use, so it is warmed before tracing
         g = Grid(256)
+        g.kmod
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
