@@ -1,12 +1,11 @@
 """Time integration of the log-regularized vorticity equation on the torus.
 
-The spatial discretization is the frequency-truncated system
-``d/dt omega = -P(u . grad P omega)`` with ``u`` the log-smoothed
-Biot-Savart velocity of the *untruncated* vorticity.  ``P`` is either a
-smooth dyadic low-pass (mollified mode) or the sharp 2/3-rule projection
-(dealias-only mode); quadratic products are always formed in physical space
-and dealiased.  Time stepping is classical RK4 under an adaptive CFL
-constraint.
+The spatial discretization is the frequency-truncated system ``d/dt omega =
+-P(u . grad P omega)`` with ``u`` the log-smoothed Biot-Savart velocity of the
+*untruncated* vorticity.  ``P`` is either a smooth dyadic low-pass (mollified
+mode) or the sharp 2/3-rule projection (dealias-only mode); quadratic products
+are always formed in physical space and dealiased.  Time stepping is classical
+RK4 under an adaptive CFL constraint.
 
 Vorticity is exchanged as ``SpectralField`` values, the rfft half of the
 coefficients; the multipliers are the bare symbols, in read-only tables.
@@ -17,8 +16,9 @@ step to step, and the states it returns own fresh copies.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -415,43 +415,94 @@ def advance(state: SolverState, config: SolverConfig, dt: float, n_steps: int) -
     return SolverState(t, SpectralField(grid, h.copy()), step)
 
 
+def _raising(take: Callable, *args):
+    """``take(*args)`` with the floating-point errors numpy warns of by
+    default (all but underflow) raised as ``FloatingPointError``."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return take(*args)
+
+
+def _state_outputs(helper: ThreadPoolExecutor, omega: SpectralField,
+                   config: SolverConfig, record: bool, snapshot: bool,
+                   step: Callable | None):
+    """(norm bundle, snapshot samples, ``step()``) of the state ``omega``,
+    each None where ``record``, ``snapshot`` or ``step`` asks for none.
+
+    A record's bundle is taken on ``helper`` while the caller takes the
+    rest.  ``step`` (``_rk4_half`` with its first stage given) reads only
+    the state and that stage and writes neither, so the helper can read the
+    state while it runs, and it can be taken again.  Both parts raise where
+    numpy would warn, and a state where either part raises (a blow-up) is
+    taken again in series once the helper is done, so every warning comes
+    from the calling thread, in the order of a serial loop.
+    """
+    def rest():
+        return (dft_inverse(omega).values if snapshot else None,
+                step() if step else None)
+
+    if not record:
+        return None, *rest()
+    pending = helper.submit(_raising, compute_norm_bundle, omega, config.gamma,
+                            config.p_max)
+    try:
+        samples, new = _raising(rest)
+        return pending.result(), samples, new
+    except FloatingPointError:
+        pending.exception()  # waits for the helper
+    return compute_norm_bundle(omega, config.gamma, config.p_max), *rest()
+
+
 def run(config: SolverConfig, on_record: Callable, on_snapshot: Callable) -> None:
     """Integrate ``config.ic`` from t = 0 to t_max under the adaptive CFL
     constraint, handing each diagnostics record to ``on_record`` and each
-    snapshot to ``on_snapshot`` as it is made.
+    snapshot to ``on_snapshot``.
 
     A state at step s gets a record when s % diag_interval == 0 or it is the
     final state, and a snapshot by the same rule with ``snapshot_interval``
     (0 disables snapshots).  A non-finite step size or state raises
     ``BlowUpError`` with the time and step of the failure.
+
+    A record's norm bundle is taken on one helper thread, on that thread's
+    own transform plan, while the calling thread takes the snapshot samples
+    and the step from the same state.  So the record and snapshot of a state
+    are handed over once that step has returned, before the step's result
+    is checked, and in the serial order: record s, snapshot s, record s + 1,
+    ...  An error of the bundle surfaces there too.  The helper lives for
+    one call: it ends when ``run`` returns or raises.
     """
     grid = Grid(config.n)
     h = dealias(make_ic(config.ic, grid)).coeffs
     ws = _workspace(grid, config.gamma, config.mollify_n)
     t_end, snap = config.t_max, config.snapshot_interval
     t, step, dt_used = 0.0, 0, 0.0
-    while True:
-        # the velocity, and a record's RHS as the step's first RK4 stage,
-        # stay in slots that the norm bundle and the snapshot do not touch
-        uv = _velocity_phys(h, ws.vel, ws.plan)
-        final = not t < t_end * (1.0 - 1e-14)
-        k1 = None
-        if step % config.diag_interval == 0 or final:
-            k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.plan.half("k1"), want_diag=True)
-            bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma, config.p_max)
-            on_record(DiagnosticsRecord(t, bundle, dt_used, discarded))
-        if snap > 0 and (step % snap == 0 or final):
-            phys = dft_inverse(SpectralField(grid, h)).values
-            on_snapshot(Snapshot(grid.n, config.gamma, t, step, phys))
-        if final:
-            return
-        dt = min(_cfl_dt(uv, config.cfl, grid.dx), t_end - t)
-        if not (dt > 0 and math.isfinite(dt)):
-            raise BlowUpError(t, step)
-        h = _rk4_half(h, dt, ws, uv=uv, k1=k1)
-        if not np.all(np.isfinite(h)):
-            raise BlowUpError(t + dt, step + 1)
-        t, step, dt_used = t + dt, step + 1, dt
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        while True:
+            # the velocity, and a record's RHS as the step's first RK4
+            # stage, stay in slots that the snapshot does not touch
+            uv = _velocity_phys(h, ws.vel, ws.plan)
+            final = not t < t_end * (1.0 - 1e-14)
+            record = step % config.diag_interval == 0 or final
+            snapshot = snap > 0 and (step % snap == 0 or final)
+            k1 = None
+            if record:
+                k1, discarded = _rhs_half(h, ws, uv=uv, out=ws.plan.half("k1"),
+                                          want_diag=True)
+            dt = math.nan if final else min(_cfl_dt(uv, config.cfl, grid.dx), t_end - t)
+            stepping = dt > 0 and math.isfinite(dt)
+            bundle, samples, new = _state_outputs(
+                helper, SpectralField(grid, h), config, record, snapshot,
+                partial(_rk4_half, h, dt, ws, uv=uv, k1=k1) if stepping else None)
+            if record:
+                on_record(DiagnosticsRecord(t, bundle, dt_used, discarded))
+            if snapshot:
+                on_snapshot(Snapshot(grid.n, config.gamma, t, step, samples))
+            if final:
+                return
+            if not stepping:
+                raise BlowUpError(t, step)
+            if not np.all(np.isfinite(new)):
+                raise BlowUpError(t + dt, step + 1)
+            h, t, step, dt_used = new, t + dt, step + 1, dt
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from logeuler import solver
 from logeuler.multipliers import is_dyadic, phi_eval, tgamma_eval
-from logeuler.spectral import ZERO_MEAN_TOL, Grid, RealField, SpectralField
+from logeuler.norms import compute_norm_bundle
+from logeuler.spectral import (ZERO_MEAN_TOL, Grid, RealField, SpectralField,
+                               dealias, dft_inverse)
 
 SYMMETRY_RTOL = 1e-12
 
@@ -236,3 +239,36 @@ def scipy_rhs(half: np.ndarray, gamma: float, mollify_n: int | None) -> np.ndarr
     out = (-chi_outer * (1.0 / n2)) * scipy.fft.rfft2(u1 * wx + u2 * wy)
     out[0, 0] = 0.0
     return out
+
+
+def serial_run(config, on_record, on_snapshot) -> None:
+    """``solver.run`` on the calling thread alone: each record's norm bundle
+    taken and handed to ``on_record`` before the snapshot and the step, the
+    way the loop was written before the bundle moved to a helper thread."""
+    grid = Grid(config.n)
+    h = dealias(solver.make_ic(config.ic, grid)).coeffs
+    ws = solver._workspace(grid, config.gamma, config.mollify_n)
+    t_end, snap = config.t_max, config.snapshot_interval
+    t, step, dt_used = 0.0, 0, 0.0
+    while True:
+        uv = solver._velocity_phys(h, ws.vel, ws.plan)
+        final = not t < t_end * (1.0 - 1e-14)
+        k1 = None
+        if step % config.diag_interval == 0 or final:
+            k1, discarded = solver._rhs_half(h, ws, uv=uv, out=ws.plan.half("k1"),
+                                             want_diag=True)
+            bundle = compute_norm_bundle(SpectralField(grid, h), config.gamma,
+                                         config.p_max)
+            on_record(solver.DiagnosticsRecord(t, bundle, dt_used, discarded))
+        if snap > 0 and (step % snap == 0 or final):
+            phys = dft_inverse(SpectralField(grid, h)).values
+            on_snapshot(solver.Snapshot(grid.n, config.gamma, t, step, phys))
+        if final:
+            return
+        dt = min(solver._cfl_dt(uv, config.cfl, grid.dx), t_end - t)
+        if not (dt > 0 and math.isfinite(dt)):
+            raise solver.BlowUpError(t, step)
+        h = solver._rk4_half(h, dt, ws, uv=uv, k1=k1)
+        if not np.all(np.isfinite(h)):
+            raise solver.BlowUpError(t + dt, step + 1)
+        t, step, dt_used = t + dt, step + 1, dt

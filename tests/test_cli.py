@@ -312,6 +312,62 @@ def test_sweep_stderr_is_the_same_whatever_the_jobs(tmp_path):
     assert "RuntimeWarning" in stderr[0]
 
 
+# stderr of a blow-up where both the first state's norm bundle and the step
+# from it overflow, under ``python -W always``, with logeuler's and numpy's
+# package directories written as <logeuler> and <numpy>.  It names source
+# lines, so a change that moves one of them updates this pin.
+BLOWUP_STDERR = """\
+<logeuler>/solver.py:325: RuntimeWarning: overflow encountered in multiply
+  np.multiply(u2, wy, out=wy)
+<numpy>/fft/_pocketfft.py:101: RuntimeWarning: overflow encountered in rfft_n_even
+  return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
+<numpy>/fft/_pocketfft.py:101: RuntimeWarning: invalid value encountered in rfft_n_even
+  return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
+<numpy>/fft/_pocketfft.py:101: RuntimeWarning: invalid value encountered in fft
+  return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
+<logeuler>/solver.py:328: RuntimeWarning: invalid value encountered in multiply
+  out = np.multiply(trunc.neg_chi, a, out=out)
+<logeuler>/solver.py:332: RuntimeWarning: invalid value encountered in multiply
+  discarded = plancherel(trunc.removed_weight * np.abs(a) ** 2)
+<logeuler>/norms.py:194: RuntimeWarning: overflow encountered in multiply
+  weighted = power * _sobolev_weight(power.shape[0], order)
+<logeuler>/spectral.py:329: RuntimeWarning: overflow encountered in multiply
+  return FOUR_PI_SQ * float(np.sum(half_spectrum_weights(density.shape[0]) * density))
+<numpy>/_core/fromnumeric.py:83: RuntimeWarning: overflow encountered in reduce
+  return ufunc.reduce(obj, axis, dtype, out, **passkwargs)
+<logeuler>/solver.py:376: RuntimeWarning: invalid value encountered in multiply
+  np.multiply(0.5 * dt, k1, out=stage)
+BLOW-UP at t = 2.32798e-155 (step 1); partial results in run
+"""
+
+
+def test_blowup_stderr_keeps_the_serial_warning_order(tmp_path):
+    # the bundle runs on a helper thread beside the step; whichever thread
+    # meets the overflow first, the warnings must come as a serial loop
+    # gives them, run after run
+    import numpy
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    roots = {os.path.join(SRC, "logeuler"): "<logeuler>",
+             os.path.dirname(numpy.__file__): "<numpy>"}
+    for attempt in range(5):
+        cwd = tmp_path / str(attempt)
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "logeuler.cli", "simulate",
+             "--n", "32", "--ic", "random_band", "--ic-band", "4",
+             "--ic-amplitude", "1e155", "--tmax", "1", "--diag-every", "1",
+             "--snap-every", "1", "--out", "run"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        stderr = proc.stderr
+        for root, name in roots.items():
+            stderr = stderr.replace(root, name)
+        assert stderr == BLOWUP_STDERR, attempt
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_simulate_blowup_writes_marker(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import direct_rhs, scipy_rhs
+from reference import direct_rhs, scipy_rhs, serial_run
 
 from logeuler import norms, solver
 from logeuler.multipliers import phi_eval, tgamma_eval
@@ -659,6 +661,162 @@ class TestRun:
             run(cfg, records.append, snapshots.append)
         assert err.value.step_count is not None
         assert len(records) >= 1
+
+
+def _events(run_fn, cfg, steps_by_t=None):
+    """The records and snapshots ``run_fn(cfg, ...)`` hands out, as one log
+    of ("record", step or t) and ("snapshot", step), and the BlowUpError it
+    raised, if any."""
+    log, records, snapshots = [], [], []
+
+    def on_record(rec):
+        records.append(rec)
+        log.append(("record", steps_by_t[rec.t] if steps_by_t else rec.t))
+
+    def on_snapshot(snap):
+        snapshots.append(snap)
+        log.append(("snapshot", snap.step_count))
+
+    try:
+        run_fn(cfg, on_record, on_snapshot)
+    except BlowUpError as exc:
+        return log, records, snapshots, (exc.t, exc.step_count)
+    return log, records, snapshots, None
+
+
+class TestRunHelperThread:
+    """``run`` takes each record's norm bundle on one helper thread while
+    the caller steps; the callbacks, the bytes and the threads left must be
+    those of the serial loop (``reference.serial_run``)."""
+
+    @staticmethod
+    def _cfg(diag_interval, snapshot_interval, **ic):
+        # 14 adaptive steps to t_max at amplitude 20
+        return SolverConfig(
+            n=32, t_max=0.6, cfl=0.3, diag_interval=diag_interval,
+            snapshot_interval=snapshot_interval,
+            ic=InitialConditionSpec(kind="random_band", **({"amplitude": 20.0} | ic)),
+        )
+
+    @pytest.fixture(scope="class")
+    def steps_by_t(self):
+        records = collect(self._cfg(1, 0))[0]
+        return {rec.t: step for step, rec in enumerate(records)}
+
+    # the serial loop's callback order, as it ran before the helper thread
+    EVENTS = {
+        (1, 1): [e for step in range(15) for e in (("record", step),
+                                                   ("snapshot", step))],
+        (3, 7): [("record", 0), ("snapshot", 0), ("record", 3), ("record", 6),
+                 ("snapshot", 7), ("record", 9), ("record", 12), ("record", 14),
+                 ("snapshot", 14)],
+        (1, 0): [("record", step) for step in range(15)],
+        (10, 0): [("record", 0), ("record", 10), ("record", 14)],
+    }
+
+    @pytest.mark.parametrize("cadence", list(EVENTS))
+    def test_callbacks_and_records_are_the_serial_loops(self, cadence, steps_by_t):
+        threads = threading.active_count()
+        log, records, snapshots, err = _events(run, self._cfg(*cadence), steps_by_t)
+        assert threading.active_count() == threads
+        assert err is None
+        assert log == self.EVENTS[cadence]
+        _, ref_records, ref_snapshots, _ = _events(serial_run, self._cfg(*cadence))
+        assert [repr(r) for r in records] == [repr(r) for r in ref_records]
+        assert len(snapshots) == len(ref_snapshots)
+        for a, b in zip(snapshots, ref_snapshots):
+            assert (a.time, a.step_count) == (b.time, b.step_count)
+            assert np.array_equal(a.values, b.values)
+
+    def test_records_hold_under_fast_thread_switching(self):
+        # the helper reads the state while the caller writes the other RK4
+        # slot; a step that wrote the state would change a record's bits
+        cfg = self._cfg(1, 1, amplitude=30.0)
+        _, ref_records, _, _ = _events(serial_run, cfg)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            _, records, _, _ = _events(run, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [repr(r) for r in records] == [repr(r) for r in ref_records]
+
+    def test_a_state_is_handed_over_after_the_step_from_it(self, monkeypatch):
+        log, rk4 = [], solver._rk4_half
+
+        def logged_step(*args, **kwargs):
+            out = rk4(*args, **kwargs)
+            log.append("step")
+            return out
+
+        monkeypatch.setattr(solver, "_rk4_half", logged_step)
+        run(self._cfg(3, 7), lambda rec: log.append("record"),
+            lambda snap: log.append("snapshot"))
+        # states 0, 3, 6, 7, 9 and 12 hand over after their step; state 14
+        # is final and has none
+        assert log[:5] == ["step", "record", "snapshot", "step", "step"]
+        assert log[-2:] == ["record", "snapshot"]
+        assert log.count("step") == 14
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("amplitude", [1e155, 1e160])
+    def test_a_blow_up_hands_over_what_the_serial_loop_does(self, amplitude):
+        # at 1e155 both the bundle and the step of state 0 meet an overflow;
+        # at 1e160 only the bundle does
+        cfg = SolverConfig(
+            n=32, t_max=1.0, diag_interval=1, snapshot_interval=1,
+            ic=InitialConditionSpec(kind="random_band", band=4, amplitude=amplitude),
+        )
+        threads = threading.active_count()
+        log, records, snapshots, err = _events(run, cfg)
+        assert threading.active_count() == threads
+        ref_log, ref_records, ref_snapshots, ref_err = _events(serial_run, cfg)
+        assert err is not None and err == ref_err
+        assert log == ref_log
+        assert [repr(r) for r in records] == [repr(r) for r in ref_records]
+        assert all(np.array_equal(a.values, b.values, equal_nan=True)
+                   for a, b in zip(snapshots, ref_snapshots))
+
+    def test_a_bad_step_size_hands_over_the_state_then_raises(self, monkeypatch):
+        cfl = solver._cfl_dt
+        calls = []
+
+        def cfl_failing_at_step_2(uv, cfl_number, dx):
+            calls.append(None)
+            return math.nan if len(calls) == 3 else cfl(uv, cfl_number, dx)
+
+        monkeypatch.setattr(solver, "_cfl_dt", cfl_failing_at_step_2)
+        threads = threading.active_count()
+        log, *_, err = _events(run, self._cfg(1, 1))
+        assert threading.active_count() == threads
+        assert err[1] == 2
+        assert [kind for kind, _ in log] == ["record", "snapshot"] * 3
+
+    @pytest.mark.parametrize("failing", ["on_record", "on_snapshot"])
+    def test_a_raising_callback_stops_the_run_within_one_step(
+            self, monkeypatch, failing):
+        steps, rk4 = [], solver._rk4_half
+
+        def counted_step(*args, **kwargs):
+            steps.append(None)
+            return rk4(*args, **kwargs)
+
+        def fail_at_step_2(event):
+            calls.append(event)
+            if len(calls) == 3:
+                raise RuntimeError("callback failed")
+
+        calls = []
+        callbacks = {"on_record": lambda rec: None, "on_snapshot": lambda snap: None}
+        callbacks[failing] = fail_at_step_2
+        monkeypatch.setattr(solver, "_rk4_half", counted_step)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="callback failed"):
+            run(self._cfg(1, 1), callbacks["on_record"], callbacks["on_snapshot"])
+        assert threading.active_count() == threads
+        # the serial loop stopped after 2 steps; at most one more is taken
+        assert 2 <= len(steps) <= 3
 
 
 class TestGronwallEnvelope:
