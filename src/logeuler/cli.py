@@ -39,7 +39,8 @@ from .runio import (
     write_sharpness_csv,
     write_snapshot,
 )
-from .solver import ENVELOPE_CEILING, BlowUpError, SolverConfig, gronwall_envelope, run
+from .solver import (ENVELOPE_CEILING, BlowUpError, SolverConfig, StallError,
+                     gronwall_envelope, run)
 
 __all__ = ["build_parser", "run_cli"]
 
@@ -97,8 +98,9 @@ def _given(args, names) -> dict[str, str]:
 
 def _execute_run(settings: RunSettings) -> tuple[int, str]:
     """Run one configuration as (exit status, closing line: stdout's, or
-    stderr's after a blow-up), writing the config echo first, each CSV row
-    flushed as made and each snapshot renamed into place once whole."""
+    stderr's after a blow-up (1) or a stall (3)), writing the config echo
+    first, each CSV row flushed as made and each snapshot renamed into place
+    once whole."""
     out = settings.out_dir
     os.makedirs(out, exist_ok=True)
     write_config_echo(settings, os.path.join(out, "config.txt"))
@@ -126,6 +128,9 @@ def _execute_run(settings: RunSettings) -> tuple[int, str]:
                 fh.write(f"blow-up at t = {exc.t!r}, step {exc.step_count}\n")
             return 1, (f"BLOW-UP at t = {exc.t:.6g} (step {exc.step_count}); "
                        f"partial results in {out}")
+        except StallError as exc:
+            return 3, (f"STALL at t = {exc.t:.6g} (step {exc.step_count}, "
+                       f"dt = {exc.dt:.3g}); partial results in {out}")
     return 0, (f"run finished: t = {final.t:.6g}, records = {count}, "
                f"l2 = {final.norms.l2:.9g}, energy = {final.norms.energy_gamma:.9g} "
                f"-> {out}")

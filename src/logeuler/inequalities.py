@@ -19,19 +19,19 @@ from .norms import (
     _integer_p,
     grad_u_sup,
     lp_norms,
+    lp_samples,
     sobolev_norm,
     sup_over_p,
 )
 from .spectral import (
     Grid,
-    RealField,
     SpectralField,
-    TransformPlan,
     check_grid_size,
     half_spectrum_l2,
     mode_sum,
     occupied,
     random_band_half,
+    row_crop,
 )
 
 __all__ = [
@@ -84,6 +84,8 @@ class CorpusSpec:
         kinds = {"default", "random_band", "single_mode", "shell", "multiscale"}
         if self.kind not in kinds:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
+        if self.size < 0:  # it would give an empty report, read as met
+            raise ValueError(f"corpus size must be >= 0, got {self.size}")
         if self.kind == "default" and self.size < 20:
             raise ValueError("default corpus needs size >= 20")
         check_grid_size(self.n)
@@ -236,13 +238,6 @@ def _member_rows(corpus: CorpusSpec, rows_of: Callable) -> list[ReportRow]:
     return rows
 
 
-def _physical(f: SpectralField) -> RealField:
-    """f's samples, from its occupied columns, in its thread's plan slot
-    "lp_base", which the power sweep turns into |f|/m in place."""
-    plan = f.grid.plan
-    return RealField(f.grid, plan.inverse(None, occupied(f.coeffs), "lp_base"))
-
-
 def _check_dyadic(N_set: Sequence[float]) -> None:
     if not N_set:  # a check over no block would read as met
         raise ValueError("N_set must hold at least one dyadic block")
@@ -273,7 +268,7 @@ def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
 
     def rows_of(fid, f):
         h1 = sobolev_norm(f, 1.0)
-        lp, _ = sup_over_p(_physical(f), p_max)
+        lp, _ = sup_over_p(lp_samples(occupied(f.coeffs), f.grid), p_max)
         denom_base = lp[2] + h1
         if denom_base == 0.0:
             return []
@@ -301,7 +296,8 @@ def check_log_interpolation(
         raise ValueError(f"p_max must be >= 2, got {p_max}")
 
     def rows_of(fid, f):
-        lp, spr = sup_over_p(_physical(f), p_max)  # sup_p ||f||_p / sqrt(p)
+        # spr = sup_p ||f||_p / sqrt(p)
+        lp, spr = sup_over_p(lp_samples(occupied(f.coeffs), f.grid), p_max)
         if spr == 0.0:
             return []
         h1 = lp[2] + sobolev_norm(f, 1.0)
@@ -320,19 +316,17 @@ def _annuli(grid: Grid, N_set: Sequence[float]) -> list[tuple[float, np.ndarray]
     cropped to where they can be nonzero.
 
     The weight is supported in |k| <= 2N, so each table keeps only the rfft
-    columns 0 .. floor(2N) and the rows |k1| <= floor(2N) it can reach: the
-    rows k1 = 0 .. floor(2N) and then -floor(2N) .. -1, in that order (all
-    n rows and n//2 + 1 columns once 2N >= n/2, which spares the inverse
-    transform a zero-padded copy).  ``_product_norms`` reads the layout.
+    columns 0 .. floor(2N) and the rows |k1| <= floor(2N) it can reach, in
+    the cropped-row layout (``row_crop``; all n rows and n//2 + 1 columns
+    once 2N >= n/2, which spares the inverse transform a zero-padded copy).
     """
     n, out = grid.n, []
     for N in N_set:
         N = float(N)
         reach = math.floor(2.0 * N)
+        top, lower = row_crop(n, min(2 * reach + 1, n))
         kmod = grid.kmod[:, : min(reach + 1, n // 2 + 1)]
-        if 2 * reach + 1 < n:
-            kmod = np.concatenate((kmod[: reach + 1], kmod[n - reach :]))
-        r = kmod / N
+        r = np.concatenate((kmod[:top], kmod[lower:])) / N
         out.append((N, phi_eval(r) - phi_eval(2.0 * r)))
     return out
 
@@ -348,13 +342,6 @@ def _multiplier_tables(grid: Grid, N_set: Sequence[float], gamma: float):
     ]
 
 
-def _block_inverse(half: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    """Physical samples of the real field whose leading rfft-layout columns
-    are ``half`` (the rest zero), in ``plan``'s slot "lp_base", which
-    ``lp_norms`` turns into |f|/m in place."""
-    return plan.inverse(None, half, "lp_base")
-
-
 def _product_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
                    symbol: np.ndarray | None, qs) -> dict | None:
     """L^q norms, q in ``qs``, of P_N f (``symbol`` None) or T_gamma P_N f,
@@ -365,13 +352,12 @@ def _product_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
     plan, and the rows between them are zeroed there.  q = 2 is weighted
     Plancherel, which leaves out the row blocks known to be zero; the sup
     norm comes by row blocks when inf is the only other q, and else one
-    inverse transform (in place, into slot "lp_base") is shared by every
-    other q.  A non-finite coefficient outside the weight's rows and
-    columns does not reach the block.  Nothing here is traced by
-    perfbench."""
+    inverse transform (``lp_samples``) is shared by every other q.  A
+    non-finite coefficient outside the weight's rows and columns does not
+    reach the block.  Nothing here is traced by perfbench."""
     plan, n = grid.plan, grid.n
     rows, cols = weight.shape
-    top, lower = (rows + 1) // 2, n - rows // 2  # as in _annuli
+    top, lower = row_crop(n, rows)
     half = plan.work(cols)
     for w, part in ((weight[:top], slice(0, top)), (weight[top:], slice(lower, n))):
         np.multiply(w, coeffs[part, :cols], out=half[part])
@@ -385,7 +371,7 @@ def _product_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
     if rest and all(float(q) == math.inf for q in rest):
         norms.update(dict.fromkeys(rest, plan.sup_inverse(None, half)))
     elif rest:
-        norms.update(lp_norms(_block_inverse(half, plan), grid.dx, rest, plan))
+        norms.update(lp_norms(lp_samples(half, grid).values, grid.dx, rest, plan))
     return norms
 
 
@@ -451,8 +437,8 @@ def check_bernstein(
     annuli = _annuli(Grid(corpus.n), N_set)  # every member's grid has this n
 
     def rows_of(fid, f):
-        plan = f.grid.plan
-        base = lp_norms(_block_inverse(occupied(f.coeffs), plan), f.grid.dx, ps, plan)
+        samples = lp_samples(occupied(f.coeffs), f.grid)
+        base = lp_norms(samples.values, f.grid.dx, ps, f.grid.plan)
         out = []
         for N, weight in annuli:
             norms = (_product_norms(f.grid, f.coeffs, weight, None, qs)

@@ -12,10 +12,12 @@ columns 0 and n/2 by 1 and the others by 2.  The physical fields (the
 vorticity, three components of grad u) come from the calling thread's
 transform plan (``Grid.plan``) and the occupied columns only (``occupied``):
 the vorticity into slot "lp_base", the sup norm of grad u block by block
-with no n x n array.  A set of L^p norms, inf included, is one pass of
-``lp_norms``: |f| once into slot "lp_base", m = max|f| read from it, the
-powers |f/m|^p in slot "lp_acc", and a sum only at the p asked for.  The
-power sweep of ``sup_over_p`` makes the same floats for p = 2, 3, ...
+with no n x n array.  One kernel (``_powers``) makes every L^p norm: |f|
+once into slot "lp_base", m = max|f| read from it, the powers |f/m|^p in
+slot "lp_acc", one multiply each, and a sum only at the p its caller needs,
+``lp_norms`` a set of p (inf included) and ``sup_over_p`` p = 2, 3, ... in
+turn.  Samples made for it go straight into the slot it overwrites
+(``lp_samples``), which no other module names.
 
 Holder's early stop: with m = max|f|, ||f||_p <= m (4 pi^2)^(1/p), and that
 bound over sqrt(p) falls strictly in p.  So a sweep for sup_p ||f||_p/sqrt(p)
@@ -54,8 +56,7 @@ __all__ = [
     "lp_norm",
     "lp_norms",
     "lp_norm_map",
-    "lp_sweep",
-    "out_of_reach",
+    "lp_samples",
     "sobolev_norm",
     "sup_over_p",
     "grad_u_sup",
@@ -97,41 +98,28 @@ def _sobolev_weight(n: int, order: float) -> np.ndarray:
     return read_only(kmod ** (2.0 * order))
 
 
-def _scaled_abs(values: np.ndarray, plan: TransformPlan) -> tuple[float, np.ndarray]:
-    """(m, |f|/m) of the samples ``values`` in ``plan``'s slot "lp_base" (|f|
-    when m = 0), m = max|f| read from |f|; ``values`` may be that slot."""
+def _powers(values: np.ndarray, plan: TransformPlan) -> Iterator:
+    """The L^p kernel: m = max|f| of the samples ``values``, then, unless
+    m = 0, the powers |f/m|^p for p = 2, 3, ...
+
+    |f|/m goes to ``plan``'s slot "lp_base", which ``values`` may be, and
+    each power to slot "lp_acc", one multiply from the last, made only when
+    the next p is asked for; the caller sums at the p it needs, ||f||_p =
+    m (sum |f/m|^p dx^2)^(1/p), and stops when it has them.  So one kernel
+    per plan runs at a time.
+    """
     base = np.abs(values, out=plan.real("lp_base"))
     m = float(base.max())
+    yield m
     if m != 0.0:
         base /= m
-    return m, base
+        acc = np.multiply(base, base, out=plan.real("lp_acc"))
+        while True:
+            yield acc
+            np.multiply(acc, base, out=acc)
 
 
-def _power_sweep(
-    values: np.ndarray, dx: float, plan: TransformPlan
-) -> Iterator[tuple[int, float, float]]:
-    """(p, ||f||_p, cap) for p = 2, 3, ... of the samples ``values`` at grid
-    spacing dx, where cap = m (4 pi^2)^(1/(p+1)) is Holder's bound on
-    ||f||_{p+1}, m = max|f|.
-
-    Each power costs one multiply and one sum, made only when asked for; the
-    caller ends the sweep with ``break``.  The powers live in ``plan``'s
-    slots "lp_base" and "lp_acc", so one sweep per plan runs at a time;
-    ``values`` may itself be slot "lp_base", which the sweep then overwrites.
-    """
-    m, base = _scaled_abs(values, plan)
-    if m == 0.0:
-        for p in count(2):
-            yield p, 0.0, 0.0
-    dx2 = dx**2
-    acc = np.multiply(base, base, out=plan.real("lp_acc"))
-    for p in count(2):  # acc holds |f/m|^p
-        yield (p, m * (float(np.sum(acc)) * dx2) ** (1.0 / p),
-               m * FOUR_PI_SQ ** (1.0 / (p + 1)))
-        np.multiply(acc, base, out=acc)
-
-
-# the largest finite p of lp_norms: the sweep makes p - 1 products, so the
+# the largest finite p of lp_norms: the kernel makes p - 1 products, so the
 # call's time grows linearly in p
 P_LIMIT = 1024
 
@@ -149,15 +137,13 @@ def _integer_p(p) -> int:
 def lp_norms(values: np.ndarray, dx: float, ps, plan: TransformPlan) -> dict:
     """{p: ||f||_p} of the samples ``values`` at grid spacing dx for each p
     in ``ps``, an integer in [2, P_LIMIT] (keyed as an int) or inf, in one
-    pass (module notes) on ``plan``, which should be the calling thread's
+    pass of the kernel on ``plan``, which should be the calling thread's
     own (``Grid.plan``); ``values`` may be its slot "lp_base"."""
     ps = {float(p) for p in ps}
     finite = sorted(map(_integer_p, ps - {np.inf}))
-    m, base = _scaled_abs(values, plan)
-    out, acc = dict.fromkeys(finite, 0.0), plan.real("lp_acc")
-    top = finite[-1] if finite and m != 0.0 else 1
-    for p in range(2, top + 1):  # acc holds |f/m|^p
-        np.multiply(acc if p > 2 else base, base, out=acc)
+    powers = _powers(values, plan)
+    m, out = next(powers), dict.fromkeys(finite, 0.0)
+    for p, acc in zip(range(2, max(finite, default=1) + 1), powers):
         if p in out:
             out[p] = m * (float(np.sum(acc)) * dx**2) ** (1.0 / p)
     if np.inf in ps:
@@ -165,23 +151,19 @@ def lp_norms(values: np.ndarray, dx: float, ps, plan: TransformPlan) -> dict:
     return out
 
 
+def lp_samples(half: np.ndarray, grid: Grid) -> RealField:
+    """The real field on ``grid`` with leading rfft-layout columns ``half``
+    (the rest zero), its samples in the slot of the calling thread's plan
+    that the kernel overwrites: valid for one ``lp_norms`` or
+    ``sup_over_p`` call on that plan."""
+    return RealField(grid, grid.plan.inverse(None, half, "lp_base"))
+
+
 def lp_norm(f: RealField, p) -> float:
     """Lebesgue norm (sum_j |f|^p dx^2)^(1/p), p an integer in [2, P_LIMIT],
     or the grid max at p = inf; the scale is factored out before the powers
     so large p cannot overflow."""
     return next(iter(lp_norms(f.values, f.grid.dx, [p], f.grid.plan).values()))
-
-
-def lp_sweep(f: RealField) -> Iterator[tuple[int, float, float]]:
-    """The power sweep (p, ||f||_p, cap), p = 2, 3, ..., of f on its grid's
-    plan; f may itself be the plan's slot "lp_base"."""
-    return _power_sweep(f.values, f.grid.dx, f.grid.plan)
-
-
-def out_of_reach(cap_ratio: float, best: float) -> bool:
-    """Whether Holder's bound on every later ratio, ``cap_ratio``, stays
-    below ``best`` with a relative 1e-12 to spare for rounding."""
-    return cap_ratio * (1.0 + 1e-12) < best
 
 
 def lp_norm_map(f: RealField, p_values) -> dict:
@@ -216,16 +198,18 @@ def sup_over_p(
     """
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
-    lp: dict[int, float] = {}
-    for p, norm, cap in lp_sweep(f):
-        lp[p] = norm
+    powers = _powers(f.values, f.grid.plan)
+    m, lp = next(powers), {}
+    for p, acc in zip(count(2), powers):
+        lp[p] = norm = m * (float(np.sum(acc)) * f.grid.dx**2) ** (1.0 / p)
         if p <= p_max:
             ratio = norm / np.sqrt(p)
             best = ratio if p == 2 else max(best, ratio)
-        if p >= p_keep and (
-            p >= p_max or out_of_reach(cap / np.sqrt(p + 1), best)
-        ):
+        cap = m * FOUR_PI_SQ ** (1.0 / (p + 1)) / np.sqrt(p + 1)
+        if p >= p_keep and (p >= p_max or cap * (1.0 + 1e-12) < best):
             return lp, best
+    # m = 0: every norm is 0, so no p stops the sweep early
+    return dict.fromkeys(range(2, max(p_max, p_keep) + 1), 0.0), 0.0
 
 
 def grad_u_sup(omega: SpectralField, gamma: float) -> float:
@@ -273,9 +257,8 @@ def compute_norm_bundle(
 ) -> NormBundle:
     """Evaluate the full norm bundle of a zero-mean vorticity field."""
     g = omega.grid
-    # the sweep turns these samples into |f|/m in place: no slot of their own
-    phys = RealField(g, g.plan.inverse(None, occupied(omega.coeffs), "lp_base"))
-    lp, ratio = sup_over_p(phys, p_max, p_keep=8)  # p = 4, 8 for the CSV
+    # p = 4, 8 for the CSV
+    lp, ratio = sup_over_p(lp_samples(occupied(omega.coeffs), g), p_max, p_keep=8)
     power = np.abs(omega.coeffs) ** 2  # for the three spectral sums
     return NormBundle(
         l2=lp[2],

@@ -49,6 +49,7 @@ __all__ = [
     "Snapshot",
     "EnvelopeReport",
     "BlowUpError",
+    "StallError",
     "make_ic",
     "rhs",
     "cfl_dt",
@@ -69,6 +70,15 @@ class BlowUpError(RuntimeError):
     def __init__(self, t: float, step_count: int):
         super().__init__(f"non-finite vorticity at t = {t:.6g} (step {step_count})")
         self.t, self.step_count = t, step_count
+
+
+class StallError(RuntimeError):
+    """The step size fell below t_max * 2^-52, where t + dt may equal t."""
+
+    def __init__(self, t: float, step_count: int, dt: float):
+        super().__init__(f"step size {dt:.3g} below t_max * 2^-52 at t = {t:.6g} "
+                         f"(step {step_count})")
+        self.t, self.step_count, self.dt = t, step_count, dt
 
 
 @dataclass(frozen=True)
@@ -460,7 +470,10 @@ def run(config: SolverConfig, on_record: Callable, on_snapshot: Callable) -> Non
     A state at step s gets a record when s % diag_interval == 0 or it is the
     final state, and a snapshot by the same rule with ``snapshot_interval``
     (0 disables snapshots).  A non-finite step size or state raises
-    ``BlowUpError`` with the time and step of the failure.
+    ``BlowUpError`` with the time and step of the failure.  A finite step
+    below t_max * 2^-52 raises ``StallError`` with the time and step of the
+    state it would leave; that floor covers t + dt == t, as t <= t_max,
+    and the clip of dt at t_max never goes below 1e-14 t_max.
 
     A record's norm bundle is taken on one helper thread, on that thread's
     own transform plan, while the calling thread takes the snapshot samples
@@ -502,6 +515,8 @@ def run(config: SolverConfig, on_record: Callable, on_snapshot: Callable) -> Non
                 raise BlowUpError(t, step)
             if not np.all(np.isfinite(new)):
                 raise BlowUpError(t + dt, step + 1)
+            if dt < t_end * 2.0**-52:
+                raise StallError(t, step, dt)
             h, t, step, dt_used = new, t + dt, step + 1, dt
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "check_grid_size",
     "half_spectrum_weights",
     "half_spectrum_l2",
+    "row_crop",
     "occupied",
     "plancherel",
     "read_only",
@@ -106,15 +107,15 @@ class Grid:
 
     @property
     def k2(self) -> np.ndarray:
-        return _lattice_k2(self.n)
+        return _lattice_table(self.n, "k2")
 
     @property
     def kmod(self) -> np.ndarray:
-        return _lattice_kmod(self.n)
+        return _lattice_table(self.n, "kmod")
 
     @property
     def dealias_mask(self) -> np.ndarray:
-        return _dealias_mask(self.n)
+        return _lattice_table(self.n, "dealias_mask")
 
     @property
     def plan(self) -> TransformPlan:
@@ -127,31 +128,30 @@ class Grid:
         return np.meshgrid(x, x, indexing="ij")
 
 
-def _squared_radii(n: int) -> np.ndarray:
-    """|k|^2 on the rfft half of grid size n, exact integers as floats."""
-    k1 = Grid(n).k1
-    return k1[:, None] ** 2 + k1[None, : n // 2 + 1] ** 2
-
-
 # at n = 1024 a table takes 4.2 MB (the mask 0.5 MB)
 @lru_cache(maxsize=4)
-def _lattice_k2(n: int) -> np.ndarray:
-    """``Grid.k2`` of size n; read-only."""
-    return read_only(_squared_radii(n))
+def _lattice(n: int) -> dict[str, np.ndarray]:
+    """The lattice tables of size n built so far, by name; the latest four
+    sizes are kept."""
+    return {}
 
 
-@lru_cache(maxsize=4)
-def _lattice_kmod(n: int) -> np.ndarray:
-    """``Grid.kmod`` of size n, the bits of sqrt(``Grid.k2``) with no k2
-    table kept; read-only."""
-    return read_only(np.sqrt(_squared_radii(n)))
-
-
-@lru_cache(maxsize=4)
-def _dealias_mask(n: int) -> np.ndarray:
-    """``Grid.dealias_mask`` of size n; read-only."""
-    band = np.abs(Grid(n).k1) <= n // 3
-    return read_only(band[:, None] & band[None, : n // 2 + 1])
+def _lattice_table(n: int, name: str) -> np.ndarray:
+    """``Grid``'s table ``name`` of size n, built on first use; read-only.
+    |k| is the bits of sqrt(|k|^2), taken in place, so no |k|^2 is kept.
+    Threads that build a table at once all get the first one stored."""
+    tables = _lattice(n)
+    if name not in tables:
+        k1 = Grid(n).k1
+        if name == "dealias_mask":
+            band = np.abs(k1) <= n // 3
+            table = band[:, None] & band[None, : n // 2 + 1]
+        else:
+            table = k1[:, None] ** 2 + k1[None, : n // 2 + 1] ** 2
+            if name == "kmod":
+                np.sqrt(table, out=table)
+        tables.setdefault(name, read_only(table))
+    return tables[name]
 
 
 class TransformPlan:
@@ -334,6 +334,16 @@ def plancherel(density: np.ndarray) -> float:
 _L2_ROWS = 64
 
 
+def row_crop(n: int, rows: int) -> tuple[int, int]:
+    """(top, lower) of the cropped-row layout.  A table on the rows
+    |k1| <= R of an rfft half with n rows keeps rows = min(2R + 1, n) of
+    them: k1 = 0 .. R and then -R .. -1 (all n, in fft order, once
+    2R + 1 >= n).  The table's rows :top are the half's rows :top, its rows
+    top: are the half's rows lower:, and the half's rows top .. lower - 1
+    lie outside it."""
+    return (rows + 1) // 2, n - rows // 2
+
+
 def half_spectrum_l2(half: np.ndarray, zero_rows: range = range(0)) -> float:
     """L2 norm of a real field from its leading rfft-layout columns: the
     column sums of |c|^2, added block by block of rows, then their weighted
@@ -379,9 +389,8 @@ def random_band_half(grid: Grid, rng: np.random.Generator, band: float) -> np.nd
     the Hermitian part down columns 0 and n/2, which hold their own mirror."""
     n = grid.n
     b = min(math.floor(band), n // 2)
-    rows = n if b == n // 2 else 2 * b + 1
-    # box rows hold k1 = 0 .. top - 1, then -(rows // 2) .. -1 from the half's row lower
-    top, lower = (rows + 1) // 2, n - rows // 2
+    rows = min(2 * b + 1, n)
+    top, lower = row_crop(n, rows)
     box = rng.standard_normal((rows, b + 1, 2)).view(complex)[..., 0]
     box[:, 1 : min(b + 1, n // 2)] *= math.sqrt(0.5)
     for col in box[:, :: n // 2].T:  # row i mirrors row (-i) mod rows

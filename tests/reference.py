@@ -137,6 +137,22 @@ def inv_laplacian(s: FullField) -> FullField:
     return FullField(s.grid, out)
 
 
+def power_loop_norms(f: RealField, p_top: int) -> dict:
+    """{p: ||f||_p} for p = 2 .. p_top by a plain power loop on fresh
+    arrays: m = max|f|, b = |f|/m, b^p as b^(p-1) * b, and
+    m (sum b^p dx^2)^(1/p) at every p; 0.0 for a zero field."""
+    base = np.abs(f.values)
+    m = float(base.max())
+    if m == 0.0:
+        return dict.fromkeys(range(2, p_top + 1), 0.0)
+    base = base / m
+    acc, out = base * base, {}
+    for p in range(2, p_top + 1):
+        out[p] = m * (float(np.sum(acc)) * f.grid.dx**2) ** (1.0 / p)
+        acc = acc * base
+    return out
+
+
 def tgamma_symbol(gamma: float):
     """The log-smoothing symbol r -> 1/log^gamma(r + 10) as a function."""
     if gamma < 0:

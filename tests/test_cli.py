@@ -317,7 +317,7 @@ def test_sweep_stderr_is_the_same_whatever_the_jobs(tmp_path):
 # package directories written as <logeuler> and <numpy>.  It names source
 # lines, so a change that moves one of them updates this pin.
 BLOWUP_STDERR = """\
-<logeuler>/solver.py:325: RuntimeWarning: overflow encountered in multiply
+<logeuler>/solver.py:335: RuntimeWarning: overflow encountered in multiply
   np.multiply(u2, wy, out=wy)
 <numpy>/fft/_pocketfft.py:101: RuntimeWarning: overflow encountered in rfft_n_even
   return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
@@ -325,17 +325,17 @@ BLOWUP_STDERR = """\
   return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
 <numpy>/fft/_pocketfft.py:101: RuntimeWarning: invalid value encountered in fft
   return ufunc(a, fct, axes=[(axis,), (), (axis,)], out=out)
-<logeuler>/solver.py:328: RuntimeWarning: invalid value encountered in multiply
+<logeuler>/solver.py:338: RuntimeWarning: invalid value encountered in multiply
   out = np.multiply(trunc.neg_chi, a, out=out)
-<logeuler>/solver.py:332: RuntimeWarning: invalid value encountered in multiply
+<logeuler>/solver.py:342: RuntimeWarning: invalid value encountered in multiply
   discarded = plancherel(trunc.removed_weight * np.abs(a) ** 2)
-<logeuler>/norms.py:194: RuntimeWarning: overflow encountered in multiply
+<logeuler>/norms.py:176: RuntimeWarning: overflow encountered in multiply
   weighted = power * _sobolev_weight(power.shape[0], order)
 <logeuler>/spectral.py:329: RuntimeWarning: overflow encountered in multiply
   return FOUR_PI_SQ * float(np.sum(half_spectrum_weights(density.shape[0]) * density))
 <numpy>/_core/fromnumeric.py:83: RuntimeWarning: overflow encountered in reduce
   return ufunc.reduce(obj, axis, dtype, out, **passkwargs)
-<logeuler>/solver.py:376: RuntimeWarning: invalid value encountered in multiply
+<logeuler>/solver.py:386: RuntimeWarning: invalid value encountered in multiply
   np.multiply(0.5 * dt, k1, out=stage)
 BLOW-UP at t = 2.32798e-155 (step 1); partial results in run
 """
@@ -389,6 +389,39 @@ def test_simulate_blowup_writes_marker(tmp_path, capsys):
     rows = read_diagnostics_csv(str(out / "diagnostics.csv"))
     assert rows and all(row["t"] < t for row in rows)
     assert f"BLOW-UP at t = {t:.6g} (step {step}); " in capsys.readouterr().err
+
+
+STALL_FLAGS = ["--n", "32", "--ic", "random_band", "--ic-band", "4",
+               "--ic-amplitude", "1e150", "--tmax", "1"]
+
+
+def test_a_stalled_simulate_ends_with_status_3(tmp_path):
+    # dt is about 2e-150 from the start; the run used to go on for ever
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "logeuler.cli", "simulate", *STALL_FLAGS,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert re.search(r"^STALL at t = 0 \(step 0, dt = \S+\); partial results in ",
+                     proc.stderr, re.M), proc.stderr
+    assert "BLOW-UP" not in proc.stderr and proc.stdout == ""
+    assert not (out / "blowup.txt").exists()
+    assert [row["t"] for row in read_diagnostics_csv(str(out / "diagnostics.csv"))] == [0.0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_sweep_reports_a_stalled_run_as_exit_3(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = run_cli(["sweep", *STALL_FLAGS, "--gamma", "1.5", "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "  g1.5_n32: exit 3" in captured.out.splitlines()
+    assert "STALL at t = 0 (step 0" in captured.err
 
 
 def test_simulate_memory_does_not_grow_with_the_run(tmp_path):

@@ -25,7 +25,6 @@ from logeuler.inequalities import (
     CorpusSpec,
     ReportRow,
     _annuli,
-    _block_inverse,
     _single_modes_for,
     build_corpus,
     check_bernstein,
@@ -40,6 +39,7 @@ from logeuler.norms import (
     lp_norm,
     lp_norm_map,
     lp_norms,
+    lp_samples,
     sobolev_norm,
 )
 from logeuler.spectral import (
@@ -359,6 +359,12 @@ class TestMultiplierBound:
             check_multiplier_bound(1.5, (), (2.0,), spec)
         with pytest.raises(ValueError, match="at least one dyadic block"):
             check_bernstein(spec, [], ((2.0, 2.0),))
+
+    @pytest.mark.parametrize("kind", ["shell", "random_band", "default"])
+    def test_negative_size_rejected(self, kind):
+        # it gave an empty report whose max ratio read 0.0, as if met
+        with pytest.raises(ValueError, match="corpus size must be >= 0, got -3"):
+            CorpusSpec(kind=kind, size=-3)
 
     def test_empty_corpus_gives_no_rows(self):
         spec = CorpusSpec(kind="random_band", n=64, size=0)
@@ -786,13 +792,13 @@ class TestBernstein:
         # an empty block takes none
         spec = CorpusSpec(n=64, size=24, seed=3)
         N_set = tuple(2.0**j for j in range(6))
-        calls = []
+        calls, inverse = [], spectral.TransformPlan.inverse
 
-        def counting(half, n):
+        def counting(plan, mult, half, slot):
             calls.append(half.shape)
-            return _block_inverse(half, n)
+            return inverse(plan, mult, half, slot)
 
-        monkeypatch.setattr(inequalities, "_block_inverse", counting)
+        monkeypatch.setattr(spectral.TransformPlan, "inverse", counting)
         pairs = ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf")))
         check_bernstein(spec, N_set, pairs)
         blocks = [
@@ -807,14 +813,14 @@ class TestBernstein:
         # block samples go to slot "lp_base", which lp_norms turns into
         # |f|/m in place, on whichever thread checks the member
         monkeypatch.setattr(spectral._thread_plans, "by_size", {}, raising=False)
-        slots = []
+        slots, inverse = [], spectral.TransformPlan.inverse
 
-        def recording(half, plan):
-            samples = _block_inverse(half, plan)
+        def recording(plan, mult, half, slot):
+            samples = inverse(plan, mult, half, slot)
             slots.append(set(plan._slots))
             return samples
 
-        monkeypatch.setattr(inequalities, "_block_inverse", recording)
+        monkeypatch.setattr(spectral.TransformPlan, "inverse", recording)
         spec = CorpusSpec(n=64, size=20, seed=1)
         check_bernstein(spec, (2.0, 4.0, 8.0), ((2.0, 4.0), (2.0, float("inf"))))
         assert len(slots) > 20
@@ -884,7 +890,7 @@ class TestHalfSpectrumBlocks:
             ((_, weight),) = _full_annuli(f.grid, (N,))
             block = f.coeffs[:, : weight.shape[1]] * weight
             full = scipy.fft.irfft2(block, s=(n, n), norm="forward")
-            assert np.array_equal(_block_inverse(block, f.grid.plan), full)
+            assert np.array_equal(lp_samples(block, f.grid).values, full)
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_multiplier_bound_matches_full_lattice(self, n):

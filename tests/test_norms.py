@@ -11,6 +11,7 @@ from reference import (
     gradient,
     hermitian_part,
     lattice,
+    power_loop_norms,
     to_full,
     to_half,
     velocity_spectral,
@@ -27,7 +28,6 @@ from logeuler.norms import (
     lp_norm,
     lp_norm_map,
     lp_norms,
-    lp_sweep,
     sobolev_norm,
     sup_over_p,
 )
@@ -107,17 +107,13 @@ class TestLpNorm:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_p_is_the_sweeps_value(self, seed):
-        # one L^p arithmetic: bit for bit the power sweep's value at p, also
-        # on a private plan in a second thread (x ** p gives other bits at
-        # some p for seeds 0 and 2)
+        # one L^p arithmetic: bit for bit the plain power loop's value at p,
+        # also on a private plan in a second thread (x ** p gives other bits
+        # at some p for seeds 0 and 2)
         g = Grid(64)
         half = random_band_half(g, np.random.default_rng(seed), 20)
         f = dft_inverse(SpectralField(g, half))
-        sweep = {}
-        for p, norm, _ in lp_sweep(f):
-            sweep[p] = norm
-            if p == 16:
-                break
+        sweep = power_loop_norms(f, 16)
         assert {p: lp_norm(f, p) for p in range(2, 17)} == sweep
         plan = TransformPlan(g.n)
         with ThreadPoolExecutor(max_workers=1) as helper:
@@ -140,8 +136,8 @@ def same_float(a, b):
 
 
 class TestLpNorms:
-    """One pass for a set of p: each finite p is bit for bit the power
-    sweep's value and inf is ``_sup_abs``, a NaN sample propagated."""
+    """One pass for a set of p: each finite p is bit for bit the plain
+    power loop's value and inf is ``_sup_abs``, a NaN sample propagated."""
 
     PS = (2, 3, 4, 8, np.inf)
 
@@ -149,11 +145,7 @@ class TestLpNorms:
         got = lp_norms(f.values, f.grid.dx, set(self.PS), TransformPlan(f.grid.n))
         assert set(got) == set(self.PS)
         assert all(type(p) is int for p in got if p != np.inf)
-        reference = {np.inf: norms._sup_abs(f.values)}
-        for p, norm, _ in lp_sweep(f):
-            reference[p] = norm
-            if p == 8:
-                break
+        reference = {np.inf: norms._sup_abs(f.values), **power_loop_norms(f, 8)}
         for p in self.PS:
             assert same_float(got[p], reference[p]), p
 
@@ -435,20 +427,33 @@ class TestHolderStop:
         lp, best = sup_over_p(f, 64)
         assert best == _full_sup(f, 64)
         assert lp.keys() == {2}
-        cap = None
-        for p, norm, next_cap in lp_sweep(f):
-            if cap is not None:
+        # every later norm meets Holder's bound m (4 pi^2)^(1/p)
+        for p, norm in power_loop_norms(f, 64).items():
+            if p > 2:
+                cap = 3.0 * FOUR_PI_SQ ** (1.0 / p)
                 assert norm <= cap * (1.0 + 1e-12)
                 assert norm >= cap * (1.0 - 1e-12)
-            if p == 64:
-                break
-            cap = next_cap
 
-    def test_the_stop_spares_a_relative_1e_12(self):
-        assert not norms.out_of_reach(1.0, 1.0)
-        assert not norms.out_of_reach(1.0, 1.0 + 5e-13)
-        assert norms.out_of_reach(1.0, 1.0 + 5e-12)
-        assert not norms.out_of_reach(float("nan"), 1.0)
+    def test_the_stop_spares_a_relative_1e_12(self, monkeypatch):
+        # a 4 pi^2 that puts Holder's bound on the ratio at p = 3 a relative
+        # ``gap`` below the ratio at p = 2 of a constant-modulus field: the
+        # sweep stops at p = 2 only once the gap passes 1e-12
+        n = 64
+        i = np.arange(n)
+        f = RealField(Grid(n), 3.0 * (-1.0) ** (i[:, None] + i[None, :]))
+        best = lp_norm(f, 2) / np.sqrt(2)
+        for gap, stops in ((0.0, False), (5e-13, False), (5e-12, True)):
+            bound = (best / (1.0 + gap) * np.sqrt(3) / 3.0) ** 3
+            monkeypatch.setattr(norms, "FOUR_PI_SQ", bound)
+            lp, got = sup_over_p(f, 64)
+            assert got == best
+            assert (lp.keys() == {2}) == stops, gap
+
+    def test_a_nan_bound_never_stops_the_sweep(self):
+        values = np.ones((32, 32))
+        values[3, 4] = np.nan
+        lp, best = sup_over_p(RealField(Grid(32), values), 16)
+        assert max(lp) == 16 and np.isnan(best)
 
     def test_one_point_spike_sweeps_past_its_maximum(self):
         # ||f||_p / sqrt(p) = m dx^(2/p) / sqrt(p) peaks at p = 15 at n = 256,

@@ -1,6 +1,8 @@
 """Smoke runs of the study scripts under scripts/, at n = 32."""
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +48,12 @@ def test_gamma_conservation_study_short_run(tmp_path):
 
 
 def test_verification_battery(tmp_path):
-    run_script("verification_battery.py", "--n", "32", "--out", str(tmp_path))
+    stdout = run_script("verification_battery.py", "--n", "32", "--out", str(tmp_path))
+    # each CSV's sha256 as sha256sum prints it, in the order of the runs
+    digests = re.findall(r"^([0-9a-f]{64})  (.+)$", stdout, re.M)
+    assert [path for _, path in digests] == [str(tmp_path / name) for name in REPORT_HEADERS]
+    for digest, path in digests:
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
     for name, header in REPORT_HEADERS.items():
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header

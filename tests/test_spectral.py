@@ -93,9 +93,8 @@ class TestGrid:
     def test_lattice_tables_are_built_once_per_size_on_first_use(self):
         # Grid(n) builds no table; each is read-only and shared by every
         # grid of its size, and |k| is made with no |k|^2 table kept
-        tables = (spectral._lattice_k2, spectral._lattice_kmod, spectral._dealias_mask)
-        for table in tables:
-            table.cache_clear()
+        cache = spectral._lattice
+        cache.cache_clear()
         tracemalloc.start()
         try:
             a, b = Grid(512), Grid(512)
@@ -103,12 +102,22 @@ class TestGrid:
         finally:
             tracemalloc.stop()
         assert peak < 64_000  # one table at n = 512 takes 1 MB
+        assert cache.cache_info().currsize == 0
         assert a.kmod is b.kmod
-        assert [table.cache_info().currsize for table in tables] == [0, 1, 0]
+        assert cache.cache_info().currsize == 1 and set(cache(512)) == {"kmod"}
         assert a.k2 is b.k2 and a.dealias_mask is b.dealias_mask
         for table in (a.k2, a.kmod, a.dealias_mask):
             assert not table.flags.writeable
         assert np.array_equal(a.kmod.view(np.int64), np.sqrt(a.k2).view(np.int64))
+
+    def test_lattice_tables_keep_the_latest_four_sizes(self):
+        spectral._lattice.cache_clear()
+        first = Grid(8).kmod
+        for n in (16, 32, 64, 128):
+            Grid(n).dealias_mask
+        assert spectral._lattice.cache_info().currsize == 4
+        assert Grid(8).kmod is not first
+        assert np.array_equal(Grid(8).kmod, first)
 
     def test_construction_memory(self):
         # the lattice tables are built on first use, not here; a
