@@ -16,6 +16,7 @@ import numpy as np
 
 from .multipliers import check_gamma, is_dyadic, mtilde, phi_eval, tgamma_eval
 from .norms import (
+    _check_p_max,
     _integer_p,
     grad_u_sup,
     lp_norms,
@@ -36,7 +37,6 @@ from .spectral import (
 
 __all__ = [
     "CorpusSpec",
-    "Corpus",
     "ReportRow",
     "InequalityReport",
     "family_maxima",
@@ -66,7 +66,7 @@ def _single_modes_for(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Deterministic description of a test-function corpus.
+    """A test-function corpus, given by its deterministic description.
 
     kind "default" assembles the standard mixture: ``size - 16`` random
     band-limited fields plus 8 single modes, 4 lattice shells and 4
@@ -99,6 +99,37 @@ class CorpusSpec:
     def resolved_band(self) -> int:
         return self.band if self.band > 0 else self.n // 4
 
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        """(id, rfft-layout ``SpectralField``) members, ``size`` of them;
+        each iteration replays the seeded stream and builds them one at a
+        time, so memory does not grow with the size."""
+        grid, kind = Grid(self.n), self.kind
+        band = self.resolved_band
+        rng = np.random.default_rng(self.seed)
+        if kind in ("default", "random_band"):
+            count = self.size - 16 if kind == "default" else self.size
+            for i in range(count):  # no name holds a member across the next draw
+                yield (f"random_band[{i}]",
+                       SpectralField(grid, random_band_half(grid, rng, band)))
+        if kind in ("default", "single_mode"):
+            modes = _single_modes_for(grid.n)  # members sin(k . x)
+            count = 8 if kind == "default" else self.size
+            for i in range(count):
+                k = modes[i % len(modes)]
+                yield f"single_mode[{k[0]},{k[1]}]", mode_sum(grid, [(k, -0.5j)])
+        if kind in ("default", "shell"):
+            count = 4 if kind == "default" else self.size
+            for i in range(count):
+                rsq = _SHELL_RADII_SQ[i % len(_SHELL_RADII_SQ)]
+                yield f"shell[{rsq}]", mode_sum(grid, _shell_modes(rsq, rng))
+        if kind in ("default", "multiscale"):
+            count = 4 if kind == "default" else self.size
+            for i in range(count):
+                yield f"multiscale[{i}]", mode_sum(grid, _multiscale_modes(band, rng))
+
 
 def _shell_modes(rsq: int, rng: np.random.Generator):
     """(k, amp) pairs of a lattice shell |k|^2 = rsq, one random phase per
@@ -122,47 +153,9 @@ def _multiscale_modes(band: int, rng: np.random.Generator):
         j += 1
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """(id, rfft-layout ``SpectralField``) members of a spec, of which there
-    are ``spec.size``; each iteration replays the seeded stream and builds
-    them one at a time, so memory does not grow with the size."""
-
-    spec: CorpusSpec
-
-    def __len__(self) -> int:
-        return self.spec.size
-
-    def __iter__(self):
-        spec, grid = self.spec, Grid(self.spec.n)
-        band = spec.resolved_band
-        rng = np.random.default_rng(spec.seed)
-        kind = spec.kind
-        if kind in ("default", "random_band"):
-            count = spec.size - 16 if kind == "default" else spec.size
-            for i in range(count):  # no name holds a member across the next draw
-                yield (f"random_band[{i}]",
-                       SpectralField(grid, random_band_half(grid, rng, band)))
-        if kind in ("default", "single_mode"):
-            modes = _single_modes_for(grid.n)  # members sin(k . x)
-            count = 8 if kind == "default" else spec.size
-            for i in range(count):
-                k = modes[i % len(modes)]
-                yield f"single_mode[{k[0]},{k[1]}]", mode_sum(grid, [(k, -0.5j)])
-        if kind in ("default", "shell"):
-            count = 4 if kind == "default" else spec.size
-            for i in range(count):
-                rsq = _SHELL_RADII_SQ[i % len(_SHELL_RADII_SQ)]
-                yield f"shell[{rsq}]", mode_sum(grid, _shell_modes(rsq, rng))
-        if kind in ("default", "multiscale"):
-            count = 4 if kind == "default" else spec.size
-            for i in range(count):
-                yield f"multiscale[{i}]", mode_sum(grid, _multiscale_modes(band, rng))
-
-
-def build_corpus(spec: CorpusSpec) -> Corpus:
-    """The corpus of a spec; the same spec always yields identical fields."""
-    return Corpus(spec)
+def build_corpus(spec: CorpusSpec) -> CorpusSpec:
+    """The corpus of a spec, the spec itself; it always yields identical fields."""
+    return spec
 
 
 @dataclass(frozen=True)
@@ -263,8 +256,7 @@ def check_embedding(corpus: CorpusSpec, p_max: int) -> InequalityReport:
     which the per-function maximum is attained.  The denominator does not
     depend on p, so the norms are those of ``sup_over_p``'s sweep.
     """
-    if p_max < 2:  # the sup over p starts at p = 2
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
+    _check_p_max(p_max)
 
     def rows_of(fid, f):
         h1 = sobolev_norm(f, 1.0)
@@ -292,8 +284,7 @@ def check_log_interpolation(
     claimed for gamma >= 3/2.
     """
     check_gamma(gamma)
-    if p_max < 2:  # the sup over p starts at p = 2
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
+    _check_p_max(p_max)
 
     def rows_of(fid, f):
         # spr = sup_p ||f||_p / sqrt(p)
@@ -319,10 +310,15 @@ def _annuli(grid: Grid, N_set: Sequence[float]) -> list[tuple[float, np.ndarray]
     columns 0 .. floor(2N) and the rows |k1| <= floor(2N) it can reach, in
     the cropped-row layout (``row_crop``; all n rows and n//2 + 1 columns
     once 2N >= n/2, which spares the inverse transform a zero-padded copy).
+    A block past the lattice (N >= sqrt(2) n: no |k| <= n/sqrt(2) of the
+    half lies in its annulus N/2 < |k| < 2N) gets an empty table, no product.
     """
     n, out = grid.n, []
     for N in N_set:
         N = float(N)
+        if N * N >= 2.0 * n * n:
+            out.append((N, np.empty((0, 0))))
+            continue
         reach = math.floor(2.0 * N)
         top, lower = row_crop(n, min(2 * reach + 1, n))
         kmod = grid.kmod[:, : min(reach + 1, n // 2 + 1)]
@@ -371,7 +367,7 @@ def _product_norms(grid: Grid, coeffs: np.ndarray, weight: np.ndarray,
     if rest and all(float(q) == math.inf for q in rest):
         norms.update(dict.fromkeys(rest, plan.sup_inverse(None, half)))
     elif rest:
-        norms.update(lp_norms(lp_samples(half, grid).values, grid.dx, rest, plan))
+        norms.update(lp_norms(lp_samples(half, grid), rest))
     return norms
 
 
@@ -437,8 +433,7 @@ def check_bernstein(
     annuli = _annuli(Grid(corpus.n), N_set)  # every member's grid has this n
 
     def rows_of(fid, f):
-        samples = lp_samples(occupied(f.coeffs), f.grid)
-        base = lp_norms(samples.values, f.grid.dx, ps, f.grid.plan)
+        base = lp_norms(lp_samples(occupied(f.coeffs), f.grid), ps)
         out = []
         for N, weight in annuli:
             norms = (_product_norms(f.grid, f.coeffs, weight, None, qs)

@@ -134,18 +134,23 @@ def _integer_p(p) -> int:
     return int(p)
 
 
-def lp_norms(values: np.ndarray, dx: float, ps, plan: TransformPlan) -> dict:
-    """{p: ||f||_p} of the samples ``values`` at grid spacing dx for each p
-    in ``ps``, an integer in [2, P_LIMIT] (keyed as an int) or inf, in one
-    pass of the kernel on ``plan``, which should be the calling thread's
-    own (``Grid.plan``); ``values`` may be its slot "lp_base"."""
+def _check_p_max(p_max) -> None:
+    """ValueError unless p_max >= 2: a sweep over p starts at p = 2."""
+    if p_max < 2:
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
+
+
+def lp_norms(f: RealField, ps) -> dict:
+    """{p: ||f||_p} for each p in ``ps``, an integer in [2, P_LIMIT] (keyed
+    as an int) or inf, in one pass of the kernel; ``f.values`` may be slot
+    "lp_base" of the calling thread's plan (``lp_samples``)."""
     ps = {float(p) for p in ps}
     finite = sorted(map(_integer_p, ps - {np.inf}))
-    powers = _powers(values, plan)
+    powers = _powers(f.values, f.grid.plan)
     m, out = next(powers), dict.fromkeys(finite, 0.0)
     for p, acc in zip(range(2, max(finite, default=1) + 1), powers):
         if p in out:
-            out[p] = m * (float(np.sum(acc)) * dx**2) ** (1.0 / p)
+            out[p] = m * (float(np.sum(acc)) * f.grid.dx**2) ** (1.0 / p)
     if np.inf in ps:
         out[np.inf] = m
     return out
@@ -163,12 +168,12 @@ def lp_norm(f: RealField, p) -> float:
     """Lebesgue norm (sum_j |f|^p dx^2)^(1/p), p an integer in [2, P_LIMIT],
     or the grid max at p = inf; the scale is factored out before the powers
     so large p cannot overflow."""
-    return next(iter(lp_norms(f.values, f.grid.dx, [p], f.grid.plan).values()))
+    return next(iter(lp_norms(f, [p]).values()))
 
 
 def lp_norm_map(f: RealField, p_values) -> dict:
-    """``lp_norms`` of f on its grid's plan."""
-    return lp_norms(f.values, f.grid.dx, p_values, f.grid.plan)
+    """``lp_norms`` of f."""
+    return lp_norms(f, p_values)
 
 
 def _sobolev(power: np.ndarray, order: float) -> float:
@@ -196,8 +201,7 @@ def sup_over_p(
     The map holds p = 2..p_keep and every p the sweep reached past it: it
     stops at p_max or once Holder's bound shows no later p can win.
     """
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
+    _check_p_max(p_max)
     powers = _powers(f.values, f.grid.plan)
     m, lp = next(powers), {}
     for p, acc in zip(count(2), powers):
@@ -208,8 +212,8 @@ def sup_over_p(
         cap = m * FOUR_PI_SQ ** (1.0 / (p + 1)) / np.sqrt(p + 1)
         if p >= p_keep and (p >= p_max or cap * (1.0 + 1e-12) < best):
             return lp, best
-    # m = 0: every norm is 0, so no p stops the sweep early
-    return dict.fromkeys(range(2, max(p_max, p_keep) + 1), 0.0), 0.0
+    # m = 0: every norm is 0, so the maximum is 0 at p = 2
+    return dict.fromkeys(range(2, p_keep + 1), 0.0), 0.0
 
 
 def grad_u_sup(omega: SpectralField, gamma: float) -> float:

@@ -112,6 +112,18 @@ def test_identical_config_gives_bit_identical_outputs(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_a_zero_field_writes_the_same_diagnostics_at_any_pmax(tmp_path):
+    # a zero field's sweep map stops at p = 8 whatever --pmax, so a huge one
+    # costs no memory (its map once held a float per p up to p_max)
+    args = ["simulate", "--n", "32", "--ic-amplitude", "0", "--tmax", "0.1"]
+    for p_max in ("64", "2000000"):
+        assert run_cli([*args, "--pmax", p_max, "--out", str(tmp_path / p_max)]) == 0
+    diag = [(tmp_path / p_max / "diagnostics.csv").read_bytes()
+            for p_max in ("64", "2000000")]
+    assert diag[0] == diag[1]
+    assert len(diag[0].splitlines()) > 2
+
+
 def test_sweep_creates_run_directories(tmp_path):
     out = tmp_path / "sweep"
     rc = run_cli(
@@ -329,7 +341,7 @@ BLOWUP_STDERR = """\
   out = np.multiply(trunc.neg_chi, a, out=out)
 <logeuler>/solver.py:342: RuntimeWarning: invalid value encountered in multiply
   discarded = plancherel(trunc.removed_weight * np.abs(a) ** 2)
-<logeuler>/norms.py:176: RuntimeWarning: overflow encountered in multiply
+<logeuler>/norms.py:181: RuntimeWarning: overflow encountered in multiply
   weighted = power * _sobolev_weight(power.shape[0], order)
 <logeuler>/spectral.py:329: RuntimeWarning: overflow encountered in multiply
   return FOUR_PI_SQ * float(np.sum(half_spectrum_weights(density.shape[0]) * density))

@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import Future
 import threading
 import tracemalloc
 import weakref
@@ -101,6 +102,12 @@ class TestCorpus:
         assert spec.resolved_band == n // 2
         for _, f in build_corpus(spec):
             assert f.coeffs[0, 0] == 0.0
+
+    def test_the_corpus_is_its_spec(self):
+        spec = CorpusSpec(kind="shell", n=32, size=3)
+        assert build_corpus(spec) is spec
+        assert len(spec) == 3
+        assert [fid for fid, _ in spec] == ["shell[2]", "shell[5]", "shell[25]"]
 
     def test_iterating_again_replays_the_stream(self):
         corpus = build_corpus(CorpusSpec(n=32, seed=2, size=20))
@@ -571,6 +578,39 @@ class TestMemberPool:
         assert len(set(checked) - {caller}) == 1
         assert rows == [row for member in build_corpus(spec) for row in rows_of(*member)]
 
+    def test_a_member_still_waiting_at_the_next_draw_is_taken_back(self, monkeypatch):
+        # a helper that never gets to start: each member, member 0 included,
+        # still waits when the next is drawn or the last draw is done, so the
+        # caller checks them all and the helper, run at shutdown, none
+        on_helper = []
+
+        class IdleHelper:
+            def __init__(self, max_workers):
+                self.queued = []
+
+            def __enter__(self):
+                return self
+
+            def submit(self, fn, *args):
+                self.queued.append((Future(), fn, args))
+                return self.queued[-1][0]
+
+            def __exit__(self, *exc):
+                for future, fn, args in self.queued:
+                    if future.set_running_or_notify_cancel():
+                        on_helper.append(args)
+                        future.set_result(fn(*args))
+
+        def rows_of(fid, f):
+            checked.append(fid)
+            return [fid]
+
+        monkeypatch.setattr(inequalities, "ThreadPoolExecutor", IdleHelper)
+        spec, checked = CorpusSpec(kind="random_band", n=32, size=5), []
+        rows = inequalities._member_rows(spec, rows_of)
+        assert on_helper == []
+        assert rows == checked == [fid for fid, _ in spec]
+
     @staticmethod
     def _busy_helper_log(monkeypatch, size):
         """Run ``_member_rows`` over ``size`` random members while the
@@ -921,7 +961,7 @@ def _full_row_norms(grid, full, qs):
     if rest == [float("inf")]:
         norms[rest[0]] = plan.sup_inverse(None, full)
     elif rest:
-        norms.update(lp_norms(plan.inverse(None, full, None), grid.dx, rest, plan))
+        norms.update(lp_norms(RealField(grid, plan.inverse(None, full, None)), rest))
     return norms
 
 
@@ -981,3 +1021,39 @@ class TestRowCroppedBlocks:
         coeffs[1, 1] = np.nan  # inside the block
         assert all(math.isnan(v) for v in inequalities._product_norms(
             g, coeffs, weight, None, (2.0, 4.0)).values())
+
+
+class TestBlocksPastTheLattice:
+    """A block N >= sqrt(2) n, whose annulus N/2 < |k| < 2N holds no |k| <=
+    n/sqrt(2) of the half lattice, gets a table with no row and no column:
+    criterion 5 gives it no row, Bernstein a ratio-0 row per pair."""
+
+    INSIDE = tuple(2.0**j for j in range(1, 7))  # --nmax 64 at n = 64
+    ALL = tuple(2.0**j for j in range(1, 21))  # --nmax 1048576
+    SPEC = CorpusSpec(n=64, size=20, band=32, seed=1)
+
+    def test_no_table_is_built_past_the_lattice(self):
+        for N, weight in _annuli(Grid(64), self.ALL):
+            assert (weight.shape == (0, 0)) == (N >= 128), N
+
+    def test_multiplier_rows_are_those_inside(self):
+        q = (2.0, float("inf"))
+        inside = check_multiplier_bound(1.5, self.INSIDE, q, self.SPEC)
+        every = check_multiplier_bound(1.5, self.ALL, q, self.SPEC)
+        assert every.rows == inside.rows
+        assert every.params["N_set"] == self.ALL
+
+    def test_bernstein_adds_ratio_0_rows_past_the_lattice(self):
+        pairs = ((2.0, 2.0), (2.0, 4.0), (2.0, float("inf")), (4.0, float("inf")))
+        inside = check_bernstein(self.SPEC, self.INSIDE, pairs)
+        every = check_bernstein(self.SPEC, self.ALL, pairs)
+        assert every.params["N_set"] == self.ALL
+        per_member = len(self.INSIDE) * len(pairs)
+        assert len(inside.rows) == 20 * per_member  # no member is zero
+        expected = []
+        for i in range(0, len(inside.rows), per_member):
+            expected += inside.rows[i : i + per_member]
+            fid = inside.rows[i].function_id
+            expected += [ReportRow(fid, (("N", N), ("p", p), ("q", q_val)), 0.0)
+                         for N in self.ALL[len(self.INSIDE):] for p, q_val in pairs]
+        assert list(every.rows) == expected

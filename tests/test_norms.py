@@ -108,16 +108,15 @@ class TestLpNorm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_p_is_the_sweeps_value(self, seed):
         # one L^p arithmetic: bit for bit the plain power loop's value at p,
-        # also on a private plan in a second thread (x ** p gives other bits
-        # at some p for seeds 0 and 2)
+        # also on a helper thread, whose plan is its own (x ** p gives other
+        # bits at some p for seeds 0 and 2)
         g = Grid(64)
         half = random_band_half(g, np.random.default_rng(seed), 20)
         f = dft_inverse(SpectralField(g, half))
         sweep = power_loop_norms(f, 16)
         assert {p: lp_norm(f, p) for p in range(2, 17)} == sweep
-        plan = TransformPlan(g.n)
         with ThreadPoolExecutor(max_workers=1) as helper:
-            future = helper.submit(lp_norms, f.values, g.dx, range(2, 17), plan)
+            future = helper.submit(lp_norms, f, range(2, 17))
             assert future.result() == sweep
 
     def test_map_matches_individual_norms(self):
@@ -142,7 +141,8 @@ class TestLpNorms:
     PS = (2, 3, 4, 8, np.inf)
 
     def assert_is_the_sweep(self, f):
-        got = lp_norms(f.values, f.grid.dx, set(self.PS), TransformPlan(f.grid.n))
+        with ThreadPoolExecutor(max_workers=1) as helper:  # a plan of its own
+            got = helper.submit(lp_norms, f, set(self.PS)).result()
         assert set(got) == set(self.PS)
         assert all(type(p) is int for p in got if p != np.inf)
         reference = {np.inf: norms._sup_abs(f.values), **power_loop_norms(f, 8)}
@@ -168,18 +168,17 @@ class TestLpNorms:
         f = RealField(g, values)
         self.assert_is_the_sweep(f)
         expected = {"zero": 0.0, "nan": np.nan, "spike": 3.0}[case]
-        assert same_float(lp_norms(values, g.dx, [np.inf], g.plan)[np.inf], expected)
+        assert same_float(lp_norms(f, [np.inf])[np.inf], expected)
 
     def test_empty_set_and_bad_p(self):
         f = sine_field()
-        assert lp_norms(f.values, f.grid.dx, [], f.grid.plan) == {}
+        assert lp_norms(f, []) == {}
         with pytest.raises(ValueError, match="p must be at most 1024, got 1025"):
-            lp_norms(f.values, f.grid.dx, [np.inf, 1025], f.grid.plan)
+            lp_norms(f, [np.inf, 1025])
 
     def test_wrappers_take_one_pass(self):
         f = sine_field()
-        assert lp_norm_map(f, [8, 3, np.inf]) == lp_norms(
-            f.values, f.grid.dx, [3, 8, np.inf], f.grid.plan)
+        assert lp_norm_map(f, [8, 3, np.inf]) == lp_norms(f, [3, 8, np.inf])
         assert lp_norm(f, 8.0) == lp_norm_map(f, [8])[8]
 
 
@@ -417,6 +416,15 @@ class TestHolderStop:
     def test_zero_field(self):
         f = RealField(Grid(32), np.zeros((32, 32)))
         assert sup_over_p(f, 64)[1] == _full_sup(f, 64) == 0.0
+
+    @pytest.mark.parametrize("p_keep", [2, 8])
+    def test_zero_field_map_stops_at_p_keep(self, p_keep):
+        # every norm is 0, so the maximum is 0 at p = 2 and no p_max makes
+        # the map longer than p = 2..p_keep
+        f = RealField(Grid(32), np.zeros((32, 32)))
+        lp, best = sup_over_p(f, 10**6, p_keep)
+        assert len(lp) == p_keep - 1
+        assert lp == dict.fromkeys(range(2, p_keep + 1), 0.0) and best == 0.0
 
     def test_constant_modulus_field_stops_at_p3(self):
         # |f| = m everywhere attains Holder's bound at every p; the bound on

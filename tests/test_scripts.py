@@ -1,6 +1,7 @@
 """Smoke runs of the study scripts under scripts/, at n = 32."""
 
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -64,3 +65,20 @@ def test_verification_battery(tmp_path):
             fields = line.rsplit(",", ncols - 1)
             numeric = fields[1:] if header.startswith("function_id") else fields
             assert all(isinstance(float(x), float) for x in numeric)
+
+
+def test_mutation_probe_anchors_occur_once_in_src():
+    # a change that moves an anchor must update the probe's list
+    spec = importlib.util.spec_from_file_location(
+        "mutation_probe", ROOT / "scripts" / "mutation_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    counts = probe.anchor_counts()
+    assert len(counts) == len(probe.MUTANTS) >= 20
+    assert counts == dict.fromkeys(counts, 1)
+    for name, path, anchor, replacement in probe.MUTANTS:
+        text = (ROOT / "src" / "logeuler" / path).read_text()
+        lines = text.splitlines()
+        mutated = probe.mutate(text, anchor, replacement).splitlines()
+        assert len(mutated) == len(lines), name
+        assert sum(a != b for a, b in zip(lines, mutated)) == 1, name
