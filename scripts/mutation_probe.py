@@ -4,14 +4,13 @@
 Each mutant of ``MUTANTS`` replaces one anchor text in ``src/logeuler``.
 The probe applies the mutants one at a time, each to a copy of ``src/``
 (with the tests and the files they read) in a temporary directory, and on
-that copy runs ``tests/test_acceptance.py`` (the ten criteria) and then
-tier-1 with ``-x`` (less the anchor test below, which a mutant fails by
-removing its anchor).  It prints one line per mutant: the first tier-1 test
-that failed, or ``SURVIVED``, and the criteria that alone would have
-failed.  A survivor is not always a gap: a mutant may give the same bytes.
+that copy runs tier-1 once (less the anchor test below, which a mutant
+fails by removing its anchor).  It prints one line per mutant: the first
+tier-1 test that failed, or ``SURVIVED``, and the acceptance criteria
+among the failures, which alone would have killed it.  A survivor is not
+always a gap: a mutant may give the same bytes.
 
-    python3 scripts/mutation_probe.py            # every mutant
-    python3 scripts/mutation_probe.py NAME ...   # only these
+    python3 scripts/mutation_probe.py
 
 Each anchor must occur exactly once in ``src/`` (a tier-1 test checks it),
 so a change that moves an anchor updates it here.  The exit status is 1
@@ -100,19 +99,22 @@ def mutate(text: str, anchor: str, replacement: str) -> str:
     return text.replace(anchor, replacement)
 
 
-def _failures(tree: Path, args: list[str]) -> list[str]:
-    """The ids of the tests that fail when pytest runs on ``tree`` (its own
-    src/ first on the path): the FAILED and ERROR lines of its summary, or
-    the exit status or timeout when it failed with no such line."""
+def _failures(tree: Path) -> list[str]:
+    """The ids of the tests that fail when tier-1 runs on ``tree`` (its own
+    src/ first on the path), in the order they ran, or the exit status or
+    timeout when pytest failed with no such test."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
+    cmd = [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", "--deselect", ANCHOR_TEST]
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                               text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return [f"timeout after {TIMEOUT} s"]
-    failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.M)
-    return failed or ([f"pytest exit {proc.returncode}"] if proc.returncode else [])
+    # -v prints one line per test as it runs; a teardown error repeats an id
+    failed = re.findall(r"^(\S+::\S+) (?:FAILED|ERROR)\b", proc.stdout, re.M)
+    return (list(dict.fromkeys(failed))
+            or ([f"pytest exit {proc.returncode}"] if proc.returncode else []))
 
 
 def probe(path: str, anchor: str, replacement: str) -> tuple[str, str]:
@@ -128,28 +130,20 @@ def probe(path: str, anchor: str, replacement: str) -> tuple[str, str]:
                 shutil.copy2(source, target)
         target = tree / PACKAGE / path
         target.write_text(mutate(target.read_text(), anchor, replacement))
-        acceptance = _failures(tree, ["tests/test_acceptance.py"])
-        tier1 = _failures(tree, ["-x", "--continue-on-collection-errors",
-                                 "--deselect", ANCHOR_TEST])
-    criteria = sorted({int(c) for f in acceptance
+        failed = _failures(tree)
+    criteria = sorted({int(c) for f in failed
                        for c in re.findall(r"test_criterion_(\d+)_", f)})
-    return (tier1[0] if tier1 else "SURVIVED",
+    return (failed[0] if failed else "SURVIVED",
             ", ".join(map(str, criteria)) or "none")
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     bad = {name: n for name, n in anchor_counts().items() if n != 1}
     if bad:
         print(f"anchors not found exactly once in src/: {bad}", file=sys.stderr)
         return 2
     survived = 0
     for name, *mutant in MUTANTS:
-        if names and name not in names:
-            continue
         killer, criteria = probe(*mutant)
         survived += killer == "SURVIVED"
         print(f"{name:24}  {killer}  [criteria: {criteria}]", flush=True)
@@ -157,4 +151,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
